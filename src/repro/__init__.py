@@ -5,8 +5,8 @@ A decentralized, blockchain-backed energy-metering architecture for
 mobile IoT devices, rebuilt on a discrete-event simulation substrate.
 The public API re-exports the pieces a downstream user composes:
 
->>> from repro import build_paper_testbed
->>> scenario = build_paper_testbed(seed=7)
+>>> from repro import build, paper_testbed_spec
+>>> scenario = build(paper_testbed_spec(seed=7))
 >>> scenario.run_until(30.0)
 >>> scenario.chain.validate()
 
@@ -29,8 +29,6 @@ from repro.sim import Simulator
 from repro.workloads import (
     MobilityTrace,
     Scenario,
-    build_paper_testbed,
-    build_scaled_scenario,
     paper_testbed_spec,
     scaled_spec,
 )
@@ -61,7 +59,5 @@ __all__ = [
     "Scenario",
     "paper_testbed_spec",
     "scaled_spec",
-    "build_paper_testbed",
-    "build_scaled_scenario",
     "__version__",
 ]

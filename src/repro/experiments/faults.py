@@ -23,8 +23,8 @@ from repro.faults import FaultPlan
 from repro.runtime import FaultSpec, build
 from repro.workloads.scenarios import (
     Scenario,
-    build_blackout_scenario,
-    build_crash_scenario,
+    blackout_spec,
+    crash_spec,
     paper_testbed_spec,
 )
 
@@ -140,10 +140,9 @@ def run_blackout_chaos(
     retry: bool = True,
 ) -> ChaosResult:
     """The acceptance scenario: a link blackout covered by buffering."""
-    scenario, plan = build_blackout_scenario(
-        seed=seed, blackout_at=blackout_at, blackout_s=blackout_s, retry=retry
-    )
-    return settle_and_measure(scenario, plan, run_s, seed=seed)
+    spec = blackout_spec(seed=seed, blackout_at=blackout_at, blackout_s=blackout_s, retry=retry)
+    scenario = build(spec)
+    return settle_and_measure(scenario, scenario.fault_plan, run_s, seed=seed)
 
 
 def run_crash_chaos(
@@ -154,10 +153,8 @@ def run_crash_chaos(
     retry: bool = True,
 ) -> ChaosResult:
     """Aggregator crash+restart; ledger-vouched re-registration recovers."""
-    scenario, plan = build_crash_scenario(
-        seed=seed, crash_at=crash_at, outage_s=outage_s, retry=retry
-    )
-    return settle_and_measure(scenario, plan, run_s, seed=seed)
+    scenario = build(crash_spec(seed=seed, crash_at=crash_at, outage_s=outage_s, retry=retry))
+    return settle_and_measure(scenario, scenario.fault_plan, run_s, seed=seed)
 
 
 @dataclass

@@ -5,6 +5,7 @@
   counter bank and fault/retry hooks that every layer constructs from,
 * :mod:`repro.runtime.spec` — :class:`ScenarioSpec` and friends: a
   simulation world as JSON-round-trippable data,
+* :mod:`repro.runtime.codec` — the one JSON codec every spec shares,
 * :mod:`repro.runtime.build` — the single :func:`build` compiler from
   spec to wired world,
 * :mod:`repro.runtime.scenario` — :class:`Scenario`, the wired world
@@ -26,6 +27,7 @@ from repro.runtime.spec import (
     ServeSpec,
     ShardSpec,
     TransportSpec,
+    VectorSpec,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "TransportSpec",
     "ObsSpec",
     "ShardSpec",
+    "VectorSpec",
     "ServeSpec",
     "build",
     "build_partial",

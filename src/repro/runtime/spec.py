@@ -4,15 +4,16 @@ A :class:`ScenarioSpec` is the *shape* of a simulation world as plain
 data: which networks exist, which devices live in them and under what
 load profile, how the backhaul mesh is wired, and which faults strike
 when.  Specs round-trip losslessly through JSON (``to_dict`` /
-``from_dict``), so a scenario can live in a file, travel in an
-experiment report, or be generated programmatically for sweeps —
-protocol-parameter studies demand that scenario shape be data, not
-code.
+``from_dict``, shared by every spec through
+:class:`~repro.runtime.codec.SpecCodec`), so a scenario can live in a
+file, travel in an experiment report, or be generated programmatically
+for sweeps — protocol-parameter studies demand that scenario shape be
+data, not code.
 
 :func:`repro.runtime.build.build` compiles a spec into a fully wired
 :class:`~repro.runtime.scenario.Scenario`; the canonical shapes (the
 paper's 2x2 testbed, the scaled N x M worlds, the chaos variants) are
-produced by the thin factories in :mod:`repro.workloads.scenarios`.
+produced by the factories in :mod:`repro.workloads.scenarios`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ConfigError
+from repro.runtime.codec import SpecCodec
 
 PROFILE_KINDS = ("constant", "duty_cycle", "sinusoid")
 MESH_TOPOLOGIES = ("full", "line", "star", "explicit")
@@ -34,14 +36,8 @@ FAULT_KINDS = (
 )
 
 
-def _require_keys(data: dict, allowed: set[str], what: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-
-
 @dataclass(frozen=True)
-class ProfileSpec:
+class ProfileSpec(SpecCodec):
     """A load-current profile as data.
 
     Attributes:
@@ -79,19 +75,9 @@ class ProfileSpec:
         except TypeError as exc:
             raise ConfigError(f"bad {self.kind} profile params {self.params}: {exc}") from exc
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ProfileSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(data, {"kind", "params"}, "profile")
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
-
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(SpecCodec):
     """One grid network and its aggregator.
 
     Attributes:
@@ -119,36 +105,9 @@ class NetworkSpec:
         if self.slot_count is not None and self.slot_count < 1:
             raise ConfigError(f"slot count must be >= 1, got {self.slot_count}")
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "name": self.name,
-            "supply_voltage_v": self.supply_voltage_v,
-            "wire_resistance_ohms": self.wire_resistance_ohms,
-            "wire_leakage_ma": self.wire_leakage_ma,
-            "slot_count": self.slot_count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "NetworkSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"name", "supply_voltage_v", "wire_resistance_ohms", "wire_leakage_ma",
-             "slot_count"},
-            "network",
-        )
-        return cls(
-            name=data["name"],
-            supply_voltage_v=data.get("supply_voltage_v", 5.0),
-            wire_resistance_ohms=data.get("wire_resistance_ohms", 0.1),
-            wire_leakage_ma=data.get("wire_leakage_ma", 2.5),
-            slot_count=data.get("slot_count"),
-        )
-
 
 @dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(SpecCodec):
     """One metering device.
 
     Attributes:
@@ -175,33 +134,9 @@ class DeviceSpec:
         if self.distance_m <= 0:
             raise ConfigError(f"distance must be positive, got {self.distance_m}")
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "name": self.name,
-            "network": self.network,
-            "profile": self.profile.to_dict(),
-            "enter_at": self.enter_at,
-            "distance_m": self.distance_m,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DeviceSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data, {"name", "network", "profile", "enter_at", "distance_m"}, "device"
-        )
-        return cls(
-            name=data["name"],
-            network=data["network"],
-            profile=ProfileSpec.from_dict(data["profile"]),
-            enter_at=data.get("enter_at", 0.0),
-            distance_m=data.get("distance_m", 5.0),
-        )
-
 
 @dataclass(frozen=True)
-class MeshSpec:
+class MeshSpec(SpecCodec):
     """Backhaul mesh shape.
 
     Attributes:
@@ -236,34 +171,18 @@ class MeshSpec:
             return [(names[0], other) for other in names[1:]]
         return [tuple(pair) for pair in self.links]
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "topology": self.topology,
-            "latency_s": self.latency_s,
-            "links": [list(pair) for pair in self.links],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MeshSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(data, {"topology", "latency_s", "links"}, "mesh")
-        return cls(
-            topology=data.get("topology", "full"),
-            latency_s=data.get("latency_s", 0.001),
-            links=tuple(tuple(pair) for pair in data.get("links", [])),
-        )
-
 
 @dataclass(frozen=True)
-class TransportSpec:
+class TransportSpec(SpecCodec):
     """Which wire backend carries device-to-aggregator traffic.
 
     Attributes:
         kind: ``mqtt`` (full radio fidelity — airtime, RSSI loss,
             connect jitter; the default, and the backend the pinned
-            determinism digest is taken on) or ``direct`` (in-process
-            topic router with fixed latency/loss, for large fleets).
+            determinism digest is taken on), ``direct`` (in-process
+            topic router with fixed latency/loss, for large fleets) or
+            ``serve`` (the direct router carrying codec-encoded bytes for
+            serve mode; it takes the ``direct`` parameters below).
         latency_s: Per-attempt link latency (``direct`` only).
         loss_p: Per-attempt loss probability (``direct`` only; 0
             disables the loss draw entirely).
@@ -279,10 +198,6 @@ class TransportSpec:
     connect_s: float = 0.35
     scan_s: float = 4.29
     assoc_s: float = 1.2
-
-    # The ``serve`` kind is the direct router with a real wire boundary
-    # (every payload is codec-encoded bytes); it shares the direct
-    # backend's latency/loss/entry parameters.
 
     def __post_init__(self) -> None:
         if self.kind not in TRANSPORT_KINDS:
@@ -314,16 +229,6 @@ class TransportSpec:
             from repro.transport.mqtt import MqttTransport
 
             return MqttTransport(channel)
-        if self.kind == "serve":
-            from repro.transport.serve import ServeTransport
-
-            return ServeTransport(
-                latency_s=self.latency_s,
-                loss_p=self.loss_p,
-                connect_s=self.connect_s,
-                scan_s=self.scan_s,
-                assoc_s=self.assoc_s,
-            )
         from repro.transport.direct import DirectTransport
 
         return DirectTransport(
@@ -332,39 +237,12 @@ class TransportSpec:
             connect_s=self.connect_s,
             scan_s=self.scan_s,
             assoc_s=self.assoc_s,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "kind": self.kind,
-            "latency_s": self.latency_s,
-            "loss_p": self.loss_p,
-            "connect_s": self.connect_s,
-            "scan_s": self.scan_s,
-            "assoc_s": self.assoc_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TransportSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"kind", "latency_s", "loss_p", "connect_s", "scan_s", "assoc_s"},
-            "transport",
-        )
-        return cls(
-            kind=data.get("kind", "mqtt"),
-            latency_s=data.get("latency_s", 0.0005),
-            loss_p=data.get("loss_p", 0.0),
-            connect_s=data.get("connect_s", 0.35),
-            scan_s=data.get("scan_s", 4.29),
-            assoc_s=data.get("assoc_s", 1.2),
+            wire_bytes=self.kind == "serve",
         )
 
 
 @dataclass(frozen=True)
-class ObsSpec:
+class ObsSpec(SpecCodec):
     """Observability configuration for a run.
 
     Default **off**: a spec without an ``obs`` block builds the exact
@@ -391,31 +269,9 @@ class ObsSpec:
                 f"sample_every must be >= 1, got {self.sample_every}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "enabled": self.enabled,
-            "spans": self.spans,
-            "profile": self.profile,
-            "sample_every": self.sample_every,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ObsSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data, {"enabled", "spans", "profile", "sample_every"}, "obs"
-        )
-        return cls(
-            enabled=data.get("enabled", False),
-            spans=data.get("spans", True),
-            profile=data.get("profile", True),
-            sample_every=data.get("sample_every", 10_000),
-        )
-
 
 @dataclass(frozen=True)
-class LedgerSpec:
+class LedgerSpec(SpecCodec):
     """Ledger sync, checkpointing and pruning configuration.
 
     Default **off** on every axis: a spec without a ``ledger`` block
@@ -465,36 +321,9 @@ class LedgerSpec:
                 "pruning requires checkpointing (set checkpoint_interval_blocks)"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "sync_enabled": self.sync_enabled,
-            "header_batch_size": self.header_batch_size,
-            "sync_interval_s": self.sync_interval_s,
-            "checkpoint_interval_blocks": self.checkpoint_interval_blocks,
-            "pruning_depth_blocks": self.pruning_depth_blocks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LedgerSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"sync_enabled", "header_batch_size", "sync_interval_s",
-             "checkpoint_interval_blocks", "pruning_depth_blocks"},
-            "ledger",
-        )
-        return cls(
-            sync_enabled=data.get("sync_enabled", False),
-            header_batch_size=data.get("header_batch_size", 16),
-            sync_interval_s=data.get("sync_interval_s"),
-            checkpoint_interval_blocks=data.get("checkpoint_interval_blocks", 0),
-            pruning_depth_blocks=data.get("pruning_depth_blocks", 0),
-        )
-
 
 @dataclass(frozen=True)
-class ShardSpec:
+class ShardSpec(SpecCodec):
     """Sharded-execution configuration.
 
     Default **serial** (``shards=1``): a spec without a ``sharding``
@@ -531,29 +360,9 @@ class ShardSpec:
                 f"{self.shards} shards"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "shards": self.shards,
-            "window_s": self.window_s,
-            "assignment": [list(group) for group in self.assignment],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ShardSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(data, {"shards", "window_s", "assignment"}, "sharding")
-        return cls(
-            shards=data.get("shards", 1),
-            window_s=data.get("window_s"),
-            assignment=tuple(
-                tuple(group) for group in data.get("assignment", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class VectorSpec:
+class VectorSpec(SpecCodec):
     """Vectorized (array-backed cohort) execution configuration.
 
     Default **off**: a spec without a ``vector`` block builds and runs
@@ -590,31 +399,9 @@ class VectorSpec:
                 f"vector backend must be 'auto' or 'python', got {self.backend!r}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "enabled": self.enabled,
-            "scan_interval_s": self.scan_interval_s,
-            "min_cohort": self.min_cohort,
-            "backend": self.backend,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "VectorSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data, {"enabled", "scan_interval_s", "min_cohort", "backend"}, "vector"
-        )
-        return cls(
-            enabled=data.get("enabled", False),
-            scan_interval_s=data.get("scan_interval_s", 1.0),
-            min_cohort=data.get("min_cohort", 2),
-            backend=data.get("backend", "auto"),
-        )
-
 
 @dataclass(frozen=True)
-class ServeSpec:
+class ServeSpec(SpecCodec):
     """Serve-mode configuration: the aggregator as a networked service.
 
     Default **off**: a spec without a ``serve`` block builds and runs
@@ -657,37 +444,9 @@ class ServeSpec:
                 f"serve poll timeout must be >= 0, got {self.poll_timeout_s}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "enabled": self.enabled,
-            "host": self.host,
-            "port": self.port,
-            "network": self.network,
-            "step_s": self.step_s,
-            "poll_timeout_s": self.poll_timeout_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ServeSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"enabled", "host", "port", "network", "step_s", "poll_timeout_s"},
-            "serve",
-        )
-        return cls(
-            enabled=data.get("enabled", False),
-            host=data.get("host", "127.0.0.1"),
-            port=data.get("port", 0),
-            network=data.get("network"),
-            step_s=data.get("step_s", 1.0),
-            poll_timeout_s=data.get("poll_timeout_s", 5.0),
-        )
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(SpecCodec):
     """One named fault window.
 
     Attributes:
@@ -736,39 +495,9 @@ class FaultSpec:
         if self.kind in ("broker_noise", "aggregator_crash") and not self.target:
             raise ConfigError(f"{self.kind} fault {self.name!r} needs a target")
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "start_at": self.start_at,
-            "duration_s": self.duration_s,
-            "target": self.target,
-            "groups": [list(group) for group in self.groups],
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"kind", "name", "start_at", "duration_s", "target", "groups", "params"},
-            "fault",
-        )
-        return cls(
-            kind=data["kind"],
-            name=data["name"],
-            start_at=data["start_at"],
-            duration_s=data.get("duration_s"),
-            target=data.get("target"),
-            groups=tuple(tuple(group) for group in data.get("groups", [])),
-            params=dict(data.get("params", {})),
-        )
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecCodec):
     """A complete simulation world as data.
 
     Attributes:
@@ -878,72 +607,6 @@ class ScenarioSpec:
     def network_names(self) -> list[str]:
         """Network names in declaration order."""
         return [n.name for n in self.networks]
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form; :meth:`from_dict` inverts it exactly."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "t_measure_s": self.t_measure_s,
-            "device_retry": self.device_retry,
-            "networks": [n.to_dict() for n in self.networks],
-            "devices": [d.to_dict() for d in self.devices],
-            "mesh": self.mesh.to_dict(),
-            "transport": self.transport.to_dict(),
-            "faults": [f.to_dict() for f in self.faults],
-            "obs": self.obs.to_dict(),
-            "ledger": self.ledger.to_dict(),
-            "sharding": self.sharding.to_dict(),
-            "vector": self.vector.to_dict(),
-            "serve": self.serve.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`."""
-        _require_keys(
-            data,
-            {"name", "seed", "t_measure_s", "device_retry", "networks", "devices",
-             "mesh", "transport", "faults", "obs", "ledger", "sharding", "vector",
-             "serve"},
-            "scenario",
-        )
-        return cls(
-            name=data.get("name", "scenario"),
-            seed=data.get("seed", 0),
-            t_measure_s=data.get("t_measure_s", 0.1),
-            device_retry=data.get("device_retry", True),
-            networks=tuple(NetworkSpec.from_dict(n) for n in data.get("networks", [])),
-            devices=tuple(DeviceSpec.from_dict(d) for d in data.get("devices", [])),
-            mesh=MeshSpec.from_dict(data["mesh"]) if "mesh" in data else MeshSpec(),
-            transport=(
-                TransportSpec.from_dict(data["transport"])
-                if "transport" in data
-                else TransportSpec()
-            ),
-            faults=tuple(FaultSpec.from_dict(f) for f in data.get("faults", [])),
-            obs=ObsSpec.from_dict(data["obs"]) if "obs" in data else ObsSpec(),
-            ledger=(
-                LedgerSpec.from_dict(data["ledger"])
-                if "ledger" in data
-                else LedgerSpec()
-            ),
-            sharding=(
-                ShardSpec.from_dict(data["sharding"])
-                if "sharding" in data
-                else ShardSpec()
-            ),
-            vector=(
-                VectorSpec.from_dict(data["vector"])
-                if "vector" in data
-                else VectorSpec()
-            ),
-            serve=(
-                ServeSpec.from_dict(data["serve"])
-                if "serve" in data
-                else ServeSpec()
-            ),
-        )
 
     def to_json(self, indent: int | None = 2) -> str:
         """Serialize to a JSON document."""

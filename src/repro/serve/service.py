@@ -10,13 +10,13 @@ window per ingestion step, so the world is always quiescent between
 requests and every request observes a consistent state.
 
 The wire boundary is the PR-3 transport seam: the world is built on the
-``serve`` transport backend (:mod:`repro.transport.serve`), whose
-endpoints carry encoded wire bytes.  An HTTP body is validated by the
-codec, re-encoded, and *delivered into the aggregator's own endpoint* —
-the exact path a radio frame takes — and the aggregator's downlink
-replies come back out of the endpoint as wire bytes the service decodes
-and correlates.  Nothing in :mod:`repro.aggregator` knows it is being
-served.
+``serve`` transport backend (the :mod:`repro.transport.direct` router
+with ``wire_bytes=True``), whose endpoints carry encoded wire bytes.
+An HTTP body is validated by the codec, re-encoded, and *delivered into
+the aggregator's own endpoint* — the exact path a radio frame takes —
+and the aggregator's downlink replies come back out of the endpoint as
+wire bytes the service decodes and correlates.  Nothing in
+:mod:`repro.aggregator` knows it is being served.
 
 Batched ingestion follows the d3a ``batch_command`` idiom: one request
 carries many device reports, the service injects them all, advances one
@@ -44,7 +44,7 @@ from repro.protocol.messages import (
     RegistrationResponse,
 )
 from repro.runtime.build import build
-from repro.runtime.spec import ScenarioSpec, TransportSpec
+from repro.runtime.spec import ScenarioSpec
 
 # Alerts kept in the ring before the oldest are dropped; cursors stay
 # valid because they are absolute sequence numbers, not list indices.
@@ -68,18 +68,8 @@ class AggregatorService:
     """
 
     def __init__(self, spec: ScenarioSpec, network: str | None = None) -> None:
-        if spec.transport.kind != "serve":
-            spec = dataclasses.replace(
-                spec,
-                transport=TransportSpec(
-                    kind="serve",
-                    latency_s=spec.transport.latency_s,
-                    loss_p=spec.transport.loss_p,
-                    connect_s=spec.transport.connect_s,
-                    scan_s=spec.transport.scan_s,
-                    assoc_s=spec.transport.assoc_s,
-                ),
-            )
+        transport = dataclasses.replace(spec.transport, kind="serve")
+        spec = dataclasses.replace(spec, transport=transport)
         self._spec = spec
         self._serve = spec.serve
         self._scenario = build(spec)

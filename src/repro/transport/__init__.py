@@ -6,7 +6,9 @@ Interfaces (:class:`Transport`, :class:`Endpoint`, :class:`DeviceLink`,
 ``repro.net.mqtt`` can import the interfaces without a cycle:
 
 * :class:`MqttTransport` — full radio fidelity (airtime, RSSI, jitter),
-* :class:`DirectTransport` — in-process routing for large fleets.
+* :class:`DirectTransport` — in-process routing for large fleets; with
+  ``wire_bytes=True`` it is the ``serve`` backend, carrying
+  codec-encoded bytes across serve mode's HTTP boundary.
 """
 
 from typing import Any

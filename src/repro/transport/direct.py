@@ -17,7 +17,9 @@ scalability runs stop paying the full per-frame cost:
 Delivery semantics match the MQTT backend: deliveries are scheduled
 (never synchronous), a downed hub drops everything, QoS 1 retries up to
 the budget, and fault injectors rule on links and routing alike — chaos
-scenarios run unchanged on either backend.
+scenarios run unchanged on either backend.  With ``wire_bytes=True``
+this is the ``serve`` backend: the same router carrying codec-encoded
+bytes, as serve mode's HTTP boundary needs.
 """
 
 from __future__ import annotations
@@ -53,21 +55,21 @@ class DirectHub(Process, Endpoint):
         runtime: The kernel, or a shared :class:`SimContext`.
         name: Hub name for traces (usually ``{aggregator}-broker``).
         connect_s: Fixed client connect latency.
+        wire_bytes: Carry codec-encoded bytes; when False, message
+            dataclasses pass by reference and protocol code skips the codec.
     """
-
-    #: In-process router: payloads pass through by reference, protocol
-    #: code skips the JSON wire codec entirely.
-    wire_bytes = False
 
     def __init__(
         self,
         runtime: "Simulator | SimContext",
         name: str,
         connect_s: float = 0.35,
+        wire_bytes: bool = False,
     ) -> None:
         super().__init__(runtime, name)
         if connect_s <= 0:
             raise NetworkError(f"connect latency must be positive, got {connect_s}")
+        self.wire_bytes = wire_bytes
         self._connect_s = connect_s
         self._exact: dict[str, list[Subscriber]] = {}
         # (pattern, callback, compiled matcher) — compiled once at
@@ -243,14 +245,11 @@ class DirectLink(Process, DeviceLink):
     Args:
         runtime: The kernel, or a shared :class:`SimContext`.
         name: Link name (usually ``{device}-link``).
-        transport: The owning transport (fixed parameters and the
-            environment-wide fault injector live there).
+        transport: The owning transport (fixed parameters, the payload
+            form and the environment-wide fault injector live there).
         max_retries: QoS 1 retransmission budget.
         retry_backoff_s: Delay before a QoS 1 retransmission.
     """
-
-    #: The hub takes message dataclasses verbatim (see DirectHub).
-    wire_bytes = False
 
     def __init__(
         self,
@@ -265,6 +264,7 @@ class DirectLink(Process, DeviceLink):
             raise NetworkError(f"max_retries must be >= 0, got {max_retries}")
         if retry_backoff_s <= 0:
             raise NetworkError(f"retry backoff must be positive, got {retry_backoff_s}")
+        self.wire_bytes = transport.wire_bytes
         self._transport = transport
         self._max_retries = max_retries
         self._retry_backoff_s = retry_backoff_s
@@ -412,9 +412,9 @@ class DirectTransport(Transport):
         scan_s: Fixed network-scan latency (default: the Wi-Fi mean,
             3 passes x 13 channels x 110 ms).
         assoc_s: Fixed association latency (default: the Wi-Fi median).
+        wire_bytes: Make every hub and link carry codec-encoded bytes
+            (the ``serve`` backend).
     """
-
-    kind = "direct"
 
     def __init__(
         self,
@@ -423,6 +423,7 @@ class DirectTransport(Transport):
         connect_s: float = 0.35,
         scan_s: float = 4.29,
         assoc_s: float = 1.2,
+        wire_bytes: bool = False,
     ) -> None:
         if latency_s < 0:
             raise ConfigError(f"latency must be >= 0, got {latency_s}")
@@ -437,6 +438,8 @@ class DirectTransport(Transport):
         self.connect_s = connect_s
         self.scan_s = scan_s
         self.assoc_s = assoc_s
+        self.wire_bytes = wire_bytes
+        self.kind = "serve" if wire_bytes else "direct"
         self._injector: LinkFaultInjector | None = None
         # Called on environment-injector install/clear (fleet hook).
         self._state_watchers: list[Callable[[], None]] = []
@@ -448,7 +451,7 @@ class DirectTransport(Transport):
 
     def make_endpoint(self, runtime: "Simulator | SimContext", owner_name: str) -> Endpoint:
         """The hub hosted on aggregator ``owner_name``."""
-        return DirectHub(runtime, f"{owner_name}-broker", connect_s=self.connect_s)
+        return DirectHub(runtime, f"{owner_name}-broker", self.connect_s, self.wire_bytes)
 
     def make_link(self, runtime: "Simulator | SimContext", device_name: str) -> DeviceLink:
         """A fixed-latency link for ``device_name``."""

@@ -7,7 +7,8 @@
   driver that schedules them on a simulator,
 * :mod:`repro.workloads.scenarios` — :class:`ScenarioSpec` factories
   for the canonical shapes (the paper's exact 2x2 testbed, scaled N x M
-  worlds, chaos variants) plus the imperative ``build_*`` wrappers.
+  worlds, chaos variants), compiled with ``build(x_spec(...))``, plus
+  :func:`build_partition_scenario`, which also arms a mobility itinerary.
 """
 
 from repro.workloads.mobility import MobilityDriver, MobilityEvent, MobilityTrace
@@ -22,11 +23,7 @@ from repro.workloads.profiles import (
 from repro.workloads.scenarios import (
     Scenario,
     blackout_spec,
-    build_blackout_scenario,
-    build_crash_scenario,
-    build_paper_testbed,
     build_partition_scenario,
-    build_scaled_scenario,
     crash_spec,
     paper_testbed_spec,
     partition_spec,
@@ -50,10 +47,6 @@ __all__ = [
     "blackout_spec",
     "crash_spec",
     "partition_spec",
-    "build_paper_testbed",
-    "build_scaled_scenario",
-    "build_blackout_scenario",
-    "build_crash_scenario",
     "build_partition_scenario",
     "MarkovApplianceModel",
     "TraceProfile",

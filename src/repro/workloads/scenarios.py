@@ -8,19 +8,18 @@ scalability experiments, and :func:`blackout_spec` /
 :func:`crash_spec` / :func:`partition_spec` put the testbed under
 deterministic fault schedules.
 
-Every factory returns plain data; :func:`repro.runtime.build.build`
-compiles it into a wired world.  The ``build_*`` wrappers keep the
-historical imperative entry points (same signatures, same returns, same
-bit-identical worlds at a given seed) as one-liners over spec + build.
+Every factory returns plain data that :func:`repro.runtime.build.build`
+compiles into a wired world (``scenario.fault_plan`` arms the faults).
+Only :func:`build_partition_scenario` also builds: its mobility
+itinerary is a callable over scenario state, not spec data.
 """
 
 from __future__ import annotations
 
-from repro.aggregator.unit import AggregatorConfig
-from repro.device.stack import DeviceConfig
+import dataclasses
+
 from repro.errors import ConfigError
-from repro.faults import FaultPlan, RetryPolicy
-from repro.hw.powerline import WireSegment
+from repro.faults import FaultPlan
 from repro.runtime.build import build
 from repro.runtime.scenario import Scenario
 from repro.runtime.spec import (
@@ -41,10 +40,6 @@ __all__ = [
     "blackout_spec",
     "crash_spec",
     "partition_spec",
-    "build_paper_testbed",
-    "build_scaled_scenario",
-    "build_blackout_scenario",
-    "build_crash_scenario",
     "build_partition_scenario",
 ]
 
@@ -198,65 +193,6 @@ def scaled_spec(
     )
 
 
-def build_paper_testbed(
-    seed: int = 0,
-    t_measure_s: float = 0.1,
-    enter_devices: bool = True,
-    device_config: DeviceConfig | None = None,
-    aggregator_config: AggregatorConfig | None = None,
-    segment: WireSegment | None = None,
-) -> Scenario:
-    """Compile the paper testbed (see :func:`paper_testbed_spec`).
-
-    ``device_config`` / ``aggregator_config`` / ``segment`` override
-    every device/aggregator/wire with a non-serializable config object;
-    the recorded spec still describes the world shape.
-    """
-    return build(
-        paper_testbed_spec(
-            seed=seed, t_measure_s=t_measure_s, enter_devices=enter_devices
-        ),
-        device_config=device_config,
-        aggregator_config=aggregator_config,
-        segment=segment,
-    )
-
-
-def build_scaled_scenario(
-    n_networks: int,
-    devices_per_network: int,
-    seed: int = 0,
-    t_measure_s: float = 0.1,
-    slot_count: int | None = None,
-    enter_devices: bool = True,
-    mesh_topology: str = "full",
-    transport: TransportSpec | None = None,
-) -> Scenario:
-    """Compile the scaled N x M world (see :func:`scaled_spec`)."""
-    return build(
-        scaled_spec(
-            n_networks,
-            devices_per_network,
-            seed=seed,
-            t_measure_s=t_measure_s,
-            slot_count=slot_count,
-            enter_devices=enter_devices,
-            mesh_topology=mesh_topology,
-            transport=transport,
-        )
-    )
-
-
-# -- chaos scenarios -----------------------------------------------------
-
-
-def _chaos_device_config(t_measure_s: float, retry: bool) -> DeviceConfig:
-    return DeviceConfig(
-        t_measure_s=t_measure_s,
-        retry=RetryPolicy() if retry else None,
-    )
-
-
 def blackout_spec(
     seed: int = 0,
     blackout_at: float = 10.0,
@@ -352,70 +288,14 @@ def partition_spec(
         ),
     )
     # device2/3/4 enter their homes at t=0; device1 rides mobility.
-    devices = tuple(
-        device if device.name == "device1"
-        else DeviceSpec(
-            name=device.name,
-            network=device.network,
-            profile=device.profile,
-            enter_at=0.0,
-            distance_m=device.distance_m,
-        )
-        for device in base.devices
+    return dataclasses.replace(
+        base,
+        devices=tuple(
+            device if device.name == "device1"
+            else dataclasses.replace(device, enter_at=0.0)
+            for device in base.devices
+        ),
     )
-    return ScenarioSpec(
-        name=base.name,
-        seed=base.seed,
-        t_measure_s=base.t_measure_s,
-        device_retry=base.device_retry,
-        networks=base.networks,
-        devices=devices,
-        mesh=base.mesh,
-        transport=base.transport,
-        faults=base.faults,
-    )
-
-
-def build_blackout_scenario(
-    seed: int = 0,
-    blackout_at: float = 10.0,
-    blackout_s: float = 30.0,
-    t_measure_s: float = 0.1,
-    retry: bool = True,
-) -> tuple[Scenario, FaultPlan]:
-    """Compile :func:`blackout_spec`; returns ``(scenario, plan)``."""
-    scenario = build(
-        blackout_spec(
-            seed=seed,
-            blackout_at=blackout_at,
-            blackout_s=blackout_s,
-            t_measure_s=t_measure_s,
-            retry=retry,
-        )
-    )
-    return scenario, scenario.fault_plan
-
-
-def build_crash_scenario(
-    seed: int = 0,
-    crash_at: float = 10.0,
-    outage_s: float = 15.0,
-    t_measure_s: float = 0.1,
-    retry: bool = True,
-    aggregator: str = "agg1",
-) -> tuple[Scenario, FaultPlan]:
-    """Compile :func:`crash_spec`; returns ``(scenario, plan)``."""
-    scenario = build(
-        crash_spec(
-            seed=seed,
-            crash_at=crash_at,
-            outage_s=outage_s,
-            t_measure_s=t_measure_s,
-            retry=retry,
-            aggregator=aggregator,
-        )
-    )
-    return scenario, scenario.fault_plan
 
 
 def build_partition_scenario(

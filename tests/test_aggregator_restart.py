@@ -4,12 +4,13 @@ import pytest
 
 from repro.ids import DeviceId
 from repro.protocol.device_fsm import DevicePhase
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 @pytest.fixture()
 def restarted_world():
-    scenario = build_paper_testbed(seed=91)
+    scenario = build(paper_testbed_spec(seed=91))
     scenario.run_until(12.0)
     agg1 = scenario.aggregator("agg1")
     agg1.simulate_crash_restart()
@@ -67,7 +68,7 @@ class TestAggregatorRestart:
         assert agg1._ledger_vouches_for(DeviceId("device1"))
 
     def test_double_restart_converges(self):
-        scenario = build_paper_testbed(seed=92)
+        scenario = build(paper_testbed_spec(seed=92))
         scenario.run_until(12.0)
         agg1 = scenario.aggregator("agg1")
         agg1.simulate_crash_restart()

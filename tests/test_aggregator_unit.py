@@ -6,13 +6,14 @@ from repro.aggregator import AggregatorConfig, MembershipKind
 from repro.errors import ConfigError
 from repro.ids import AggregatorId, DeviceId
 from repro.protocol.device_fsm import DevicePhase
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 @pytest.fixture(scope="module")
 def steady_world():
     """A paper testbed run to steady state (shared; read-only tests)."""
-    scenario = build_paper_testbed(seed=11)
+    scenario = build(paper_testbed_spec(seed=11))
     scenario.run_until(20.0)
     return scenario
 
@@ -97,7 +98,7 @@ class TestBlockCadence:
 
 class TestAdministration:
     def test_remove_device(self):
-        scenario = build_paper_testbed(seed=3)
+        scenario = build(paper_testbed_spec(seed=3))
         scenario.run_until(10.0)
         agg1 = scenario.aggregator("agg1")
         agg1.remove_device(DeviceId("device1"))
@@ -110,7 +111,7 @@ class TestAdministration:
         # new owner's network (it must hear the new master's downlink).
         from repro.workloads.mobility import MobilityTrace
 
-        scenario = build_paper_testbed(seed=4, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=4, enter_devices=False))
         scenario.schedule_mobility(
             "device1",
             MobilityTrace.single_move(

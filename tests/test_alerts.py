@@ -9,7 +9,8 @@ from repro.monitoring import (
     AlertRule,
     SeriesBank,
 )
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 def bank_with(name="feeder", samples=()):
@@ -107,7 +108,7 @@ class TestAlertManager:
             manager.add_rule(AlertRule("r", "s", AlertCondition.BELOW, 1.0))
 
     def test_alert_on_real_aggregator_feeder(self):
-        scenario = build_paper_testbed(seed=5)
+        scenario = build(paper_testbed_spec(seed=5))
         scenario.run_until(15.0)
         agg1 = scenario.aggregator("agg1")
         manager = AlertManager(agg1.monitoring)

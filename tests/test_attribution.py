@@ -7,7 +7,8 @@ import pytest
 
 from repro.anomaly import DeviceAttributor, ScalingAttack
 from repro.errors import AnomalyError
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 def synthetic_windows(attributor, alphas, windows=120, loss=0.04, seed=0, noise=0.2):
@@ -98,7 +99,7 @@ class TestDeviceAttributorUnit:
 
 class TestAttributionIntegration:
     def test_fraudulent_device_identified_in_full_simulation(self):
-        scenario = build_paper_testbed(seed=8)
+        scenario = build(paper_testbed_spec(seed=8))
         scenario.device("device1").tamper_attack = ScalingAttack(0.5)
         scenario.run_until(40.0)
         result = scenario.aggregator("agg1").attribute_anomaly()
@@ -107,7 +108,7 @@ class TestAttributionIntegration:
         assert result.alphas["device2"] == pytest.approx(1.0, abs=0.1)
 
     def test_honest_network_has_no_suspects(self):
-        scenario = build_paper_testbed(seed=9)
+        scenario = build(paper_testbed_spec(seed=9))
         scenario.run_until(40.0)
         result = scenario.aggregator("agg2").attribute_anomaly()
         assert result.suspects == []

@@ -5,12 +5,12 @@ import pytest
 from repro.errors import ProtocolError
 from repro.experiments.faults import settle_and_measure
 from repro.faults import LinkFaultSpec
+from repro.runtime import build
 from repro.workloads.scenarios import (
-    _chaos_device_config,
-    build_blackout_scenario,
-    build_crash_scenario,
-    build_paper_testbed,
+    blackout_spec,
     build_partition_scenario,
+    crash_spec,
+    paper_testbed_spec,
 )
 
 
@@ -18,10 +18,8 @@ class TestBlackoutScenario:
     def test_buffering_then_backfill(self):
         # The Fig. 6 shape caused by a fault: reports buffer through the
         # blackout and backfill flagged buffered=True afterwards.
-        scenario, plan = build_blackout_scenario(
-            seed=3, blackout_at=5.0, blackout_s=8.0
-        )
-        result = settle_and_measure(scenario, plan, run_s=20.0, seed=3)
+        scenario = build(blackout_spec(seed=3, blackout_at=5.0, blackout_s=8.0))
+        result = settle_and_measure(scenario, scenario.fault_plan, run_s=20.0, seed=3)
         assert result.delivery_ratio == 1.0
         assert result.billing_error < 1e-9
         for name, outcome in result.devices.items():
@@ -35,7 +33,7 @@ class TestBlackoutScenario:
         # blackout_at=10 leaves room for the ~6 s scan-dominated
         # handshake: devices are REPORTING with an empty store before
         # the lights go out.
-        scenario, _ = build_blackout_scenario(seed=0, blackout_at=10.0, blackout_s=8.0)
+        scenario = build(blackout_spec(seed=0, blackout_at=10.0, blackout_s=8.0))
         scenario.run_until(9.9)
         assert all(d.store.pending == 0 for d in scenario.devices.values())
         scenario.run_until(17.0)
@@ -45,8 +43,8 @@ class TestBlackoutScenario:
 
 class TestCrashScenario:
     def test_crash_restart_backfills(self):
-        scenario, plan = build_crash_scenario(seed=1, crash_at=10.0, outage_s=6.0)
-        result = settle_and_measure(scenario, plan, run_s=25.0, seed=1)
+        scenario = build(crash_spec(seed=1, crash_at=10.0, outage_s=6.0))
+        result = settle_and_measure(scenario, scenario.fault_plan, run_s=25.0, seed=1)
         assert result.delivery_ratio == 1.0
         assert result.billing_error < 1e-9
         # agg1's devices rode the Ack-timeout retry path.
@@ -59,7 +57,7 @@ class TestCrashScenario:
     def test_crash_is_guarded(self):
         from repro.errors import ConfigError
 
-        scenario = build_paper_testbed(seed=0)
+        scenario = build(paper_testbed_spec(seed=0))
         unit = scenario.aggregator("agg1")
         with pytest.raises(ConfigError):
             unit.crash_for(0.0)
@@ -73,7 +71,7 @@ class TestCrashScenario:
         assert not unit.broker.down
 
     def test_volatile_state_lost_ledger_survives(self):
-        scenario, plan = build_crash_scenario(seed=0, crash_at=10.0, outage_s=5.0)
+        scenario = build(crash_spec(seed=0, crash_at=10.0, outage_s=5.0))
         scenario.run_until(9.0)
         unit = scenario.aggregator("agg1")
         registry_before = unit.registry
@@ -107,7 +105,7 @@ class TestPartitionScenario:
 
 class TestBrokerFaults:
     def test_broker_down_drops_and_counts(self):
-        scenario = build_paper_testbed(seed=0)
+        scenario = build(paper_testbed_spec(seed=0))
         unit = scenario.aggregator("agg1")
         scenario.run_until(12.0)  # devices registered and reporting
         unit.broker.set_down(True)
@@ -117,9 +115,7 @@ class TestBrokerFaults:
         unit.broker.set_down(False)
 
     def test_broker_injector_survivable_with_retry(self):
-        scenario = build_paper_testbed(
-            seed=5, device_config=_chaos_device_config(0.1, retry=True)
-        )
+        scenario = build(paper_testbed_spec(seed=5))
         from repro.faults import FaultPlan
 
         plan = FaultPlan(scenario.simulator)
@@ -134,9 +130,7 @@ class TestBrokerFaults:
         assert plan.counters.total("broker:") > 0
 
     def test_duplicate_faults_deduplicated_by_ledger_scoring(self):
-        scenario = build_paper_testbed(
-            seed=6, device_config=_chaos_device_config(0.1, retry=True)
-        )
+        scenario = build(paper_testbed_spec(seed=6))
         from repro.faults import FaultPlan
 
         plan = FaultPlan(scenario.simulator)
@@ -156,9 +150,7 @@ class TestBrokerFaults:
 class TestRetryMatters:
     def test_no_retry_loses_reports_under_silent_loss(self):
         def run(retry: bool) -> float:
-            scenario = build_paper_testbed(
-                seed=4, device_config=_chaos_device_config(0.1, retry)
-            )
+            scenario = build(paper_testbed_spec(seed=4, device_retry=retry))
             from repro.faults import FaultPlan
 
             plan = FaultPlan(scenario.simulator)
@@ -179,10 +171,8 @@ class TestRetryMatters:
 class TestDeterminism:
     def test_same_seed_same_chaos_outcome(self):
         def run():
-            scenario, plan = build_blackout_scenario(
-                seed=11, blackout_at=3.0, blackout_s=4.0
-            )
-            result = settle_and_measure(scenario, plan, run_s=12.0, seed=11)
+            scenario = build(blackout_spec(seed=11, blackout_at=3.0, blackout_s=4.0))
+            result = settle_and_measure(scenario, scenario.fault_plan, run_s=12.0, seed=11)
             return (
                 result.fault_counters,
                 {n: (d.measured, d.delivered, d.ledger_mwh) for n, d in result.devices.items()},
@@ -192,7 +182,7 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         def run(seed):
-            scenario, plan = build_blackout_scenario(seed=seed)
+            scenario = build(blackout_spec(seed=seed))
             scenario.run_until(8.0)
             return scenario.chain.total_energy_mwh()
 

@@ -3,8 +3,9 @@
 import json
 
 from repro.cli import main
+from repro.runtime import build
 from repro.sim import TraceRecorder
-from repro.workloads.scenarios import build_paper_testbed
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 class TestCliOut:
@@ -44,7 +45,7 @@ class TestTraceExport:
         assert json.loads(path.read_text())["category"] == "c"
 
     def test_full_run_trace_exports(self, tmp_path):
-        scenario = build_paper_testbed(seed=5)
+        scenario = build(paper_testbed_spec(seed=5))
         scenario.run_until(8.0)
         path = tmp_path / "run.jsonl"
         count = scenario.simulator.trace.save_jsonl(path)

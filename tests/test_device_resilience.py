@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.ids import DeviceId
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 def steady_scenario(seed=71, until=12.0):
-    scenario = build_paper_testbed(seed=seed)
+    scenario = build(paper_testbed_spec(seed=seed))
     scenario.run_until(until)
     return scenario
 
@@ -61,7 +62,7 @@ class TestCommOutage:
         device.drop_connection()
         with pytest.raises(ProtocolError):
             device.drop_connection()  # already down
-        scenario_fresh = build_paper_testbed(seed=1, enter_devices=False)
+        scenario_fresh = build(paper_testbed_spec(seed=1, enter_devices=False))
         with pytest.raises(ProtocolError):
             scenario_fresh.device("device1").drop_connection()  # not in a network
 
@@ -108,7 +109,7 @@ class TestReceiptFlow:
     def test_receipt_covers_roaming_record_at_home(self):
         from repro.workloads.mobility import MobilityTrace
 
-        scenario = build_paper_testbed(seed=72, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=72, enter_devices=False))
         scenario.schedule_mobility(
             "device1",
             MobilityTrace.single_move(

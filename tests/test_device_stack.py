@@ -5,12 +5,13 @@ import pytest
 from repro.errors import ProtocolError
 from repro.ids import DeviceId
 from repro.protocol.device_fsm import DevicePhase
+from repro.runtime import build
 from repro.workloads.mobility import MobilityTrace
-from repro.workloads.scenarios import build_paper_testbed
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 def roaming_world(seed=0, leave_at=12.0, idle=5.0, end=30.0):
-    scenario = build_paper_testbed(seed=seed, enter_devices=False)
+    scenario = build(paper_testbed_spec(seed=seed, enter_devices=False))
     scenario.schedule_mobility(
         "device1",
         MobilityTrace.single_move(
@@ -113,7 +114,7 @@ class TestMobility:
 
 class TestStackGuards:
     def test_double_enter_rejected(self):
-        scenario = build_paper_testbed(seed=0, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=0, enter_devices=False))
         device = scenario.device("device1")
         agg1 = scenario.aggregator("agg1")
         scenario.simulator.schedule(0.0, lambda: device.enter_network(agg1))
@@ -122,18 +123,18 @@ class TestStackGuards:
             device.enter_network(scenario.aggregator("agg2"))
 
     def test_leave_without_enter_rejected(self):
-        scenario = build_paper_testbed(seed=0, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=0, enter_devices=False))
         with pytest.raises(ProtocolError):
             scenario.device("device1").leave_network()
 
     def test_true_current_includes_mcu(self):
-        scenario = build_paper_testbed(seed=0, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=0, enter_devices=False))
         device = scenario.device("device1")
         # Load profile (sinusoid mean 120 at t where sin=0) plus MCU idle.
         assert device.true_current_ma(0.0) == pytest.approx(120.0 + 20.0)
 
     def test_energy_accounting_close_to_truth(self):
-        scenario = build_paper_testbed(seed=7)
+        scenario = build(paper_testbed_spec(seed=7))
         scenario.run_until(15.0)
         meter = scenario.device("device1").meter
         assert meter.total_energy_mwh == pytest.approx(

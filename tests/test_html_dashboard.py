@@ -9,7 +9,8 @@ from repro.monitoring.html import (
     render_series_html,
     save_dashboard_html,
 )
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 def filled_bank():
@@ -70,7 +71,7 @@ class TestHtmlRendering:
             save_dashboard_html(filled_bank(), tmp_path / "dash.txt")
 
     def test_export_from_real_run(self, tmp_path):
-        scenario = build_paper_testbed(seed=6)
+        scenario = build(paper_testbed_spec(seed=6))
         scenario.run_until(10.0)
         bank = scenario.aggregator("agg1").monitoring
         path = save_dashboard_html(bank, tmp_path / "agg1.html", title="agg1")

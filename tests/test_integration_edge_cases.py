@@ -3,13 +3,14 @@
 from repro.chain import Blockchain, JsonlBlockStore
 from repro.device.stack import DeviceConfig
 from repro.experiments.validate import run_validation
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 class TestWeakLink:
     def test_distant_device_still_fully_metered(self):
         # 60 m from the AP: RSSI is marginal, QoS-1 retries carry it.
-        scenario = build_paper_testbed(seed=81, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=81, enter_devices=False))
         scenario.enter_at("device1", "agg1", 0.0, distance_m=60.0)
         scenario.run_until(25.0)
         device = scenario.device("device1")
@@ -20,7 +21,7 @@ class TestWeakLink:
         scenario.chain.validate()
 
     def test_very_weak_link_loses_little_energy(self):
-        scenario = build_paper_testbed(seed=82, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=82, enter_devices=False))
         scenario.enter_at("device1", "agg1", 0.0, distance_m=60.0)
         scenario.run_until(25.0)
         device = scenario.device("device1")
@@ -32,7 +33,7 @@ class TestWeakLink:
 class TestStorageOverflow:
     def test_long_outage_with_tiny_store_drops_oldest_observably(self):
         config = DeviceConfig(storage_capacity=50)
-        scenario = build_paper_testbed(seed=83, device_config=config)
+        scenario = build(paper_testbed_spec(seed=83), device_config=config)
         scenario.run_until(12.0)
         device = scenario.device("device1")
         device.drop_connection()
@@ -60,7 +61,7 @@ class TestPersistence:
     def test_scenario_with_jsonl_ledger_survives_reload(self, tmp_path):
         path = tmp_path / "chain.jsonl"
         # Build a testbed whose chain writes through to disk.
-        scenario = build_paper_testbed(seed=84, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=84, enter_devices=False))
         disk_chain = Blockchain(JsonlBlockStore(path), authorized=set())
         # Swap the chain in before any block exists.
         for unit in scenario.aggregators.values():
@@ -82,7 +83,7 @@ class TestPersistence:
 class TestDeterminism:
     def test_same_seed_byte_identical_ledger(self):
         def run(seed):
-            scenario = build_paper_testbed(seed=seed)
+            scenario = build(paper_testbed_spec(seed=seed))
             scenario.run_until(15.0)
             return [block.block_hash for block in scenario.chain]
 
@@ -90,7 +91,7 @@ class TestDeterminism:
 
     def test_different_seed_different_ledger(self):
         def run(seed):
-            scenario = build_paper_testbed(seed=seed)
+            scenario = build(paper_testbed_spec(seed=seed))
             scenario.run_until(10.0)
             return scenario.chain.tip_hash
 

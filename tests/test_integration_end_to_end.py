@@ -2,20 +2,19 @@
 
 import pytest
 
-from repro import BillingEngine, FlatTariff, audit_chain, build_paper_testbed
+from repro import BillingEngine, FlatTariff, audit_chain, build, paper_testbed_spec, scaled_spec
 from repro.baselines import NaiveDeviceLog
 from repro.chain import Block
 from repro.chain.store import InMemoryBlockStore
 from repro.device.app import DemandPredictor, RemoteManagement
 from repro.ids import DeviceId
 from repro.workloads.mobility import MobilityTrace
-from repro.workloads.scenarios import build_paper_testbed as build
 
 
 class TestMeteringToBillingPipeline:
     @pytest.fixture(scope="class")
     def world(self):
-        scenario = build_paper_testbed(seed=21)
+        scenario = build(paper_testbed_spec(seed=21))
         scenario.run_until(30.0)
         return scenario
 
@@ -67,7 +66,7 @@ class TestMeteringToBillingPipeline:
 
 class TestRoamingBilling:
     def test_consolidated_billing_across_networks(self):
-        scenario = build(seed=31, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=31, enter_devices=False))
         scenario.schedule_mobility(
             "device1",
             MobilityTrace.single_move(
@@ -89,7 +88,7 @@ class TestRoamingBilling:
 
 class TestTamperEndToEnd:
     def test_blockchain_detects_what_naive_log_misses(self):
-        scenario = build_paper_testbed(seed=41)
+        scenario = build(paper_testbed_spec(seed=41))
         scenario.run_until(15.0)
         chain = scenario.chain
 
@@ -117,9 +116,7 @@ class TestTamperEndToEnd:
 
 class TestScaledWorld:
     def test_sixteen_devices_across_four_networks(self):
-        from repro.workloads.scenarios import build_scaled_scenario
-
-        scenario = build_scaled_scenario(4, 4, seed=51)
+        scenario = build(scaled_spec(4, 4, seed=51))
         scenario.run_until(15.0)
         scenario.chain.validate()
         # Every device registered and reported.

@@ -1,11 +1,12 @@
 """Integration: a fraudulent device in the full simulation is detected."""
 
 from repro.anomaly import OffsetAttack, ScalingAttack
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 def run_with_attack(attack, seed=61, duration=30.0):
-    scenario = build_paper_testbed(seed=seed)
+    scenario = build(paper_testbed_spec(seed=seed))
     scenario.device("device1").tamper_attack = attack
     scenario.run_until(duration)
     return scenario
@@ -36,7 +37,7 @@ class TestInDeviceFraudDetection:
 
     def test_fraud_shrinks_the_bill(self):
         # The attack's motive, verified end-to-end: the ledger under-bills.
-        honest = build_paper_testbed(seed=61)
+        honest = build(paper_testbed_spec(seed=61))
         honest.run_until(20.0)
         honest_energy = honest.chain.total_energy_mwh(
             honest.device("device1").device_id.uid

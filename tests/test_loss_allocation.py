@@ -6,7 +6,8 @@ from repro.aggregator.aggregation import ReportAggregator
 from repro.billing import allocate_losses
 from repro.errors import BillingError
 from repro.ids import DeviceId
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 def make_aggregation(windows):
@@ -67,7 +68,7 @@ class TestAllocateLosses:
             allocate_losses(aggregation, (5.0, 1.0))
 
     def test_allocation_from_real_run_matches_fig5_gap(self):
-        scenario = build_paper_testbed(seed=71)
+        scenario = build(paper_testbed_spec(seed=71))
         scenario.run_until(30.0)
         agg1 = scenario.aggregator("agg1")
         allocation = allocate_losses(agg1.aggregation, (10.0, 30.0))

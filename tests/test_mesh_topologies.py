@@ -4,46 +4,39 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.ids import AggregatorId, DeviceId
-from repro.workloads.scenarios import build_scaled_scenario
+from repro.runtime import build
+from repro.workloads.scenarios import scaled_spec
 
 
 class TestTopologyShapes:
     def test_line_hop_latency_scales(self):
-        scenario = build_scaled_scenario(
-            4, 0, enter_devices=False, mesh_topology="line"
-        )
+        scenario = build(scaled_spec(4, 0, enter_devices=False, mesh_topology="line"))
         latency = scenario.mesh.latency_s(AggregatorId("net-0"), AggregatorId("net-3"))
         # Three 1 ms links plus two intermediate forwarding hops.
         assert latency == pytest.approx(0.003 + 2 * 0.0002)
 
     def test_star_routes_through_hub(self):
-        scenario = build_scaled_scenario(
-            4, 0, enter_devices=False, mesh_topology="star"
-        )
+        scenario = build(scaled_spec(4, 0, enter_devices=False, mesh_topology="star"))
         leaf_to_leaf = scenario.mesh.latency_s(
             AggregatorId("net-1"), AggregatorId("net-2")
         )
         assert leaf_to_leaf == pytest.approx(0.002 + 0.0002)
 
     def test_full_mesh_is_single_hop(self):
-        scenario = build_scaled_scenario(
-            4, 0, enter_devices=False, mesh_topology="full"
-        )
+        scenario = build(scaled_spec(4, 0, enter_devices=False, mesh_topology="full"))
         assert scenario.mesh.latency_s(
             AggregatorId("net-1"), AggregatorId("net-3")
         ) == pytest.approx(0.001)
 
     def test_invalid_topology_rejected(self):
         with pytest.raises(ConfigError):
-            build_scaled_scenario(2, 0, mesh_topology="ring")
+            build(scaled_spec(2, 0, mesh_topology="ring"))
 
 
 class TestMultiHopRoaming:
     @pytest.mark.parametrize("topology", ["line", "star"])
     def test_roaming_to_far_network_still_bills_home(self, topology):
-        scenario = build_scaled_scenario(
-            4, 1, seed=7, enter_devices=False, mesh_topology=topology
-        )
+        scenario = build(scaled_spec(4, 1, seed=7, enter_devices=False, mesh_topology=topology))
         # dev-0-0's home is net-0; it roams to the far end net-3.
         scenario.enter_at("dev-0-0", "net-0", 0.0)
         device = scenario.device("dev-0-0")
@@ -68,9 +61,7 @@ class TestMultiHopRoaming:
         # The verify round-trip adds only milliseconds even over a line.
         durations = {}
         for topology in ("full", "line"):
-            scenario = build_scaled_scenario(
-                4, 1, seed=8, enter_devices=False, mesh_topology=topology
-            )
+            scenario = build(scaled_spec(4, 1, seed=8, enter_devices=False, mesh_topology=topology))
             scenario.enter_at("dev-0-0", "net-0", 0.0)
             device = scenario.device("dev-0-0")
             scenario.simulator.schedule(12.0, device.leave_network)

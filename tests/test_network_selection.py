@@ -4,13 +4,14 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.protocol.device_fsm import DevicePhase
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 class TestSelectNetwork:
     def test_nearest_ap_usually_wins(self):
         # With ~2 dB shadowing, 5 m vs 50 m is decided correctly.
-        scenario = build_paper_testbed(seed=0, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=0, enter_devices=False))
         device = scenario.device("device1")
         agg1 = scenario.aggregator("agg1")
         agg2 = scenario.aggregator("agg2")
@@ -22,7 +23,7 @@ class TestSelectNetwork:
         assert wins == 50
 
     def test_close_race_can_go_either_way(self):
-        scenario = build_paper_testbed(seed=1, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=1, enter_devices=False))
         device = scenario.device("device1")
         agg1 = scenario.aggregator("agg1")
         agg2 = scenario.aggregator("agg2")
@@ -33,7 +34,7 @@ class TestSelectNetwork:
         assert choices == {"agg1", "agg2"}  # shadowing flips close calls
 
     def test_returns_rssi_and_distance(self):
-        scenario = build_paper_testbed(seed=2, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=2, enter_devices=False))
         device = scenario.device("device1")
         agg1 = scenario.aggregator("agg1")
         best, distance, rssi = device.select_network([(agg1, 5.0)])
@@ -42,14 +43,14 @@ class TestSelectNetwork:
         assert rssi < 0
 
     def test_empty_candidates_rejected(self):
-        scenario = build_paper_testbed(seed=0, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=0, enter_devices=False))
         with pytest.raises(ProtocolError):
             scenario.device("device1").select_network([])
 
 
 class TestEnterBestNetwork:
     def test_device_joins_selected_network(self):
-        scenario = build_paper_testbed(seed=3, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=3, enter_devices=False))
         device = scenario.device("device1")
         agg1 = scenario.aggregator("agg1")
         agg2 = scenario.aggregator("agg2")

@@ -10,7 +10,8 @@ from repro.planning import (
     balance_min_max_utilisation,
     greedy_rssi_assignment,
 )
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 class TestDemandEstimator:
@@ -53,7 +54,7 @@ class TestDemandEstimator:
         assert estimator.forecast("nowhere") == 0.0
 
     def test_estimates_from_real_run(self):
-        scenario = build_paper_testbed(seed=3)
+        scenario = build(paper_testbed_spec(seed=3))
         scenario.run_until(20.0)
         estimator = NetworkDemandEstimator(scenario.chain, interval_s=1.0)
         forecast = estimator.forecast("agg1")

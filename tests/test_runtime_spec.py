@@ -14,6 +14,8 @@ Covers the declarative-spec contract end to end:
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,18 +26,32 @@ from repro.errors import ConfigError
 from repro.runtime import (
     DeviceSpec,
     FaultSpec,
+    LedgerSpec,
     MeshSpec,
     NetworkSpec,
+    ObsSpec,
     ProfileSpec,
     ScenarioSpec,
+    ServeSpec,
+    ShardSpec,
     SimContext,
+    TransportSpec,
+    VectorSpec,
     build,
 )
+from repro.runtime.spec import FAULT_KINDS, MESH_TOPOLOGIES, TRANSPORT_KINDS
 from repro.workloads.scenarios import paper_testbed_spec, scaled_spec
 
-# Ledger tip hash of build_paper_testbed(seed=7) run to t=30.0, captured
-# on the pre-refactor imperative builder. The spec path must reproduce
-# it bit for bit.
+EXAMPLE_SPECS = sorted(
+    (Path(__file__).resolve().parent.parent / "examples" / "specs").glob("*.json")
+)
+
+# The smallest valid spec document, for the malformed-input cases.
+_ONE_NETWORK = {"networks": [{"name": "a"}]}
+
+# Ledger tip hash of the seed-7 paper testbed run to t=30.0, captured on
+# the pre-refactor imperative builder. The spec path must reproduce it
+# bit for bit.
 PAPER_TESTBED_SEED7_DIGEST = (
     "bcca848983a69021572fb962b4887cd30c9e19978987dc1c0766c87eec59b70e"
 )
@@ -78,9 +94,76 @@ _profiles = st.one_of(
 )
 
 
+_noise_params = st.dictionaries(
+    st.sampled_from(("drop_p", "duplicate_p", "delay_p", "corrupt_p")),
+    st.floats(min_value=0.0, max_value=0.9),
+    max_size=4,
+)
+
+
+def _fault(draw, kind, name, network_names):
+    """One valid fault of ``kind`` over ``network_names``."""
+    start_at = draw(st.floats(min_value=0.0, max_value=20.0))
+    duration = st.floats(min_value=0.5, max_value=20.0)
+    if kind == "channel_blackout":
+        return FaultSpec(
+            kind=kind, name=name, start_at=start_at, duration_s=draw(duration),
+            target=draw(st.sampled_from(("radio", "jammer"))),
+        )
+    if kind in ("channel_noise", "broker_noise"):
+        target = draw(
+            st.sampled_from(network_names)
+            if kind == "broker_noise"
+            else st.none() | st.just("radio")
+        )
+        return FaultSpec(
+            kind=kind, name=name, start_at=start_at,
+            duration_s=draw(st.none() | duration), target=target,
+            params=draw(_noise_params),
+        )
+    if kind == "aggregator_crash":
+        return FaultSpec(
+            kind=kind, name=name, start_at=start_at, duration_s=draw(duration),
+            target=draw(st.sampled_from(network_names)),
+        )
+    groups = st.lists(
+        st.lists(st.sampled_from(network_names), min_size=1, max_size=3).map(tuple),
+        min_size=2,
+        max_size=3,
+    ).map(tuple)
+    return FaultSpec(
+        kind=kind, name=name, start_at=start_at, duration_s=draw(duration),
+        groups=draw(groups),
+    )
+
+
+def _sharding(draw, network_names):
+    """A valid ShardSpec: round-robin, or an assignment covering every network."""
+    shards = draw(st.integers(min_value=1, max_value=len(network_names)))
+    assignment = ()
+    if draw(st.booleans()):
+        order = draw(st.permutations(network_names))
+        cuts = sorted(
+            draw(
+                st.sets(
+                    st.integers(min_value=1, max_value=max(1, len(order) - 1)),
+                    min_size=shards - 1,
+                    max_size=shards - 1,
+                )
+            )
+        )
+        bounds = [0, *cuts, len(order)]
+        assignment = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return ShardSpec(
+        shards=shards,
+        window_s=draw(st.none() | st.floats(min_value=1e-4, max_value=1.0)),
+        assignment=assignment,
+    )
+
+
 @st.composite
 def scenario_specs(draw):
-    """A valid ScenarioSpec with coherent cross-references."""
+    """A valid ScenarioSpec with coherent cross-references in every block."""
     network_names = draw(
         st.lists(_name, min_size=1, max_size=4, unique=True)
     )
@@ -111,31 +194,37 @@ def scenario_specs(draw):
         )
         for name in device_names
     )
+    topology = draw(st.sampled_from(MESH_TOPOLOGIES))
+    links = ()
+    if topology == "explicit":
+        pair = st.tuples(st.sampled_from(network_names), st.sampled_from(network_names))
+        links = tuple(draw(st.lists(pair, max_size=6)))
     mesh = MeshSpec(
-        topology=draw(st.sampled_from(("full", "line", "star"))),
+        topology=topology,
         latency_s=draw(st.floats(min_value=1e-4, max_value=0.5)),
+        links=links,
     )
-    faults = []
-    if draw(st.booleans()):
-        faults.append(
-            FaultSpec(
-                kind="channel_blackout",
-                name="blackout",
-                start_at=draw(st.floats(min_value=0.0, max_value=20.0)),
-                duration_s=draw(st.floats(min_value=0.5, max_value=20.0)),
-                target="radio",
-            )
-        )
-    if draw(st.booleans()):
-        faults.append(
-            FaultSpec(
-                kind="broker_noise",
-                name="noise",
-                start_at=draw(st.floats(min_value=0.0, max_value=20.0)),
-                target=draw(st.sampled_from(network_names)),
-                params={"drop_p": draw(st.floats(min_value=0.0, max_value=0.9))},
-            )
-        )
+    transport = TransportSpec(
+        kind=draw(st.sampled_from(TRANSPORT_KINDS)),
+        latency_s=draw(st.floats(min_value=0.0, max_value=0.1)),
+        loss_p=draw(st.floats(min_value=0.0, max_value=0.5)),
+        connect_s=draw(st.floats(min_value=0.01, max_value=2.0)),
+        scan_s=draw(st.floats(min_value=0.0, max_value=10.0)),
+        assoc_s=draw(st.floats(min_value=0.0, max_value=5.0)),
+    )
+    fault_kinds = draw(st.lists(st.sampled_from(FAULT_KINDS), max_size=5))
+    faults = tuple(
+        _fault(draw, kind, f"fault-{i}", network_names)
+        for i, kind in enumerate(fault_kinds)
+    )
+    checkpoint = draw(st.integers(min_value=0, max_value=50))
+    ledger = LedgerSpec(
+        sync_enabled=draw(st.booleans()),
+        header_batch_size=draw(st.integers(min_value=1, max_value=64)),
+        sync_interval_s=draw(st.none() | st.floats(min_value=0.1, max_value=60.0)),
+        checkpoint_interval_blocks=checkpoint,
+        pruning_depth_blocks=draw(st.integers(0, 20)) if checkpoint else 0,
+    )
     return ScenarioSpec(
         name=draw(_name),
         seed=draw(st.integers(min_value=0, max_value=2**32)),
@@ -144,7 +233,30 @@ def scenario_specs(draw):
         networks=networks,
         devices=devices,
         mesh=mesh,
-        faults=tuple(faults),
+        transport=transport,
+        faults=faults,
+        obs=ObsSpec(
+            enabled=draw(st.booleans()),
+            spans=draw(st.booleans()),
+            profile=draw(st.booleans()),
+            sample_every=draw(st.integers(min_value=1, max_value=100_000)),
+        ),
+        ledger=ledger,
+        sharding=_sharding(draw, network_names),
+        vector=VectorSpec(
+            enabled=draw(st.booleans()),
+            scan_interval_s=draw(st.floats(min_value=0.1, max_value=10.0)),
+            min_cohort=draw(st.integers(min_value=1, max_value=64)),
+            backend=draw(st.sampled_from(("auto", "python"))),
+        ),
+        serve=ServeSpec(
+            enabled=draw(st.booleans()),
+            host=draw(st.sampled_from(("127.0.0.1", "0.0.0.0", "localhost"))),
+            port=draw(st.integers(min_value=0, max_value=65535)),
+            network=draw(st.none() | st.sampled_from(network_names)),
+            step_s=draw(st.floats(min_value=0.01, max_value=10.0)),
+            poll_timeout_s=draw(st.floats(min_value=0.0, max_value=60.0)),
+        ),
     )
 
 
@@ -166,11 +278,90 @@ class TestRoundTrip:
         data = spec.to_dict()
         assert json.loads(json.dumps(data)) == data
 
+    @pytest.mark.parametrize("path", EXAMPLE_SPECS, ids=lambda path: path.name)
+    def test_example_spec_files_round_trip(self, path):
+        spec = ScenarioSpec.from_json(path.read_text())
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
     def test_unknown_keys_rejected(self):
         data = paper_testbed_spec().to_dict()
         data["bogus"] = 1
         with pytest.raises(ConfigError):
             ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            pytest.param(
+                {"networks": [{}]},
+                "scenario.networks[0]: missing keys ['name']",
+                id="network-without-name",
+            ),
+            pytest.param(
+                {**_ONE_NETWORK, "faults": [
+                    {"kind": "channel_blackout", "name": "b", "duration_s": 1.0}
+                ]},
+                "scenario.faults[0]: missing keys ['start_at']",
+                id="fault-without-start",
+            ),
+            pytest.param(
+                {**_ONE_NETWORK, "devices": [{"name": "d", "network": "a", "profile": 5}]},
+                "scenario.devices[0].profile: expected an object, got int",
+                id="profile-not-object",
+            ),
+            pytest.param(
+                {"networks": 5},
+                "scenario.networks: expected a list, got int",
+                id="networks-not-list",
+            ),
+            pytest.param(
+                {**_ONE_NETWORK, "mesh": []},
+                "scenario.mesh: expected an object, got list",
+                id="mesh-not-object",
+            ),
+            pytest.param([], "scenario: expected an object, got list", id="top-level-list"),
+            pytest.param(
+                {**_ONE_NETWORK, "mesh": {"latency_s": "fast"}},
+                "scenario.mesh.latency_s: expected a number, got str",
+                id="latency-string",
+            ),
+            pytest.param(
+                {**_ONE_NETWORK, "transport": {"loss_p": "0.1"}},
+                "scenario.transport.loss_p: expected a number, got str",
+                id="loss-string",
+            ),
+            pytest.param(
+                {"networks": [{"name": 5}]},
+                "scenario.networks[0].name: expected a string, got int",
+                id="network-name-int",
+            ),
+            pytest.param(
+                {**_ONE_NETWORK, "sharding": {"shards": 1.5}},
+                "scenario.sharding.shards: expected an integer, got float",
+                id="shards-float",
+            ),
+            pytest.param(
+                {**_ONE_NETWORK, "seed": True},
+                "scenario.seed: expected an integer, got bool",
+                id="seed-bool",
+            ),
+            pytest.param(
+                {**_ONE_NETWORK, "mesh": {"topology": "explicit", "links": [["a", "a", "a"]]}},
+                "scenario.mesh.links[0]: expected 2 items, got 3",
+                id="link-triple",
+            ),
+            pytest.param(
+                {"networks": [{"name": "a", "supply_voltage_v": -5.0}]},
+                "scenario.networks[0]: supply voltage must be positive",
+                id="validation-error-has-path",
+            ),
+        ],
+    )
+    def test_malformed_document_names_its_json_path(self, document, message):
+        # Spec files are outside input: every malformation is a
+        # ConfigError naming where it sits, never a KeyError/TypeError.
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioSpec.from_dict(document)
 
     def test_device_unknown_network_rejected(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,8 @@ from repro.grid.topology import GridNetwork
 from repro.hw.powerline import WireSegment
 from repro.ids import AggregatorId, DeviceId
 from repro.protocol.device_fsm import DevicePhase
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 class AmplifyAttack(TamperAttack):
@@ -25,7 +26,7 @@ class AmplifyAttack(TamperAttack):
 
 class TestScenarioHelpers:
     def test_summary_shape(self):
-        scenario = build_paper_testbed(seed=51)
+        scenario = build(paper_testbed_spec(seed=51))
         scenario.run_until(10.0)
         summary = scenario.summary()
         assert summary["chain_height"] > 0
@@ -35,7 +36,7 @@ class TestScenarioHelpers:
         assert summary["total_energy_mwh"] > 0
 
     def test_export_monitoring_writes_csvs(self, tmp_path):
-        scenario = build_paper_testbed(seed=52)
+        scenario = build(paper_testbed_spec(seed=52))
         scenario.run_until(8.0)
         paths = scenario.export_monitoring(tmp_path)
         assert paths
@@ -48,7 +49,7 @@ class TestScenarioHelpers:
 
 class TestAnomalousReportPath:
     def test_overrange_reports_nacked_and_excluded(self):
-        scenario = build_paper_testbed(seed=53)
+        scenario = build(paper_testbed_spec(seed=53))
         device = scenario.device("device1")
         scenario.run_until(10.0)
         # From t=10 the device reports 10x its real draw: > 400 mA.
@@ -67,7 +68,7 @@ class TestAnomalousReportPath:
         assert agg1.registry.is_master_member(device.device_id)
 
     def test_anomalous_nack_does_not_rebuffer(self):
-        scenario = build_paper_testbed(seed=54)
+        scenario = build(paper_testbed_spec(seed=54))
         device = scenario.device("device1")
         scenario.run_until(10.0)
         device.tamper_attack = AmplifyAttack(10.0)
@@ -92,7 +93,7 @@ class TestCustomWireSegments:
 
 class TestBackhaulPayloadGuard:
     def test_unexpected_backhaul_payload_rejected(self):
-        scenario = build_paper_testbed(seed=55, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=55, enter_devices=False))
         agg1 = scenario.aggregator("agg1")
         with pytest.raises(ProtocolError):
             agg1._on_backhaul(AggregatorId("agg2"), {"not": "a message"})
@@ -101,7 +102,7 @@ class TestBackhaulPayloadGuard:
         from repro.protocol.codec import encode_message
         from repro.protocol.messages import Ack
 
-        scenario = build_paper_testbed(seed=56, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=56, enter_devices=False))
         agg1 = scenario.aggregator("agg1")
         payload = encode_message(Ack(DeviceId("device1"), 1))
         with pytest.raises(ProtocolError):

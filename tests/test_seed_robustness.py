@@ -10,7 +10,8 @@ import pytest
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.hw.esp32 import McuState
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 SEEDS = (3, 17, 202)
 
@@ -30,7 +31,7 @@ class TestSeedRobustness:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_honest_run_quiet_and_valid(self, seed):
-        scenario = build_paper_testbed(seed=seed)
+        scenario = build(paper_testbed_spec(seed=seed))
         scenario.run_until(20.0)
         scenario.chain.validate()
         for unit in scenario.aggregators.values():
@@ -41,7 +42,7 @@ class TestSeedRobustness:
 
 class TestMcuPowerAccounting:
     def test_tx_time_tracks_reports(self):
-        scenario = build_paper_testbed(seed=5)
+        scenario = build(paper_testbed_spec(seed=5))
         scenario.run_until(20.0)
         device = scenario.device("device1")
         now = scenario.simulator.now
@@ -55,7 +56,7 @@ class TestMcuPowerAccounting:
         assert tx_time >= 0.0
 
     def test_sleep_while_in_transit(self):
-        scenario = build_paper_testbed(seed=6, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=6, enter_devices=False))
         device = scenario.device("device1")
         scenario.enter_at("device1", "agg1", 0.0)
         scenario.simulator.schedule(10.0, device.leave_network)

@@ -7,12 +7,13 @@ from repro.chain import Block
 from repro.device.app import AuditVerdict, SelfAuditor
 from repro.errors import BillingError
 from repro.ids import DeviceId
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 @pytest.fixture()
 def world():
-    scenario = build_paper_testbed(seed=95)
+    scenario = build(paper_testbed_spec(seed=95))
     scenario.run_until(20.0)
     return scenario
 

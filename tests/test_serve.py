@@ -13,7 +13,7 @@ from repro.protocol.codec import encode_message
 from repro.protocol.messages import RegistrationRequest
 from repro.runtime import ScenarioSpec, ServeSpec, TransportSpec, build
 from repro.serve import AggregatorService, ServeRunner
-from repro.transport.serve import ServeHub, ServeLink, ServeTransport
+from repro.transport.direct import DirectHub, DirectLink, DirectTransport
 from repro.workloads.scenarios import paper_testbed_spec
 
 
@@ -82,21 +82,25 @@ class TestServeSpec:
 class TestServeTransport:
     def test_spec_kind_builds_serve_transport(self):
         transport = TransportSpec(kind="serve").build(None)
-        assert isinstance(transport, ServeTransport)
+        assert isinstance(transport, DirectTransport)
+        assert transport.wire_bytes
         assert transport.kind == "serve"
+        assert not TransportSpec(kind="direct").build(None).wire_bytes
 
     def test_endpoints_carry_wire_bytes(self):
         spec = paper_testbed_spec(transport=TransportSpec(kind="serve"))
         scenario = build(spec)
         for unit in scenario.aggregators.values():
-            assert isinstance(unit.endpoint, ServeHub)
+            assert isinstance(unit.endpoint, DirectHub)
             assert unit.endpoint.wire_bytes
 
     def test_link_factory_carries_wire_bytes(self):
-        transport = ServeTransport()
+        transport = DirectTransport(wire_bytes=True)
         link = transport.make_link(build(paper_testbed_spec()).simulator, "d1")
-        assert isinstance(link, ServeLink)
+        assert isinstance(link, DirectLink)
         assert link.wire_bytes
+        plain = DirectTransport().make_link(build(paper_testbed_spec()).simulator, "d2")
+        assert not plain.wire_bytes
 
     def test_simulated_world_runs_on_serve_backend(self):
         # The full testbed crossing the codec on every hop must still
@@ -114,7 +118,8 @@ class TestServeTransport:
 class TestAggregatorService:
     def test_forces_serve_transport(self):
         service = AggregatorService(paper_testbed_spec(enter_devices=False))
-        assert isinstance(service.unit.endpoint, ServeHub)
+        assert isinstance(service.unit.endpoint, DirectHub)
+        assert service.unit.endpoint.wire_bytes
 
     def test_register_and_ingest_batch(self):
         service = AggregatorService(serve_spec())

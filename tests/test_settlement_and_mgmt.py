@@ -6,8 +6,9 @@ from repro.billing import FlatTariff, SettlementEngine
 from repro.chain import Blockchain
 from repro.errors import BillingError, ProtocolError
 from repro.ids import DeviceId
+from repro.runtime import build
 from repro.workloads.mobility import MobilityTrace
-from repro.workloads.scenarios import build_paper_testbed
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 def record(home, host, energy, at=1.0, seq=0):
@@ -93,7 +94,7 @@ class TestSettlementUnit:
             engine.settle((0.0, 10.0))
 
     def test_settlement_from_real_roaming_run(self):
-        scenario = build_paper_testbed(seed=31, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=31, enter_devices=False))
         scenario.schedule_mobility(
             "device1",
             MobilityTrace.single_move(
@@ -113,7 +114,7 @@ class TestSettlementUnit:
 class TestRemoteManagementOverMqtt:
     @pytest.fixture()
     def world(self):
-        scenario = build_paper_testbed(seed=41)
+        scenario = build(paper_testbed_spec(seed=41))
         scenario.run_until(12.0)
         return scenario
 

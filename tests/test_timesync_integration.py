@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.workloads.scenarios import build_paper_testbed
+from repro.runtime import build
+from repro.workloads.scenarios import paper_testbed_spec
 
 
 class TestTimeSyncIntegration:
     def test_devices_registered_with_network_timesync(self):
-        scenario = build_paper_testbed(seed=61)
+        scenario = build(paper_testbed_spec(seed=61))
         scenario.run_until(10.0)
         agg1 = scenario.aggregator("agg1")
         # Two devices' RTCs are under discipline.
@@ -17,8 +18,8 @@ class TestTimeSyncIntegration:
     def test_rtc_error_bounded_by_sync_interval(self):
         from repro.aggregator.unit import AggregatorConfig
 
-        scenario = build_paper_testbed(
-            seed=62,
+        scenario = build(
+            paper_testbed_spec(seed=62),
             aggregator_config=AggregatorConfig(timesync_interval_s=30.0),
         )
         scenario.run_until(120.0)
@@ -29,7 +30,7 @@ class TestTimeSyncIntegration:
             assert abs(rtc.error_at(now)) <= 30.0 * 2e-6 + 1e-9
 
     def test_clock_unregistered_on_leave(self):
-        scenario = build_paper_testbed(seed=63)
+        scenario = build(paper_testbed_spec(seed=63))
         scenario.run_until(10.0)
         device = scenario.device("device1")
         agg1 = scenario.aggregator("agg1")
@@ -45,7 +46,7 @@ class TestTimeSyncIntegration:
         assert device.fsm.can_report
 
     def test_report_timestamps_stay_close_to_sim_time(self):
-        scenario = build_paper_testbed(seed=64)
+        scenario = build(paper_testbed_spec(seed=64))
         scenario.run_until(30.0)
         records = scenario.chain.records_for_device(
             scenario.device("device1").device_id.uid

@@ -68,9 +68,10 @@ class TestTraceProfile:
     def test_usable_as_device_profile(self):
         from repro.device.stack import DeviceConfig, MeteringDevice
         from repro.ids import DeviceId
-        from repro.workloads.scenarios import build_paper_testbed
+        from repro.runtime import build
+        from repro.workloads.scenarios import paper_testbed_spec
 
-        scenario = build_paper_testbed(seed=0, enter_devices=False)
+        scenario = build(paper_testbed_spec(seed=0, enter_devices=False))
         trace = TraceProfile([0.0, 5.0, 10.0], [30.0, 90.0, 15.0], repeat=True)
         device = MeteringDevice(
             scenario.simulator, DeviceId("traced"), DeviceConfig(),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.runtime import build
 from repro.workloads import (
     ApplianceProfile,
     CompositeProfile,
@@ -13,8 +14,8 @@ from repro.workloads import (
     MobilityEvent,
     MobilityTrace,
     SinusoidProfile,
-    build_paper_testbed,
-    build_scaled_scenario,
+    paper_testbed_spec,
+    scaled_spec,
 )
 
 
@@ -136,7 +137,7 @@ class TestMobilityTrace:
 
 class TestScenarios:
     def test_paper_testbed_shape(self):
-        scenario = build_paper_testbed(enter_devices=False)
+        scenario = build(paper_testbed_spec(enter_devices=False))
         assert sorted(scenario.aggregators) == ["agg1", "agg2"]
         assert len(scenario.devices) == 4
         assert scenario.mesh.latency_s(
@@ -146,7 +147,7 @@ class TestScenarios:
 
     def test_same_seed_same_chain(self):
         def run(seed):
-            scenario = build_paper_testbed(seed=seed)
+            scenario = build(paper_testbed_spec(seed=seed))
             scenario.run_until(12.0)
             return scenario.chain.tip_hash
 
@@ -154,14 +155,14 @@ class TestScenarios:
         assert run(5) != run(6)
 
     def test_unknown_names_rejected(self):
-        scenario = build_paper_testbed(enter_devices=False)
+        scenario = build(paper_testbed_spec(enter_devices=False))
         with pytest.raises(ConfigError):
             scenario.device("nope")
         with pytest.raises(ConfigError):
             scenario.aggregator("nope")
 
     def test_scaled_scenario_shape(self):
-        scenario = build_scaled_scenario(3, 4, enter_devices=False)
+        scenario = build(scaled_spec(3, 4, enter_devices=False))
         assert len(scenario.aggregators) == 3
         assert len(scenario.devices) == 12
         # Full mesh: any pair routable.
@@ -171,13 +172,13 @@ class TestScenarios:
         ) > 0
 
     def test_scaled_scenario_runs(self):
-        scenario = build_scaled_scenario(2, 3, seed=1)
+        scenario = build(scaled_spec(2, 3, seed=1))
         scenario.run_until(10.0)
         assert scenario.chain.height > 0
         scenario.chain.validate()
 
     def test_scaled_validation(self):
         with pytest.raises(ConfigError):
-            build_scaled_scenario(0, 1)
+            scaled_spec(0, 1)
         with pytest.raises(ConfigError):
-            build_scaled_scenario(1, -1)
+            scaled_spec(1, -1)
