@@ -231,6 +231,10 @@ class MeteringDevice(Process):
 
         self._sequence = 0
         self._current_ap: AccessPoint | None = None
+        # Token of the scan/association/connect chain in flight (None
+        # once connected or after leaving): each stage runs only while
+        # it still holds the token.
+        self._joining: object | None = None
         self._ap_distance_m = 5.0
         self._ctrl_topic = f"device/{device_id.name}/ctrl"
         # Report-path strings, built once: the per-measurement transmit
@@ -412,19 +416,26 @@ class MeteringDevice(Process):
         scan_s = self._radio.scan_duration_s()
         handshake.scan_s = scan_s
         rssi = self._radio.rssi_dbm(distance_m)
+        attempt = self._joining = object()
 
         def _scanned() -> None:
+            if self._joining is not attempt:
+                return
             assoc_s = self._radio.association_duration_s()
             handshake.assoc_s = assoc_s
             self.sim.call_later(assoc_s, _associated, label=f"{self.name}:assoc")
 
         def _associated() -> None:
+            if self._joining is not attempt:
+                return
             connect_s = self._client.connect(
                 access_point.endpoint, rssi, on_connected=_connected
             )
             handshake.connect_s = connect_s
 
         def _connected() -> None:
+            if not self._session_wanted(attempt):
+                return
             access_point.endpoint.subscribe(self._ctrl_topic, self._on_ctrl)
             # "All the devices in the network and the aggregators are
             # time-synchronized": put this RTC under the network's
@@ -483,6 +494,8 @@ class MeteringDevice(Process):
             raise ProtocolError(f"{self.name} is not in any network")
         if self._vector_cohort is not None:
             self._vector_cohort.release(self, "roam")
+        # A handshake still in flight stops at its next stage.
+        self._joining = None
         if self._client.connected:
             try:
                 self._current_ap.endpoint.unsubscribe(self._ctrl_topic, self._on_ctrl)
@@ -538,12 +551,20 @@ class MeteringDevice(Process):
             raise ProtocolError(f"{self.name} is not in any network")
         if self._client.connected:
             raise ProtocolError(f"{self.name} is already connected")
+        if self._joining is not None:
+            raise ProtocolError(f"{self.name} is still joining")
         access_point = self._current_ap
         rssi = self._radio.rssi_dbm(self._ap_distance_m)
         assoc_s = self._radio.association_duration_s()
+        attempt = self._joining = object()
 
         def _associated() -> None:
+            if self._joining is not attempt:
+                return
+
             def _connected() -> None:
+                if not self._session_wanted(attempt):
+                    return
                 access_point.endpoint.subscribe(self._ctrl_topic, self._on_ctrl)
                 access_point.timesync.register_clock(self.name, self._rtc)
                 self.trace("device.reconnected")
@@ -551,6 +572,19 @@ class MeteringDevice(Process):
             self._client.connect(access_point.endpoint, rssi, on_connected=_connected)
 
         self.sim.call_later(assoc_s, _associated, label=f"{self.name}:reassoc")
+
+    def _session_wanted(self, attempt: object) -> bool:
+        """Settle a session that just came up for join ``attempt``.
+
+        True (and the join is over) while the device is still joining
+        with that attempt; otherwise the device left or started over
+        meanwhile, so the stale session is dropped at once.
+        """
+        if self._joining is not attempt:
+            self._client.disconnect()
+            return False
+        self._joining = None
+        return True
 
     # -- data path ----------------------------------------------------------
 

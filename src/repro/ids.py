@@ -59,6 +59,11 @@ class DeviceId:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple[type, tuple[str]]:
+        # Pickle by name: string hashes are salted per process, so the
+        # cached hash must be recomputed where the id is loaded.
+        return DeviceId, (self.name,)
+
     @property
     def uid(self) -> str:
         """Stable 16-hex-digit identifier derived from the name."""

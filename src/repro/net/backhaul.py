@@ -5,17 +5,18 @@ exchange consumption data of the devices connected to them", and the
 paper measures the aggregator-to-aggregator delay at ~1 ms because "the
 backhaul network is assumed to have high bandwidth" (§III-B).
 
-We model the mesh as a networkx graph whose edges carry latency;
+We model the mesh as an adjacency map whose links carry latency;
 messages route over the minimum-latency path and arrive after the sum of
-link latencies plus per-hop forwarding cost.
+link latencies plus per-hop forwarding cost.  Routes change only with
+the topology, so each ``(source, destination)`` route is computed once
+and kept in a route table until an aggregator or link is added.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
-
-import networkx as nx
 
 from repro.errors import BackhaulError
 from repro.faults.injectors import FaultAction, LinkFaultInjector
@@ -27,6 +28,7 @@ if TYPE_CHECKING:
     from repro.runtime.context import SimContext
 
 BackhaulHandler = Callable[[AggregatorId, Any], None]
+Route = tuple[float, tuple[AggregatorId, ...]]
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,12 @@ class BackhaulLink:
 
 
 class BackhaulMesh(Process):
-    """Routes messages between aggregators over the mesh graph.
+    """Routes messages between aggregators over the mesh.
+
+    A route minimises the summed link latency.  Ties go to the path
+    with fewer hops, then to the one Dijkstra finds first when it
+    settles aggregators in ``(latency, hops, name)`` order, so a route
+    never depends on the order links were wired.
 
     Args:
         runtime: The kernel, or a shared :class:`SimContext`.
@@ -58,7 +65,11 @@ class BackhaulMesh(Process):
         super().__init__(runtime, "backhaul")
         if per_hop_cost_s < 0:
             raise BackhaulError(f"per-hop cost must be >= 0, got {per_hop_cost_s}")
-        self._graph = nx.Graph()
+        # aggregator -> {neighbour: link latency}; every link both ways.
+        self._links: dict[AggregatorId, dict[AggregatorId, float]] = {}
+        # (source, destination) -> (latency, path), filled on first use
+        # and cleared whenever an aggregator or link is added.
+        self._routes: dict[tuple[AggregatorId, AggregatorId], Route] = {}
         self._handlers: dict[AggregatorId, BackhaulHandler] = {}
         self._per_hop_cost_s = per_hop_cost_s
         self._messages_sent = 0
@@ -130,7 +141,7 @@ class BackhaulMesh(Process):
         Every message whose best path crosses the link consults the
         injector; ``None`` removes a previously installed one.
         """
-        if not self._graph.has_edge(a, b):
+        if b not in self._links.get(a, ()):
             raise BackhaulError(f"no mesh link {a} -- {b}")
         key = frozenset((a, b))
         if injector is None:
@@ -153,8 +164,13 @@ class BackhaulMesh(Process):
         """Attach an aggregator and its receive handler to the mesh."""
         if aggregator_id in self._handlers:
             raise BackhaulError(f"{aggregator_id} already on the mesh")
-        self._graph.add_node(aggregator_id)
+        self._add_node(aggregator_id)
         self._handlers[aggregator_id] = handler
+
+    def _add_node(self, aggregator_id: AggregatorId) -> None:
+        """Make ``aggregator_id`` routable (links may then touch it)."""
+        self._links.setdefault(aggregator_id, {})
+        self._routes.clear()
 
     def _knows(self, aggregator_id: AggregatorId) -> bool:
         """Whether this mesh can route to ``aggregator_id``.
@@ -166,25 +182,55 @@ class BackhaulMesh(Process):
         return aggregator_id in self._handlers
 
     def connect(self, link: BackhaulLink) -> None:
-        """Add one mesh link."""
+        """Add one mesh link (re-wiring a pair replaces its latency)."""
         for end in (link.a, link.b):
             if not self._knows(end):
                 raise BackhaulError(f"{end} is not on the mesh")
-        self._graph.add_edge(link.a, link.b, latency=link.latency_s)
+        self._links[link.a][link.b] = link.latency_s
+        self._links[link.b][link.a] = link.latency_s
+        self._routes.clear()
+
+    def route(self, source: AggregatorId, destination: AggregatorId) -> Route:
+        """``(latency, path)`` of the best route, from the route table.
+
+        The latency is the path's link latencies summed in path order
+        plus ``per_hop_cost_s`` per intermediate hop.
+        """
+        route = self._routes.get((source, destination))
+        if route is None:
+            if source == destination:
+                return 0.0, (source,)
+            self._fill_routes(source)
+            route = self._routes.get((source, destination))
+            if route is None:
+                raise BackhaulError(f"no backhaul path {source} -> {destination}")
+        return route
+
+    def _fill_routes(self, source: AggregatorId) -> None:
+        """Dijkstra from ``source``: tabulate a route to every reachable node."""
+        if source not in self._links:
+            return
+        best: dict[AggregatorId, tuple[float, int]] = {source: (0.0, 0)}
+        paths = {source: (source,)}
+        queue = [(0.0, 0, source)]
+        while queue:
+            latency, hops, node = heapq.heappop(queue)
+            if best[node] != (latency, hops):
+                continue  # superseded by a better offer
+            for neighbour, link_latency in self._links[node].items():
+                offer = (latency + link_latency, hops + 1)
+                if neighbour not in best or offer < best[neighbour]:
+                    best[neighbour] = offer
+                    paths[neighbour] = paths[node] + (neighbour,)
+                    heapq.heappush(queue, (*offer, neighbour))
+        for node, (latency, hops) in best.items():
+            if node != source:
+                latency += self._per_hop_cost_s * (hops - 1)
+                self._routes[(source, node)] = (latency, paths[node])
 
     def latency_s(self, source: AggregatorId, destination: AggregatorId) -> float:
         """End-to-end latency along the best path."""
-        if source == destination:
-            return 0.0
-        try:
-            path = nx.shortest_path(self._graph, source, destination, weight="latency")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise BackhaulError(f"no backhaul path {source} -> {destination}") from exc
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self._graph.edges[a, b]["latency"]
-        total += self._per_hop_cost_s * max(0, len(path) - 2)
-        return total
+        return self.route(source, destination)[0]
 
     def _admit(
         self, source: AggregatorId, destination: AggregatorId, span: Any
@@ -206,10 +252,9 @@ class BackhaulMesh(Process):
             if span is not None:
                 self._spans.finish(span, "dropped", reason="severed")
             return 0.0, 0
-        latency = self.latency_s(source, destination)
+        latency, path = self.route(source, destination)
         copies = 1
-        if self._link_injectors and source != destination:
-            path = nx.shortest_path(self._graph, source, destination, weight="latency")
+        if self._link_injectors:
             for a, b in zip(path, path[1:]):
                 injector = self._link_injectors.get(frozenset((a, b)))
                 if injector is None:

@@ -16,7 +16,6 @@ aggregator's own services subscribe locally with zero airtime).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import NetworkError
@@ -32,20 +31,11 @@ from repro.transport.base import (
     Endpoint,
     QoS,
     Subscriber,
-    compile_topic_filter,
+    TopicRouter,
     topic_matches,
 )
 
 __all__ = ["MqttBroker", "MqttClient", "QoS", "Subscriber", "topic_matches"]
-
-
-@dataclass
-class _Subscription:
-    pattern: str
-    callback: Subscriber
-    # Precompiled at subscribe time so the routing loop never re-splits
-    # the filter (one callable check per subscription per message).
-    matches: "Callable[[str], bool] | None" = None
 
 
 class MqttBroker(Process, Endpoint):
@@ -79,7 +69,7 @@ class MqttBroker(Process, Endpoint):
         self._processing_latency_s = processing_latency_s
         self._connect_latency_s = connect_latency_s
         self._connect_jitter_sigma = connect_jitter_sigma
-        self._subscriptions: list[_Subscription] = []
+        self._router = TopicRouter()
         self._messages_routed = 0
         self._messages_dropped = 0
         self._down = False
@@ -125,22 +115,11 @@ class MqttBroker(Process, Endpoint):
 
     def subscribe(self, pattern: str, callback: Subscriber) -> None:
         """Register ``callback`` for topics matching ``pattern``."""
-        # Compiling validates eagerly too: a bad '#' placement fails
-        # here, not on first publish.
-        self._subscriptions.append(
-            _Subscription(pattern, callback, compile_topic_filter(pattern))
-        )
+        self._router.subscribe(pattern, callback)
 
     def unsubscribe(self, pattern: str, callback: Subscriber) -> None:
         """Remove a previously registered subscription."""
-        before = len(self._subscriptions)
-        self._subscriptions = [
-            s
-            for s in self._subscriptions
-            if not (s.pattern == pattern and s.callback == callback)
-        ]
-        if len(self._subscriptions) == before:
-            raise NetworkError(f"no subscription {pattern!r} to remove")
+        self._router.unsubscribe(pattern, callback)
 
     def deliver(self, topic: str, payload: Any, after_s: float = 0.0) -> None:
         """Route ``payload`` to matching subscribers after a delay.
@@ -171,18 +150,16 @@ class MqttBroker(Process, Endpoint):
                 self._messages_dropped += 1
                 self.trace("mqtt.drop_down", topic=topic)
                 return
-            matched = False
             if self._spans.enabled:
                 self._spans.event(
                     "transport.deliver", self.name, backend="mqtt", topic=topic
                 )
-            for sub in list(self._subscriptions):
-                if sub.matches(topic):
-                    matched = True
-                    sub.callback(topic, payload)
-            if matched:
+            targets = self._router.targets(topic)
+            for callback in targets:
+                callback(topic, payload)
+            if targets:
                 self._messages_routed += 1
-            self.trace("mqtt.deliver", topic=topic, matched=matched)
+            self.trace("mqtt.deliver", topic=topic, matched=bool(targets))
 
         for _ in range(copies):
             self.sim.call_later(delay, _route, label=f"mqtt:{topic}")

@@ -2,8 +2,8 @@
 
 :class:`ShardBackhaulProxy` subclasses the serial
 :class:`~repro.net.backhaul.BackhaulMesh` and keeps the *full* spec
-topology in its routing graph, so latency lookups, partitions and link
-injectors behave exactly as on the serial mesh.  Only delivery differs:
+topology in its links and route table, so latency lookups, partitions
+and link injectors behave exactly as on the serial mesh.  Only delivery differs:
 a message whose destination lives on another shard is appended to an
 outbox (with its absolute arrival time) instead of being scheduled
 locally; the runner drains outboxes at each window barrier and the
@@ -60,11 +60,11 @@ class ShardBackhaulProxy(BackhaulMesh):
         self._shard_index = shard_index
         self._order = tuple(order)
         self._remote = frozenset(remote)
-        # Remote nodes join the routing graph up front: links touching
-        # them must wire, and latency paths must match the serial mesh.
+        # Remote nodes join the mesh up front: links touching them must
+        # wire, and routes must match the serial mesh's.
         for aggregator_id in self._order:
             if aggregator_id in self._remote:
-                self._graph.add_node(aggregator_id)
+                self._add_node(aggregator_id)
         self._outbox: list[RemoteMessage] = []
         self._outbox_seq = 0
 

@@ -7,6 +7,8 @@ to the MQTT-over-Wi-Fi models.  This module names the seam instead:
 * :class:`Endpoint` — the aggregator-hosted message hub (topic-based
   routing with MQTT wildcard filters, downtime and fault-injection
   hooks, a connect-latency model),
+* :class:`TopicRouter` — the subscription table every endpoint routes
+  with, resolving each topic once until the table changes,
 * :class:`DeviceLink` — the device-side session (connect / publish /
   disconnect with :class:`QoS` delivery semantics),
 * :class:`RadioModel` — the network-entry latencies (scan, association)
@@ -103,6 +105,53 @@ def compile_topic_filter(pattern: str) -> Callable[[str], bool]:
         return True
 
     return match_plus
+
+
+class TopicRouter:
+    """One endpoint's subscription table with a per-topic route cache.
+
+    :meth:`targets` resolves the callbacks whose filter matches a topic,
+    in subscription order, once per topic; the answer stays in
+    :attr:`routes` until the next :meth:`subscribe` or
+    :meth:`unsubscribe`, so routing a hot topic is one dict lookup.
+    Dispatchers iterate the tuple they were handed, so a callback that
+    (un)subscribes mid-dispatch takes effect from the next message.
+    """
+
+    __slots__ = ("_subscriptions", "routes")
+
+    def __init__(self) -> None:
+        # (pattern, callback, compiled matcher), in subscription order.
+        self._subscriptions: list[tuple[str, Subscriber, Callable[[str], bool]]] = []
+        #: topic -> matching callbacks.  Cleared in place on every table
+        #: change, so a hot loop may hold it and call :meth:`targets`
+        #: only on a miss.
+        self.routes: dict[str, tuple[Subscriber, ...]] = {}
+
+    def subscribe(self, pattern: str, callback: Subscriber) -> None:
+        """Register ``callback`` for topics matching ``pattern``."""
+        # Compiling validates eagerly: a bad '#' placement fails here,
+        # not on first publish.
+        self._subscriptions.append((pattern, callback, compile_topic_filter(pattern)))
+        self.routes.clear()
+
+    def unsubscribe(self, pattern: str, callback: Subscriber) -> None:
+        """Remove the earliest ``(pattern, callback)`` subscription."""
+        for i, (sub_pattern, sub_callback, _) in enumerate(self._subscriptions):
+            if sub_pattern == pattern and sub_callback == callback:
+                del self._subscriptions[i]
+                self.routes.clear()
+                return
+        raise NetworkError(f"no subscription {pattern!r} to remove")
+
+    def targets(self, topic: str) -> tuple[Subscriber, ...]:
+        """The callbacks subscribed to ``topic``, in subscription order."""
+        targets = self.routes.get(topic)
+        if targets is None:
+            targets = self.routes[topic] = tuple(
+                callback for _, callback, matches in self._subscriptions if matches(topic)
+            )
+        return targets
 
 
 class Endpoint(abc.ABC):

@@ -3,8 +3,9 @@
 ``DirectTransport`` trades radio fidelity for throughput so large-fleet
 scalability runs stop paying the full per-frame cost:
 
-* routing is an exact-topic dict plus a short wildcard list instead of
-  an O(#subscriptions) filter scan per message,
+* routing shares the MQTT broker's cached
+  :class:`~repro.transport.base.TopicRouter`, and the drain loop reads
+  its route table directly: one dict lookup per message, no call,
 * link latency and loss are fixed parameters (no airtime computation,
   no RSSI draw, no shadowing — the zero-loss default draws no RNG at
   all on the publish path),
@@ -36,8 +37,8 @@ from repro.transport.base import (
     QoS,
     RadioModel,
     Subscriber,
+    TopicRouter,
     Transport,
-    compile_topic_filter,
 )
 
 if TYPE_CHECKING:
@@ -48,8 +49,9 @@ if TYPE_CHECKING:
 class DirectHub(Process, Endpoint):
     """Topic router hosted by one aggregator, without a broker model.
 
-    Exact topics (the common case: per-device control topics) route by
-    dict lookup; only patterns containing ``+``/``#`` pay a filter scan.
+    Subscribers are resolved per topic by a :class:`TopicRouter`: the
+    first message on a topic scans the filters, later ones are a dict
+    lookup until the subscription table changes.
 
     Args:
         runtime: The kernel, or a shared :class:`SimContext`.
@@ -71,14 +73,7 @@ class DirectHub(Process, Endpoint):
             raise NetworkError(f"connect latency must be positive, got {connect_s}")
         self.wire_bytes = wire_bytes
         self._connect_s = connect_s
-        self._exact: dict[str, list[Subscriber]] = {}
-        # (pattern, callback, compiled matcher) — compiled once at
-        # subscribe time so draining never re-splits the filter.
-        self._wildcards: list[tuple[str, Subscriber, Callable[[str], bool]]] = []
-        # topic -> resolved subscriber tuple, filled lazily on first
-        # routing of each topic and cleared whenever the subscription
-        # table changes — routing a hot topic is then one dict lookup.
-        self._route_cache: dict[str, tuple[Subscriber, ...]] = {}
+        self._router = TopicRouter()
         # Batches keyed by absolute due time: every message scheduled
         # for the same instant rides one kernel event.
         self._batches: dict[float, list[tuple[str, Any]]] = {}
@@ -126,32 +121,11 @@ class DirectHub(Process, Endpoint):
 
     def subscribe(self, pattern: str, callback: Subscriber) -> None:
         """Register ``callback`` for topics matching ``pattern``."""
-        # Compiling validates the filter eagerly so a bad '#' placement
-        # fails here, not on first publish (same contract as the MQTT
-        # broker).
-        matcher = compile_topic_filter(pattern)
-        if "+" in pattern or "#" in pattern:
-            self._wildcards.append((pattern, callback, matcher))
-        else:
-            self._exact.setdefault(pattern, []).append(callback)
-        self._route_cache.clear()
+        self._router.subscribe(pattern, callback)
 
     def unsubscribe(self, pattern: str, callback: Subscriber) -> None:
         """Remove a previously registered subscription."""
-        if "+" in pattern or "#" in pattern:
-            for i, (sub_pattern, sub_callback, _) in enumerate(self._wildcards):
-                if sub_pattern == pattern and sub_callback == callback:
-                    del self._wildcards[i]
-                    self._route_cache.clear()
-                    return
-            raise NetworkError(f"no subscription {pattern!r} to remove")
-        callbacks = self._exact.get(pattern, [])
-        if callback not in callbacks:
-            raise NetworkError(f"no subscription {pattern!r} to remove")
-        callbacks.remove(callback)
-        if not callbacks:
-            del self._exact[pattern]
-        self._route_cache.clear()
+        self._router.unsubscribe(pattern, callback)
 
     def deliver(self, topic: str, payload: Any, after_s: float = 0.0) -> None:
         """Route ``payload`` to matching subscribers after a delay."""
@@ -206,23 +180,17 @@ class DirectHub(Process, Endpoint):
             for topic, _ in batch:
                 self.trace("direct.drop_down", topic=topic)
             return
-        cache = self._route_cache
+        router = self._router
+        routes = router.routes
         spans = self._spans
         routed = 0
         for topic, payload in batch:
-            targets = cache.get(topic)
+            # One dict lookup per cached topic.  A mid-drain
+            # (un)subscribe clears ``routes`` in place, so later
+            # messages in the batch re-resolve against the new table.
+            targets = routes.get(topic)
             if targets is None:
-                # First routing of this topic since the subscription
-                # table last changed: resolve exact + wildcard matches
-                # once, then route by dict lookup.  A mid-drain
-                # (un)subscribe clears the cache, so later messages in
-                # the batch re-resolve against the updated table.
-                callbacks = self._exact.get(topic)
-                merged = list(callbacks) if callbacks else []
-                for _pattern, callback, matcher in self._wildcards:
-                    if matcher(topic):
-                        merged.append(callback)
-                targets = cache[topic] = tuple(merged)
+                targets = router.targets(topic)
             if targets:
                 routed += 1
                 if spans.enabled:

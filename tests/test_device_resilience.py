@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError
 from repro.ids import DeviceId
-from repro.runtime import build
+from repro.protocol.device_fsm import DevicePhase
+from repro.runtime import TransportSpec, build
 from repro.workloads.scenarios import paper_testbed_spec
 
 
@@ -74,6 +75,76 @@ class TestCommOutage:
         assert scenario.aggregator("agg1").registry.is_master_member(
             DeviceId("device1")
         )
+
+
+class TestLeaveMidHandshake:
+    """Leaving while the scan/association/connect chain is in flight."""
+
+    @staticmethod
+    def assert_left_cleanly(scenario, device):
+        unit = scenario.aggregator("agg1")
+        assert not device.connected
+        assert device.fsm.phase is DevicePhase.IN_TRANSIT
+        assert unit.registry.get(device.device_id) is None
+        with pytest.raises(NetworkError):
+            unit.endpoint.unsubscribe(f"device/{device.name}/ctrl", device._on_ctrl)
+
+    @pytest.mark.parametrize("kind", ("mqtt", "direct"))
+    def test_leave_during_scan_drops_the_join(self, kind):
+        spec = paper_testbed_spec(
+            seed=7, enter_devices=False, transport=TransportSpec(kind=kind)
+        )
+        scenario = build(spec)
+        device = scenario.device("device1")
+        scenario.enter_at("device1", "agg1", 0.0)
+        scenario.simulator.schedule(1.0, device.leave_network)
+        scenario.run_until(15.0)
+        self.assert_left_cleanly(scenario, device)
+
+    @pytest.mark.parametrize("kind", ("mqtt", "direct"))
+    def test_session_completing_after_leave_is_dropped(self, kind):
+        spec = paper_testbed_spec(
+            seed=7, enter_devices=False, transport=TransportSpec(kind=kind)
+        )
+        scenario = build(spec)
+        device = scenario.device("device1")
+        scenario.enter_at("device1", "agg1", 0.0)
+        scenario.run_until(0.5)
+        handshake = device.last_handshake
+        scenario.run_until(handshake.scan_s + 0.001)  # association drawn
+        # Leave while the connect is in flight: after association, before
+        # the session comes up.
+        scenario.run_until(handshake.scan_s + handshake.assoc_s + 0.01)
+        assert handshake.connect_s > 0.01 and not device.connected
+        device.leave_network()
+        scenario.run_until(15.0)
+        self.assert_left_cleanly(scenario, device)
+
+    @pytest.mark.parametrize("kind", ("mqtt", "direct"))
+    def test_reconnect_abandoned_by_leave(self, kind):
+        spec = paper_testbed_spec(seed=7, transport=TransportSpec(kind=kind))
+        scenario = build(spec)
+        scenario.run_until(12.0)
+        device = scenario.device("device1")
+        device.drop_connection()
+        device.reconnect()
+        device.leave_network()
+        scenario.run_until(20.0)
+        assert not device.connected
+        with pytest.raises(NetworkError):
+            scenario.aggregator("agg1").endpoint.unsubscribe(
+                f"device/{device.name}/ctrl", device._on_ctrl
+            )
+
+    def test_second_reconnect_while_joining_rejected(self):
+        scenario = steady_scenario()
+        device = scenario.device("device1")
+        device.drop_connection()
+        device.reconnect()
+        with pytest.raises(ProtocolError):
+            device.reconnect()  # the first one is still in flight
+        scenario.run_until(20.0)
+        assert device.connected
 
 
 class TestReceiptFlow:

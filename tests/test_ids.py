@@ -1,5 +1,10 @@
 """Tests for repro.ids."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import AddressError
@@ -27,6 +32,33 @@ class TestDeviceId:
 
     def test_ordering(self):
         assert DeviceId("a") < DeviceId("b")
+
+    def test_pickle_rehashes_under_another_hash_seed(self):
+        # Workers started by spawn/forkserver unpickle ids in a process
+        # whose string hashes are salted differently.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def run(code, hash_seed, stdin=b""):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(hash_seed)}
+            return subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env,
+                capture_output=True, check=True,
+            ).stdout
+
+        pickled = run(
+            "import pickle, sys; from repro.ids import DeviceId; "
+            "sys.stdout.buffer.write(pickle.dumps(DeviceId('escooter-1')))",
+            hash_seed=1,
+        )
+        verdict = run(
+            "import pickle, sys; from repro.ids import DeviceId; "
+            "loaded = pickle.loads(sys.stdin.buffer.read()); "
+            "print(loaded == DeviceId('escooter-1'), "
+            "DeviceId('escooter-1') in {loaded: 1})",
+            hash_seed=2,
+            stdin=pickled,
+        )
+        assert verdict.split() == [b"True", b"True"]
 
     @pytest.mark.parametrize("bad", ["", " ", "has space", "-leading", None, 7])
     def test_invalid_names_rejected(self, bad):

@@ -1,9 +1,13 @@
 """Tests for TDMA, time sync and the backhaul mesh."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BackhaulError, ConfigError, SlotAllocationError
+from repro.faults.injectors import LinkFaultInjector, LinkFaultSpec
 from repro.hw import Ds3231Rtc
 from repro.ids import AggregatorId, DeviceId
 from repro.net import BackhaulLink, BackhaulMesh, TdmaSchedule, TimeSyncService
@@ -201,3 +205,137 @@ class TestBackhaul:
         _, mesh, _ = self.make_mesh(names=("a",))
         with pytest.raises(BackhaulError):
             mesh.connect(BackhaulLink(AggregatorId("a"), AggregatorId("zz")))
+
+
+# Dyadic latencies (k/1024 s) sum exactly in any order, so a tie between
+# two routes is a real tie and not a rounding accident; few distinct
+# values make ties common.
+LATENCIES = st.integers(1, 8).map(lambda k: k / 1024)
+
+
+@st.composite
+def connected_meshes(draw):
+    """``(names, links)``: a random spanning tree plus random extra links."""
+    count = draw(st.integers(3, 12))
+    names = [f"agg{i}" for i in draw(st.permutations(range(count)))]
+    links = {}
+    for i in range(1, count):
+        links[frozenset((i, draw(st.integers(0, i - 1))))] = draw(LATENCIES)
+    extra = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
+    for a, b in draw(st.lists(extra, max_size=2 * count)):
+        if a != b:
+            links[frozenset((a, b))] = draw(LATENCIES)
+    return names, [(names[min(pair)], names[max(pair)], lat) for pair, lat in links.items()]
+
+
+class TestRouteTable:
+    """The backhaul route table against networkx on random meshes."""
+
+    @staticmethod
+    def build(names, links):
+        """The mesh under test plus a networkx graph of the same links."""
+        sim = Simulator(seed=0)
+        mesh = BackhaulMesh(sim)
+        inboxes = {name: [] for name in names}
+        for name in names:
+            mesh.add_aggregator(AggregatorId(name), lambda s, p, n=name: inboxes[n].append(p))
+        graph = nx.Graph()
+        for a, b, latency in links:
+            mesh.connect(BackhaulLink(AggregatorId(a), AggregatorId(b), latency))
+            graph.add_edge(AggregatorId(a), AggregatorId(b), latency=latency)
+        return sim, mesh, graph, inboxes
+
+    @staticmethod
+    def path_latency(graph, path, per_hop_cost_s=0.0002):
+        total = 0.0
+        for a, b in zip(path, path[1:]):
+            total += graph.edges[a, b]["latency"]
+        return total + per_hop_cost_s * max(0, len(path) - 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_meshes())
+    def test_latency_matches_networkx(self, mesh_shape):
+        _, mesh, graph, _ = self.build(*mesh_shape)
+        nodes = sorted(graph.nodes)
+        for source in nodes:
+            for destination in nodes:
+                if source == destination:
+                    continue
+                expected = self.path_latency(
+                    graph, nx.shortest_path(graph, source, destination, weight="latency")
+                )
+                tied = list(nx.all_shortest_paths(graph, source, destination, weight="latency"))
+                if len(tied) > 1:
+                    # Equal link latency: the route with fewer hops wins.
+                    expected = self.path_latency(graph, min(tied, key=len))
+                assert mesh.latency_s(source, destination) == expected
+                assert list(mesh.route(source, destination)[1]) in tied
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_meshes())
+    def test_routes_do_not_depend_on_wiring_order(self, mesh_shape):
+        names, links = mesh_shape
+        _, mesh, graph, _ = self.build(names, links)
+        _, rewired, _, _ = self.build(names[::-1], links[::-1])
+        for source in graph.nodes:
+            for destination in graph.nodes:
+                assert mesh.route(source, destination) == rewired.route(source, destination)
+
+    def test_equal_latency_tie_goes_to_fewer_hops(self):
+        s, a, b, c, v = (AggregatorId(n) for n in ("s", "a", "b", "c", "v"))
+        mesh = BackhaulMesh(Simulator(seed=0))
+        for node in (s, a, b, c, v):
+            mesh.add_aggregator(node, lambda source, payload: None)
+        # s-b-c-v and s-a-v both sum to 4 ms; the three-hop route is
+        # found first (c settles before a), the two-hop one must win.
+        for x, y, ms in ((s, b, 1), (b, c, 1), (c, v, 2), (s, a, 3), (a, v, 1)):
+            mesh.connect(BackhaulLink(x, y, ms / 1000))
+        latency, path = mesh.route(s, v)
+        assert path == (s, a, v)
+        assert latency == (0.003 + 0.001) + 0.0002
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_meshes(), st.data())
+    def test_shorter_link_after_caching_changes_the_route(self, mesh_shape, data):
+        names, links = mesh_shape
+        _, mesh, _, _ = self.build(names, links)
+        a, b = (AggregatorId(n) for n in data.draw(st.permutations(names))[:2])
+        before = mesh.latency_s(a, b)
+        # Shorter than any drawn link, so the direct link must win.
+        mesh.connect(BackhaulLink(a, b, 1 / 2048))
+        assert mesh.latency_s(a, b) == 1 / 2048 < before
+        assert mesh.route(b, a) == (1 / 2048, (b, a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_meshes(), st.data())
+    def test_injector_consulted_only_on_the_routed_path(self, mesh_shape, data):
+        names, links = mesh_shape
+        sim, mesh, _, inboxes = self.build(names, links)
+        source, destination = data.draw(st.permutations(names))[:2]
+        path = mesh.route(AggregatorId(source), AggregatorId(destination))[1]
+        on_path = {frozenset(hop) for hop in zip(path, path[1:])}
+        off_path = [
+            (AggregatorId(a), AggregatorId(b))
+            for a, b, _ in links
+            if frozenset((AggregatorId(a), AggregatorId(b))) not in on_path
+        ]
+        assume(off_path)
+
+        def dropper(name):
+            return LinkFaultInjector(
+                name, np.random.default_rng(0), spec=LinkFaultSpec(drop_p=1.0)
+            )
+
+        off = dropper("off")
+        mesh.install_link_injector(*data.draw(st.sampled_from(off_path)), off)
+        mesh.send(AggregatorId(source), AggregatorId(destination), "through")
+        sim.run()
+        assert inboxes[destination] == ["through"]
+        assert off.counters.get("off.drops") == 0
+
+        on = dropper("on")
+        mesh.install_link_injector(*data.draw(st.sampled_from(list(zip(path, path[1:])))), on)
+        mesh.send(AggregatorId(source), AggregatorId(destination), "doomed")
+        sim.run()
+        assert inboxes[destination] == ["through"]
+        assert on.counters.get("on.drops") == 1

@@ -3,14 +3,19 @@
 Covers the seam three ways:
 
 * contract tests parametrized over both backends (pub/sub routing,
-  QoS-1 retransmission exhaustion during an outage, endpoint downtime),
+  QoS-1 retransmission exhaustion during an outage, endpoint downtime,
+  the shared topic router's ordering and cache invalidation),
 * :func:`topic_matches` edge cases shared by every backend,
 * the layering rule itself: no protocol module imports the MQTT/Wi-Fi
   backend modules directly (enforced over the AST, so a regression
-  fails in CI rather than in review).
+  fails in CI rather than in review), and running a world never
+  imports networkx.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +92,22 @@ class TestLayering:
         # Guard against the scan silently passing on a renamed tree.
         for package in PROTOCOL_PACKAGES:
             assert (SRC_ROOT / package).is_dir()
+
+    def test_runtime_path_never_imports_networkx(self):
+        """Only repro.planning needs networkx; running a world must not load it."""
+        code = (
+            "import sys\n"
+            "import repro, repro.cli, repro.serve\n"
+            "from repro.runtime import build\n"
+            "from repro.workloads.scenarios import paper_testbed_spec\n"
+            "build(paper_testbed_spec(seed=7)).run_until(1.0)\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC_ROOT.parent)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.split() == ["False"]
 
 
 # -- topic matching edge cases ------------------------------------------
@@ -166,8 +187,16 @@ class TestBackendContract:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_unsubscribe_unknown_rejected(self, kind):
         _, _, endpoint, _ = make_world(kind)
-        with pytest.raises(NetworkError):
-            endpoint.unsubscribe("meter/+/report", lambda t, p: None)
+
+        def callback(topic, payload):
+            return None
+
+        with pytest.raises(NetworkError):  # never subscribed
+            endpoint.unsubscribe("meter/+/report", callback)
+        endpoint.subscribe("meter/+/report", callback)
+        endpoint.unsubscribe("meter/+/report", callback)
+        with pytest.raises(NetworkError):  # already unsubscribed
+            endpoint.unsubscribe("meter/+/report", callback)
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_qos1_exhausts_retries_during_link_blackout(self, kind):
@@ -262,6 +291,51 @@ class TestBackendContract:
         sim = Simulator(seed=0)
         transport = make_transport(kind, sim)
         assert transport.describe()["kind"] == kind
+
+
+class TestRoutingContract:
+    """Both endpoints route through one cached topic router."""
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_callbacks_fire_in_subscription_order(self, kind):
+        sim, _, endpoint, _ = make_world(kind)
+        got = []
+        endpoint.subscribe("device/+/ctrl", lambda t, p: got.append("plus"))
+        endpoint.subscribe("device/d1/ctrl", lambda t, p: got.append("exact"))
+        endpoint.subscribe("device/#", lambda t, p: got.append("hash"))
+        endpoint.subscribe("device/d2/ctrl", lambda t, p: got.append("other"))
+        endpoint.deliver("device/d1/ctrl", 1)
+        sim.run()
+        assert got == ["plus", "exact", "hash"]
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_late_subscription_receives_later_messages(self, kind):
+        sim, _, endpoint, _ = make_world(kind)
+        first, late = [], []
+        endpoint.subscribe("meter/+/report", lambda t, p: first.append(p))
+        endpoint.deliver("meter/d1/report", 1)
+        sim.run()  # the topic is routed (and cached) now
+        endpoint.subscribe("meter/d1/report", lambda t, p: late.append(p))
+        endpoint.deliver("meter/d1/report", 2)
+        sim.run()
+        assert first == [1, 2]
+        assert late == [2]
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_unsubscribe_inside_callback_applies_from_next_message(self, kind):
+        sim, _, endpoint, _ = make_world(kind)
+        got = []
+
+        def once(topic, payload):
+            got.append(("once", payload))
+            endpoint.unsubscribe("t", once)
+
+        endpoint.subscribe("t", once)
+        endpoint.subscribe("t", lambda t, p: got.append(("stay", p)))
+        endpoint.deliver("t", 1)
+        endpoint.deliver("t", 2)  # due at the same instant as message 1
+        sim.run()
+        assert got == [("once", 1), ("stay", 1), ("stay", 2)]
 
 
 class _FakeProcess:
