@@ -10,6 +10,7 @@ fleet through both backends without pytest (the CI smoke step).
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -17,21 +18,22 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _harness import case, check_regression, write_results
-from repro.runtime import TransportSpec, build
+from repro.runtime import ObsSpec, TransportSpec, build
 from repro.workloads.scenarios import scaled_spec
 
 
-def _run_fleet(kind="mqtt", n_networks=6, devices_per_network=6, horizon_s=40.0, seed=77):
+def _run_fleet(
+    kind="mqtt", n_networks=6, devices_per_network=6, horizon_s=40.0, seed=77, obs=ObsSpec()
+):
     """One churned fleet run on the chosen backend; returns (scenario, wall)."""
-    scenario = build(
-        scaled_spec(
-            n_networks=n_networks,
-            devices_per_network=devices_per_network,
-            seed=seed,
-            enter_devices=True,
-            transport=TransportSpec(kind=kind),
-        )
+    spec = scaled_spec(
+        n_networks=n_networks,
+        devices_per_network=devices_per_network,
+        seed=seed,
+        enter_devices=True,
+        transport=TransportSpec(kind=kind),
     )
+    scenario = build(dataclasses.replace(spec, obs=obs))
     # Roamers hop to a neighbour network mid-run.
     for i in range(min(4, n_networks)):
         roamer = f"dev-{i}-0"
@@ -54,7 +56,8 @@ def _run_fleet(kind="mqtt", n_networks=6, devices_per_network=6, horizon_s=40.0,
 
 def test_fleet_with_mobility_churn(once):
     def run():
-        return _run_fleet(kind="mqtt")
+        # Observed: the anomaly check below reads trace points.
+        return _run_fleet(kind="mqtt", obs=ObsSpec(enabled=True, profile=False))
 
     scenario, wall = once(run)
     scenario.chain.validate()
@@ -84,8 +87,7 @@ def test_fleet_with_mobility_churn(once):
     )
     assert total_checks > 500
     anomaly_times = [
-        record.time
-        for record in scenario.simulator.trace.by_category("agg.network_anomaly")
+        span.start for span in scenario.simulator.spans.by_name("agg.network_anomaly")
     ]
     churn_windows = [(19.0 + i, 19.0 + i + 9.0) for i in range(4)] + [
         (15.0 + i, 15.0 + i + 2.5) for i in range(4)

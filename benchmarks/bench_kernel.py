@@ -8,7 +8,7 @@ Measures the discrete-event hot path at four grains:
 * ``same_instant_burst`` — many events at identical timestamps, the
   batched-execution path (clock written once per instant).
 * ``fleet_1k_direct`` — the headline: 1,000 devices across 50 direct-
-  transport networks, 20 simulated seconds, tracing off.  This is the
+  transport networks, 20 simulated seconds, unobserved.  This is the
   case the committed ``BENCH_kernel.json`` tracks against the
   pre-optimisation kernel.
 * ``fleet_1k_vector`` — the same world with the vectorized fleet actor
@@ -40,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _harness import attach_reference, case, check_regression, measure, write_results
 from repro.runtime import TransportSpec, build
-from repro.runtime.context import SimContext
 from repro.runtime.spec import VectorSpec
 from repro.sim.kernel import Simulator
 from repro.workloads.scenarios import scaled_spec
@@ -48,7 +47,7 @@ from repro.workloads.scenarios import scaled_spec
 
 def run_raw_chain(n_events: int, chains: int = 100) -> Simulator:
     """Parallel callback chains: schedule + pop + dispatch, nothing else."""
-    sim = Simulator(trace=False)
+    sim = Simulator()
     per_chain = n_events // chains
     call_later = sim.call_later
 
@@ -71,7 +70,7 @@ def run_raw_chain(n_events: int, chains: int = 100) -> Simulator:
 
 def run_periodic(n_events: int, tasks: int = 200) -> Simulator:
     """Periodic tasks re-arming through :class:`PeriodicTask`."""
-    sim = Simulator(trace=False)
+    sim = Simulator()
     interval = 0.01
     for i in range(tasks):
         sim.every(interval, lambda: None, first_at=interval + i * 1e-5)
@@ -81,7 +80,7 @@ def run_periodic(n_events: int, tasks: int = 200) -> Simulator:
 
 def run_same_instant_burst(n_events: int, burst: int = 1000) -> Simulator:
     """Bursts of events at one timestamp (the clock moves once per burst)."""
-    sim = Simulator(trace=False)
+    sim = Simulator()
     for instant in range(max(1, n_events // burst)):
         at = 1.0 + instant * 0.01
         for _ in range(burst):
@@ -108,9 +107,9 @@ def run_fleet(
     horizon_s: float,
     vector: bool = False,
 ) -> Simulator:
-    """The direct-transport fleet, tracing off (the headline case)."""
+    """The direct-transport fleet, unobserved (the headline case)."""
     spec = _fleet_spec(n_networks, devices_per_network, vector)
-    scenario = build(spec, context=SimContext.create(seed=77, trace=False))
+    scenario = build(spec)
     scenario.simulator.run_until(horizon_s)
     return scenario.simulator
 
@@ -137,7 +136,7 @@ def run_fleet_sharded(
     spec = dataclasses.replace(
         fleet_spec(n_networks, devices_per_network), vector=VectorSpec(enabled=True)
     )
-    result = run_sharded(spec, horizon_s, "auto", processes=False, trace=False)
+    result = run_sharded(spec, horizon_s, "auto", processes=False)
     return _ShardedSim(result.events_executed)
 
 

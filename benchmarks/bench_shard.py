@@ -80,7 +80,7 @@ def run_case(
 ) -> dict:
     spec = fleet_spec(n_networks, devices_per_network)
     start = time.perf_counter()
-    run = run_sharded(spec, until, shards=shards, processes=False, trace=False)
+    run = run_sharded(spec, until, shards=shards, processes=False)
     wall = time.perf_counter() - start
     critical_path = max(run.shard_busy_s)
     events = run.events_executed

@@ -22,7 +22,7 @@ RECORD = {
 
 def test_kernel_event_throughput(benchmark):
     def run_10k_events():
-        sim = Simulator(trace=False)
+        sim = Simulator()
         count = [0]
 
         def tick():
@@ -53,7 +53,7 @@ def test_merkle_tree_of_1000_records(benchmark):
 
 
 def test_mqtt_routing_cost(benchmark):
-    sim = Simulator(trace=False)
+    sim = Simulator()
     broker = MqttBroker(sim, "broker", processing_latency_s=0.0)
     hits = [0]
     broker.subscribe("meter/+/report", lambda t, p: hits.__setitem__(0, hits[0] + 1))
@@ -84,7 +84,7 @@ def _messaging_wall_clock(kind, n_hubs=50, devices_per_hub=20, messages=10):
     The subscription tables mirror a real aggregator's: four wildcard
     uplink filters plus one exact control topic per device.
     """
-    sim = Simulator(trace=False, seed=11)
+    sim = Simulator(seed=11)
     transport = _transport_for(kind, sim)
     links = []
     delivered = [0]

@@ -8,19 +8,21 @@ Produces an ``artifacts/`` directory next to this script containing:
 * ``agg1.html`` / ``agg2.html`` — self-contained dashboard pages with
   SVG charts of every monitored series (the Grafana substitute's
   shareable output),
-* ``trace.jsonl`` — the structured simulation trace of the fig6 run.
+* ``trace.jsonl`` — the span stream (conversations and trace points)
+  of the 30 s paper-testbed world behind the dashboards.
 
 Run:  python examples/export_figures.py [output_dir]
 """
 
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.monitoring.html import save_dashboard_html
-from repro.runtime import build
+from repro.runtime import ObsSpec, build
 from repro.workloads.scenarios import paper_testbed_spec
 
 
@@ -52,7 +54,8 @@ def export_fig6(out: Path) -> list[Path]:
 
 
 def export_dashboards(out: Path) -> list[Path]:
-    scenario = build(paper_testbed_spec(seed=0))
+    spec = paper_testbed_spec(seed=0)
+    scenario = build(dataclasses.replace(spec, obs=ObsSpec(enabled=True, profile=False)))
     scenario.run_until(30.0)
     written = []
     for name, unit in scenario.aggregators.items():
@@ -61,8 +64,9 @@ def export_dashboards(out: Path) -> list[Path]:
                 unit.monitoring, out / f"{name}.html", title=f"{name} monitoring"
             )
         )
-    count = scenario.simulator.trace.save_jsonl(out / "trace.jsonl")
-    print(f"trace.jsonl: {count} records")
+    with (out / "trace.jsonl").open("w") as handle:
+        count = scenario.simulator.spans.save_jsonl(handle)
+    print(f"trace.jsonl: {count} spans")
     written.append(out / "trace.jsonl")
     return written
 

@@ -485,16 +485,12 @@ class AggregatorUnit(Process):
         member = self._registry.get(device_id)
         if member is None:
             # Sequence 2 trigger: report from a non-member.
-            self.trace("agg.nack_not_member", device=device_id.name)
             self._nack(device_id, NackReason.NOT_A_MEMBER, report.sequence)
             if span is not None:
                 self._spans.finish(span, "nack", reason="not_a_member")
             return
         verdict = self._verifier.screen_report(report)
         if verdict.anomalous:
-            self.trace(
-                "agg.report_rejected", device=device_id.name, reason=verdict.reason
-            )
             self._nack(device_id, NackReason.ANOMALOUS_REPORT, report.sequence)
             if span is not None:
                 self._spans.finish(span, "nack", reason=verdict.reason)
@@ -510,7 +506,6 @@ class AggregatorUnit(Process):
             self._ack(device_id, report.sequence)
             assert member.master_address is not None
             self._liaison.forward_report(report, member.master_address.aggregator)
-            self.trace("agg.forwarded", device=device_id.name)
             if span is not None:
                 self._spans.finish(span, "forwarded")
             return

@@ -168,7 +168,7 @@ class MeteringDevice(Process):
     Args:
         runtime: The kernel, or a shared :class:`SimContext` (the MQTT
             client inherits it, so the whole device stack emits into the
-            same counter bank and trace stream).
+            same counter bank and span stream).
         device_id: Identity of this device.
         config: Static configuration.
         grid: The electrical topology (for attach/detach).

@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.errors import ExperimentError
 from repro.runtime.build import build
-from repro.runtime.spec import LedgerSpec, TransportSpec
+from repro.runtime.spec import LedgerSpec, ObsSpec, TransportSpec
 from repro.workloads.scenarios import scaled_spec
 
 # The pruning bound the benchmark must demonstrate: a pruned ledger
@@ -94,6 +94,9 @@ def run_ledger_sync(
             ),
             name=f"ledger-sync-b{batch}",
             ledger=LedgerSpec(sync_enabled=True, header_batch_size=batch),
+            # Offline verifications are counted from their trace points,
+            # which only an observed world keeps.
+            obs=ObsSpec(enabled=True, profile=False),
         )
         scenario = build(spec)
         scenario.simulator.run_until(horizon_s)
@@ -116,10 +119,8 @@ def run_ledger_sync(
         max_delay = max((d.sync_stats.delay_max_s for d in devices), default=0.0)
         offline = sum(
             1
-            for record in scenario.context.tracer.by_category(
-                "device.receipt_verified"
-            )
-            if record.detail.get("offline")
+            for span in scenario.simulator.spans.by_name("device.receipt_verified")
+            if span.tags["offline"]
         )
         blocks = scenario.chain.height
         interval = spec.ledger.sync_interval_s

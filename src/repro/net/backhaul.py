@@ -238,17 +238,14 @@ class BackhaulMesh(Process):
         """Fault gauntlet shared by :meth:`send` and the shard proxy.
 
         Returns ``(latency, copies)``; ``copies == 0`` means the message
-        was dropped and the drop bookkeeping (counter, trace, span) has
-        already happened.  A severed drop reports latency ``0.0``, an
-        injector drop the path latency — matching what :meth:`send` has
-        always returned in each case.
+        was dropped and the drop bookkeeping (counter, span) has already
+        happened.  A severed drop reports latency ``0.0``, an injector
+        drop the path latency — matching what :meth:`send` has always
+        returned in each case.
         """
         if self._severed(source, destination):
             self._messages_dropped += 1
             self.count("messages_dropped")
-            self.trace(
-                "backhaul.drop_severed", source=str(source), destination=str(destination)
-            )
             if span is not None:
                 self._spans.finish(span, "dropped", reason="severed")
             return 0.0, 0
@@ -263,12 +260,6 @@ class BackhaulMesh(Process):
                 if verdict in (FaultAction.DROP, FaultAction.CORRUPT):
                     self._messages_dropped += 1
                     self.count("messages_dropped")
-                    self.trace(
-                        "backhaul.drop_fault",
-                        source=str(source),
-                        destination=str(destination),
-                        verdict=verdict.value,
-                    )
                     if span is not None:
                         self._spans.finish(span, "dropped", reason=verdict.value)
                     return latency, 0
@@ -303,7 +294,6 @@ class BackhaulMesh(Process):
             return latency
         self._messages_sent += 1
         self.count("messages_sent")
-        self.trace("backhaul.send", source=str(source), destination=str(destination))
 
         def _arrive() -> None:
             # finish() is idempotent, so a DUPLICATE fault's second copy
@@ -312,7 +302,6 @@ class BackhaulMesh(Process):
                 # Crashed while the message was in flight.
                 self._messages_dropped += 1
                 self.count("messages_dropped")
-                self.trace("backhaul.drop_down", destination=str(destination))
                 if span is not None:
                     self._spans.finish(span, "dropped", reason="node_down")
                 return

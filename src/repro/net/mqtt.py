@@ -159,7 +159,6 @@ class MqttBroker(Process, Endpoint):
                 callback(topic, payload)
             if targets:
                 self._messages_routed += 1
-            self.trace("mqtt.deliver", topic=topic, matched=bool(targets))
 
         for _ in range(copies):
             self.sim.call_later(delay, _route, label=f"mqtt:{topic}")

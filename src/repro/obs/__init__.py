@@ -1,7 +1,8 @@
 """Observability: spans, unified metrics, kernel profiling, artifacts.
 
 The reproduction's answer to the testbed's Grafana: a cross-cutting
-layer that records *protocol conversations* as parent/child spans
+layer that records *protocol conversations* as parent/child spans and
+every actor's trace points as point events in the same stream
 (:mod:`repro.obs.spans`), fronts the counter and series banks with one
 exporting registry (:mod:`repro.obs.metrics`), times the kernel's event
 loop per actor and event type (:mod:`repro.obs.profiler`), and packages

@@ -5,8 +5,8 @@ merge of several):
 
 * ``manifest.json`` — format tag, per-run provenance (name, seed, sim
   time, event count), file list.
-* ``spans.jsonl`` — every recorded protocol-conversation span, one JSON
-  object per line, in begin order.
+* ``spans.jsonl`` — every recorded span, protocol conversations and
+  trace points alike, one JSON object per line, in begin order.
 * ``metrics.prom`` / ``metrics.jsonl`` — the
   :class:`~repro.obs.metrics.MetricsRegistry` exports.
 * ``profile.json`` — the kernel profiler snapshot (``{"enabled":
@@ -219,6 +219,9 @@ def merge_artifact_dirs(
 def merge_profiles(profiles: list[dict[str, Any]]) -> dict[str, Any]:
     """Sum profiler snapshots: counts/totals add, maxes take the max.
 
+    Device-equivalent counts (``weighted_events`` and each key's
+    ``weighted``, which a snapshot omits when they equal the plain
+    count) sum too, and are emitted under the same omission rule.
     Per-label breakdowns and events/sec samples survive a single-run
     "merge" untouched; across several runs the label and sample detail
     is dropped (actor/event-type aggregates remain) to keep merged
@@ -229,29 +232,29 @@ def merge_profiles(profiles: list[dict[str, Any]]) -> dict[str, Any]:
         return {"enabled": False}
     if len(live) == 1 and len(profiles) == 1:
         return live[0]
+    events = sum(p.get("events", 0) for p in live)
+    weighted = sum(p.get("weighted_events", p.get("events", 0)) for p in live)
+    wall_s = round(sum(p.get("wall_s", 0.0) for p in live), 6)
     merged: dict[str, Any] = {
         "enabled": True,
-        "events": sum(p.get("events", 0) for p in live),
-        "wall_s": round(sum(p.get("wall_s", 0.0) for p in live), 6),
+        "events": events,
+        "wall_s": wall_s,
         "merged": len(live),
+        "events_per_s": int(events / wall_s) if wall_s > 0 else 0,
     }
-    merged["events_per_s"] = (
-        int(merged["events"] / merged["wall_s"]) if merged["wall_s"] > 0 else 0
-    )
+    if weighted != events:
+        merged["weighted_events"] = weighted
+        merged["weighted_events_per_s"] = int(weighted / wall_s) if wall_s > 0 else 0
     for table_name in ("by_actor", "by_event_type"):
         table: dict[str, dict[str, Any]] = {}
         for profile in live:
             for key, stats in profile.get(table_name, {}).items():
-                agg = table.get(key)
-                if agg is None:
-                    table[key] = {
-                        "count": stats["count"],
-                        "total_s": stats["total_s"],
-                        "max_s": stats["max_s"],
-                        "hist_log2_us": list(stats["hist_log2_us"]),
-                    }
-                    continue
+                agg = table.setdefault(
+                    key,
+                    {"count": 0, "weighted": 0, "total_s": 0.0, "max_s": 0.0, "hist_log2_us": []},
+                )
                 agg["count"] += stats["count"]
+                agg["weighted"] += stats.get("weighted", stats["count"])
                 agg["total_s"] = round(agg["total_s"] + stats["total_s"], 9)
                 agg["max_s"] = max(agg["max_s"], stats["max_s"])
                 hist = agg["hist_log2_us"]
@@ -260,5 +263,8 @@ def merge_profiles(profiles: list[dict[str, Any]]) -> dict[str, Any]:
                     hist.extend([0] * (len(other) - len(hist)))
                 for i, n in enumerate(other):
                     hist[i] += n
+        for agg in table.values():
+            if agg["weighted"] == agg["count"]:
+                del agg["weighted"]
         merged[table_name] = {k: table[k] for k in sorted(table)}
     return merged

@@ -7,11 +7,16 @@ backhaul forward — with sim-time ``start``/``end``, an outcome
 ``parent_id``, so a roaming verify started while processing a
 sequence-2 registration shows up as a child of that registration.
 
-The tracer follows the :class:`~repro.sim.tracing.TraceRecorder`
-zero-overhead idiom: a disabled tracer swaps its methods for no-ops at
-construction time, so instrumented code pays one attribute lookup and a
-C-level call — or, on the hottest paths, just an ``enabled`` attribute
-check.  This module deliberately imports nothing from ``repro.sim`` or
+The same stream carries point events: zero-duration ``ok`` spans such
+as ``transport.send`` and every
+:meth:`~repro.sim.process.Process.trace` call, whose category is the
+span name and whose detail is the tags.  A trace point is therefore
+kept exactly when spans are, and exported by the same JSONL writer.
+
+A disabled tracer swaps its methods for no-ops at construction time,
+so instrumented code pays one attribute lookup and a C-level call — or,
+on the hottest paths, just an ``enabled`` attribute check — and keeps
+nothing.  This module deliberately imports nothing from ``repro.sim`` or
 ``repro.runtime`` (the kernel imports *it*), and the clock is
 duck-typed: anything with a ``now`` attribute works.
 """
@@ -105,8 +110,8 @@ class SpanTracer:
         self._next_id = 1
         self._spans: list[Span] = []
         if not enabled:
-            # Same trick as TraceRecorder: replace the bound methods so
-            # disabled tracing costs one no-op call, no branches.
+            # Replace the bound methods so disabled tracing costs one
+            # no-op call, no branches.
             self.begin = _begin_disabled  # type: ignore[method-assign]
             self.finish = _finish_disabled  # type: ignore[method-assign]
             self.event = _event_disabled  # type: ignore[method-assign]
@@ -174,6 +179,8 @@ class SpanTracer:
         return [span.to_dict() for span in self._spans]
 
     def to_jsonl(self) -> str:
+        """One JSON object per span, in begin order.  Tag values JSON
+        cannot encode are written as their ``str``."""
         return "".join(
             json.dumps(d, sort_keys=True, default=str) + "\n" for d in self.to_dicts()
         )

@@ -1,7 +1,7 @@
 """Runtime layer: the shared simulation context and declarative specs.
 
 * :mod:`repro.runtime.context` — :class:`SimContext`, the one object
-  bundling kernel, clock, random streams, trace recorder, a shared
+  bundling kernel, clock, random streams, span tracer, a shared
   counter bank and fault/retry hooks that every layer constructs from,
 * :mod:`repro.runtime.spec` — :class:`ScenarioSpec` and friends: a
   simulation world as JSON-round-trippable data,

@@ -4,8 +4,9 @@ One :func:`build` function replaces the five hand-rolled scenario
 builders' duplicated wiring: it creates the shared
 :class:`~repro.runtime.context.SimContext`, wires grid, chain, mesh and
 channel from it (so every layer emits into the same counter bank and
-trace stream), adds the networks and devices the spec declares, shapes
-the backhaul, and arms the spec's fault schedule on a plan that records
+span stream, which ``spec.obs`` or an active capture session turns
+on), adds the networks and devices the spec declares, shapes the
+backhaul, and arms the spec's fault schedule on a plan that records
 into the same counters.
 
 The compilation is deterministic: the same spec yields a bit-identical

@@ -2,16 +2,16 @@
 
 A :class:`SimContext` is the one object every layer of a wired world
 hangs off: the discrete-event :class:`~repro.sim.kernel.Simulator`
-(which owns the clock, the named random streams and the trace
-recorder), a shared :class:`~repro.monitoring.counters.CounterBank`
-that all layers emit into, and optional fault/retry hooks.
+(which owns the clock, the named random streams and the span tracer),
+a shared :class:`~repro.monitoring.counters.CounterBank` that all
+layers emit into, and optional fault/retry hooks.
 
 Before the context existed, each component took a bare ``Simulator``
 and grew its own private counters; a chaos run then had to stitch four
 observability surfaces together by hand.  Constructing components from
 one context instead means a single ``counters.snapshot()`` shows the
 whole world — device retries next to mesh drops next to fault
-activations — and a single trace stream orders them.
+activations — and, when spans are on, a single span stream orders them.
 
 Every :class:`~repro.sim.process.Process` accepts either a bare
 ``Simulator`` (it wraps one in a private context — the legacy path) or
@@ -37,7 +37,6 @@ if TYPE_CHECKING:
     from repro.sim.clock import SimClock
     from repro.sim.events import Event
     from repro.sim.rng import RngStreams
-    from repro.sim.tracing import TraceRecorder
 
 
 @dataclass
@@ -45,7 +44,7 @@ class SimContext:
     """Bundle of kernel, shared counters and fault/retry hooks.
 
     Attributes:
-        simulator: The discrete-event kernel (clock, rng, tracing).
+        simulator: The discrete-event kernel (clock, rng, spans).
         counters: Counter bank shared by every layer built from this
             context; fault plans attached via :meth:`new_fault_plan`
             record into it too.
@@ -61,25 +60,15 @@ class SimContext:
     default_retry: RetryPolicy | None = None
 
     @classmethod
-    def create(
-        cls,
-        seed: int = 0,
-        trace: bool = True,
-        trace_categories: list[str] | None = None,
-        obs: ObsSpec | None = None,
-    ) -> "SimContext":
+    def create(cls, seed: int = 0, obs: ObsSpec | None = None) -> "SimContext":
         """Fresh context on a fresh kernel seeded with ``seed``.
 
-        ``obs`` (when enabled) turns on span recording and installs the
-        kernel profiler; ``None`` or a disabled spec costs nothing.
+        ``obs`` (when enabled) turns on span recording, trace points
+        included, and installs the kernel profiler; ``None`` or a
+        disabled spec costs nothing.
         """
         enabled = obs is not None and obs.enabled
-        simulator = Simulator(
-            seed=seed,
-            trace=trace,
-            trace_categories=trace_categories,
-            spans=enabled and obs.spans,
-        )
+        simulator = Simulator(seed=seed, spans=enabled and obs.spans)
         if enabled and obs.profile:
             simulator.set_profiler(KernelProfiler(sample_every=obs.sample_every))
         return cls(simulator)
@@ -100,11 +89,6 @@ class SimContext:
     def rng(self) -> "RngStreams":
         """The kernel's named random streams."""
         return self.simulator.rng
-
-    @property
-    def tracer(self) -> "TraceRecorder":
-        """The kernel's trace recorder (one stream for every layer)."""
-        return self.simulator.trace
 
     @property
     def master_seed(self) -> int:

@@ -123,7 +123,6 @@ class ShardEngine:
         plan: ShardPlan,
         index: int,
         *,
-        trace: bool = True,
         obs: ObsSpec | None = None,
     ) -> None:
         self.spec = spec
@@ -131,9 +130,7 @@ class ShardEngine:
         self.index = index
         self.networks = plan.groups[index]
         local = set(self.networks)
-        self.context = SimContext.create(
-            seed=spec.seed, trace=trace, obs=obs if obs is not None else spec.obs
-        )
+        self.context = SimContext.create(seed=spec.seed, obs=obs if obs is not None else spec.obs)
         order = tuple(AggregatorId(name) for name in spec.network_names)
         remote = frozenset(agg for agg in order if agg.name not in local)
         self.proxy = ShardBackhaulProxy(self.context, index, order, remote)

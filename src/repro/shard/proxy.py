@@ -109,7 +109,6 @@ class ShardBackhaulProxy(BackhaulMesh):
             return latency
         self._messages_sent += 1
         self.count("messages_sent")
-        self.trace("backhaul.send", source=str(source), destination=str(destination))
         now = self.sim.now
         for _ in range(copies):
             self._outbox.append(
@@ -126,8 +125,8 @@ class ShardBackhaulProxy(BackhaulMesh):
             self._outbox_seq += 1
         if span is not None:
             # The source shard cannot observe the remote arrival; the
-            # span closes at hand-off and the destination shard's trace
-            # records the delivery.
+            # span closes at hand-off and the destination shard's
+            # backhaul.remote_deliver trace point records the delivery.
             self._spans.finish(span, "forwarded", remote_shard=True)
         return latency
 

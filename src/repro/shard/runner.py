@@ -180,11 +180,9 @@ def _resolve_obs(spec: ScenarioSpec, obs_dir) -> ObsSpec:
     return spec.obs
 
 
-def _run_serial(
-    spec: ScenarioSpec, until: float, trace: bool, obs_dir
-) -> ShardedRun:
+def _run_serial(spec: ScenarioSpec, until: float, obs_dir) -> ShardedRun:
     """``--shards 1``: exactly today's serial path, wrapped."""
-    ctx = SimContext.create(seed=spec.seed, trace=trace, obs=_resolve_obs(spec, obs_dir))
+    ctx = SimContext.create(seed=spec.seed, obs=_resolve_obs(spec, obs_dir))
     scenario = build(spec, context=ctx)
     start = time.perf_counter()
     scenario.run_until(until)
@@ -264,13 +262,11 @@ def _run_in_process(
     spec: ScenarioSpec,
     until: float,
     plan: ShardPlan,
-    trace: bool,
     obs_dir,
 ) -> ShardedRun:
     obs_spec = _resolve_obs(spec, obs_dir)
     engines = [
-        ShardEngine(spec, plan, index, trace=trace, obs=obs_spec)
-        for index in range(plan.shards)
+        ShardEngine(spec, plan, index, obs=obs_spec) for index in range(plan.shards)
     ]
     busy = [0.0] * plan.shards
     start = time.perf_counter()
@@ -314,7 +310,6 @@ def _shard_worker(
     window_s: float | None,
     index: int,
     until: float,
-    trace: bool,
     obs_spec_data: dict | None,
     obs_dir: str | None,
 ) -> None:
@@ -332,7 +327,7 @@ def _shard_worker(
         obs_spec = (
             ObsSpec.from_dict(obs_spec_data) if obs_spec_data is not None else None
         )
-        engine = ShardEngine(spec, plan, index, trace=trace, obs=obs_spec)
+        engine = ShardEngine(spec, plan, index, obs=obs_spec)
         busy = 0.0
         for boundary in _boundaries(window_s, until):
             # process_time: this worker's own CPU, immune to the other
@@ -363,7 +358,6 @@ def _run_processes(
     spec: ScenarioSpec,
     until: float,
     plan: ShardPlan,
-    trace: bool,
     obs_dir,
 ) -> ShardedRun:
     obs_spec = _resolve_obs(spec, obs_dir)
@@ -391,7 +385,6 @@ def _run_processes(
                     plan.window_s,
                     index,
                     until,
-                    trace,
                     obs_spec_data,
                     str(shard_dir) if shard_dir is not None else None,
                 ),
@@ -440,7 +433,6 @@ def run_sharded(
     assignment: tuple[tuple[str, ...], ...] | None = None,
     window_s: float | None = None,
     processes: bool | None = None,
-    trace: bool = True,
     obs_dir=None,
 ) -> ShardedRun:
     """Run ``spec`` to ``until`` across ``shards`` kernel shards.
@@ -457,7 +449,6 @@ def run_sharded(
         processes: Run shards in worker processes.  ``None`` decides by
             CPU budget — workers when more than one CPU is available,
             in-process otherwise.  Output is identical either way.
-        trace: Whether shard kernels record traces.
         obs_dir: Write (merged) observability artifacts here.
 
     The ``direct`` transport is required for ``shards > 1``: the mqtt
@@ -470,7 +461,7 @@ def run_sharded(
     if shards is None:
         shards = spec.sharding.shards
     if shards == 1:
-        return _run_serial(spec, until, trace, obs_dir)
+        return _run_serial(spec, until, obs_dir)
     if spec.transport.kind != "direct":
         raise ConfigError(
             f"sharded execution requires transport 'direct', got "
@@ -481,5 +472,5 @@ def run_sharded(
     if processes is None:
         processes = available_cpus() > 1
     if processes:
-        return _run_processes(spec, until, plan, trace, obs_dir)
-    return _run_in_process(spec, until, plan, trace, obs_dir)
+        return _run_processes(spec, until, plan, obs_dir)
+    return _run_in_process(spec, until, plan, obs_dir)

@@ -10,12 +10,14 @@ The kernel is the substrate every other subsystem runs on.  It provides:
 * :class:`~repro.sim.process.Process` — a base class for simulated actors
   (devices, aggregators, brokers),
 * :class:`~repro.sim.rng.RngStreams` — named, independently seeded random
-  streams so adding randomness to one component never perturbs another,
-* :class:`~repro.sim.tracing.TraceRecorder` — structured event tracing.
+  streams so adding randomness to one component never perturbs another.
+
+Trace points (:meth:`Process.trace`) are point events on the kernel's
+:class:`~repro.obs.spans.SpanTracer`, kept only when spans are on.
 
 Determinism contract: two runs with the same scenario and the same seed
-produce byte-identical traces and ledgers.  Ties in the event queue are
-broken by insertion order.
+produce byte-identical span streams and ledgers.  Ties in the event
+queue are broken by insertion order.
 """
 
 from repro.sim.clock import SimClock
@@ -23,7 +25,6 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import TraceRecord, TraceRecorder
 
 __all__ = [
     "SimClock",
@@ -32,6 +33,4 @@ __all__ = [
     "Simulator",
     "Process",
     "RngStreams",
-    "TraceRecord",
-    "TraceRecorder",
 ]

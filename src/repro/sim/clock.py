@@ -14,7 +14,7 @@ class SimClock:
     """Monotonic simulated clock owned by the kernel.
 
     ``now`` is a plain attribute (it is read on every event, every
-    trace record and every schedule call — a property's descriptor
+    span and every schedule call — a property's descriptor
     dispatch is measurable at fleet scale).  Only the kernel may write
     it, and only through :meth:`advance_to`.
     """

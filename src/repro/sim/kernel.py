@@ -1,7 +1,7 @@
 """The simulation run loop.
 
 :class:`Simulator` ties together the clock, the event queue, the random
-streams and the trace recorder.  Components schedule work with
+streams and the span tracer.  Components schedule work with
 :meth:`Simulator.schedule` (absolute) / :meth:`Simulator.call_later`
 (relative) / :meth:`Simulator.every` (periodic), and the experiment
 harness drives the loop with :meth:`Simulator.run_until` or
@@ -19,7 +19,6 @@ from repro.obs.spans import SpanTracer
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import TraceRecorder
 
 
 class PeriodicTask:
@@ -110,25 +109,17 @@ class Simulator:
 
     Args:
         seed: Master seed for all random streams.
-        trace: Whether to capture trace records.
-        trace_categories: Optional whitelist of trace categories.
-        spans: Whether to record protocol-conversation spans
+        spans: Whether to record protocol-conversation spans and
+            :meth:`~repro.sim.process.Process.trace` points
             (:class:`~repro.obs.spans.SpanTracer`).  Off by default; a
             disabled tracer is method-swapped no-ops, so instrumented
-            code stays out of the hot path's way.
+            code stays out of the hot path's way and keeps nothing.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace: bool = True,
-        trace_categories: list[str] | None = None,
-        spans: bool = False,
-    ) -> None:
+    def __init__(self, seed: int = 0, spans: bool = False) -> None:
         self.clock = SimClock()
         self.queue = EventQueue()
         self.rng = RngStreams(seed)
-        self.trace = TraceRecorder(enabled=trace, categories=trace_categories)
         self.spans = SpanTracer(self.clock, enabled=spans)
         self._running = False
         self._events_executed = 0

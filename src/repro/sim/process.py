@@ -2,15 +2,15 @@
 
 A :class:`Process` is anything with a name that lives on a simulator:
 devices, aggregators, brokers, channels.  It standardises access to the
-clock, per-actor random streams, tracing and the shared counter bank so
-subclasses stay small.
+clock, per-actor random streams, trace points and the shared counter
+bank so subclasses stay small.
 
 A process is constructed from either a bare
 :class:`~repro.sim.kernel.Simulator` (it gets a private
 :class:`~repro.runtime.context.SimContext` with its own counter bank —
 the unit-test path) or a shared ``SimContext`` (what
 :func:`repro.runtime.build.build` passes), in which case every actor in
-the world emits into the same counters and trace stream.
+the world emits into the same counters and span stream.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class Process:
         self._counter_names: dict[str, str] = {}
         self._increment = self._context.counters.increment
         self._counts = self._context.counters._counts
-        self._trace_record = self._sim.trace.record
         self._clock = self._sim.clock
         self._spans = self._sim.spans
+        self._trace_event = self._spans.event
 
     @property
     def sim(self) -> Simulator:
@@ -108,8 +108,14 @@ class Process:
         return value
 
     def trace(self, category: str, **detail: Any) -> None:
-        """Emit a trace record attributed to this actor."""
-        self._trace_record(self._clock.now, category, self._name, **detail)
+        """Record a trace point attributed to this actor.
+
+        The point is a zero-duration ``ok`` span named ``category`` with
+        ``detail`` as its tags, so it is kept exactly when spans are
+        (:meth:`~repro.obs.spans.SpanTracer.event`); with spans off it
+        is a no-op call.
+        """
+        self._trace_event(category, self._name, **detail)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self._name!r})"

@@ -17,7 +17,7 @@ from repro.chain import (
 from repro.chain.receipts import issue_receipt, receipt_from_dict, receipt_to_dict
 from repro.errors import ChainError, ConfigError, PrunedBlockError
 from repro.experiments.ledger_sync import validate_bench
-from repro.runtime import LedgerSpec, ScenarioSpec, build
+from repro.runtime import LedgerSpec, ObsSpec, ScenarioSpec, build
 from repro.runtime.spec import TransportSpec
 from repro.workloads.scenarios import scaled_spec
 
@@ -261,7 +261,9 @@ class TestLedgerSpec:
             LedgerSpec.from_dict({"sync_enabled": True, "bogus": 1})
 
 
-def build_sync_world(batch=4, *, checkpointing=False, seed=23, enter_devices=True):
+def build_sync_world(
+    batch=4, *, checkpointing=False, seed=23, enter_devices=True, obs=ObsSpec()
+):
     ledger = LedgerSpec(
         sync_enabled=True,
         header_batch_size=batch,
@@ -276,6 +278,7 @@ def build_sync_world(batch=4, *, checkpointing=False, seed=23, enter_devices=Tru
         ),
         name="sync-e2e",
         ledger=ledger,
+        obs=obs,
     )
     return build(spec)
 
@@ -302,7 +305,8 @@ class TestEndToEndSync:
                 )
 
     def test_receipt_verifies_offline_against_synced_headers(self):
-        scenario = build_sync_world(batch=4)
+        # Observed: offline verifications are read from trace points.
+        scenario = build_sync_world(batch=4, obs=ObsSpec(enabled=True, profile=False))
         scenario.simulator.run_until(30.0)
         device = next(iter(scenario.devices.values()))
         sequence = sorted(device.acked_sequences)[0]
@@ -310,10 +314,10 @@ class TestEndToEndSync:
         scenario.simulator.run_until(32.0)
         receipt = device.receipts[sequence]
         assert receipt is not None
-        verified = scenario.context.tracer.by_category("device.receipt_verified")
+        verified = scenario.simulator.spans.by_name("device.receipt_verified")
         assert any(
-            r.detail.get("offline") and r.detail.get("sequence") == sequence
-            for r in verified
+            span.tags["offline"] and span.tags["sequence"] == sequence
+            for span in verified
         )
 
     def test_late_device_anchors_at_checkpoint(self):

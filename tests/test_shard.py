@@ -58,7 +58,7 @@ def reference_spec(seed: int = 7, mesh_latency_s: float = 0.05) -> ScenarioSpec:
 
 class TestRunWindow:
     def test_strictly_before_boundary(self):
-        sim = Simulator(trace=False)
+        sim = Simulator()
         fired = []
         sim.schedule(0.5, lambda: fired.append("early"))
         sim.schedule(1.0, lambda: fired.append("boundary"))
@@ -69,7 +69,7 @@ class TestRunWindow:
         assert fired == ["early", "boundary"]
 
     def test_injection_at_boundary_then_next_window(self):
-        sim = Simulator(trace=False)
+        sim = Simulator()
         fired = []
         sim.run_window(1.0)
         sim.schedule(1.0, lambda: fired.append("injected"))
@@ -78,7 +78,7 @@ class TestRunWindow:
         assert sim.now == 2.0
 
     def test_rejects_past_boundary(self):
-        sim = Simulator(trace=False)
+        sim = Simulator()
         sim.run_until(2.0)
         with pytest.raises(SimulationError):
             sim.run_window(1.0)
@@ -211,7 +211,7 @@ class TestCrossShardPlane:
     def test_membership_verify_round_trip(self):
         spec = reference_spec()
         plan = partition(spec, 2)
-        engines = [ShardEngine(spec, plan, i, trace=False) for i in range(2)]
+        engines = [ShardEngine(spec, plan, i) for i in range(2)]
         verdicts = []
         unit = engines[0].scenario.aggregators["net-0"]
         # net-1 lives on shard 1: the request crosses the plane, the
@@ -231,7 +231,7 @@ class TestCrossShardPlane:
     def test_proxy_refuses_remote_attach_and_foreign_source(self):
         spec = reference_spec()
         plan = partition(spec, 2)
-        engine = ShardEngine(spec, plan, 0, trace=False)
+        engine = ShardEngine(spec, plan, 0)
         remote = AggregatorId("net-1")
         with pytest.raises(BackhaulError, match="owned by another shard"):
             engine.proxy.add_aggregator(remote, lambda *a: None)
@@ -243,7 +243,7 @@ class TestCrossShardPlane:
     def test_outbox_messages_carry_conservative_arrival(self):
         spec = reference_spec()
         plan = partition(spec, 2)
-        engines = [ShardEngine(spec, plan, i, trace=False) for i in range(2)]
+        engines = [ShardEngine(spec, plan, i) for i in range(2)]
         unit = engines[0].scenario.aggregators["net-0"]
         unit._liaison.request_verification(
             DeviceId("ghost-device"), AggregatorId("net-1"), lambda v: None

@@ -1,9 +1,11 @@
-"""Tests for RNG streams, tracing and the Process base class."""
+"""Tests for RNG streams, trace points and the Process base class."""
+
+import tracemalloc
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim import Process, RngStreams, Simulator, TraceRecorder
+from repro.sim import Process, RngStreams, Simulator
 
 
 class TestRngStreams:
@@ -45,51 +47,27 @@ class TestRngStreams:
 
 
 class TestTraceRecorder:
+    """The simulator's span stream, recording ``Process.trace`` points."""
+
     def test_records_in_order(self):
-        recorder = TraceRecorder()
-        recorder.record(1.0, "a", "x")
-        recorder.record(2.0, "b", "y")
-        assert [r.category for r in recorder] == ["a", "b"]
+        sim = Simulator(spans=True)
+        proc = Process(sim, "x")
+        sim.schedule(1.0, lambda: proc.trace("a"))
+        sim.schedule(2.0, lambda: proc.trace("b"))
+        sim.run()
+        assert [s.name for s in sim.spans] == ["a", "b"]
+        assert [s.start for s in sim.spans] == [1.0, 2.0]
 
     def test_by_category_and_actor(self):
-        recorder = TraceRecorder()
-        recorder.record(1.0, "a", "x", value=1)
-        recorder.record(2.0, "a", "y")
-        recorder.record(3.0, "b", "x")
-        assert len(recorder.by_category("a")) == 2
-        assert len(recorder.by_actor("x")) == 2
-
-    def test_between_half_open(self):
-        recorder = TraceRecorder()
-        for t in (1.0, 2.0, 3.0):
-            recorder.record(t, "c", "x")
-        assert [r.time for r in recorder.between(1.0, 3.0)] == [1.0, 2.0]
-
-    def test_first_and_last(self):
-        recorder = TraceRecorder()
-        recorder.record(1.0, "c", "x", n=1)
-        recorder.record(2.0, "c", "x", n=2)
-        assert recorder.first("c").detail["n"] == 1
-        assert recorder.last("c").detail["n"] == 2
-        assert recorder.first("missing") is None
-        assert recorder.last("missing") is None
-
-    def test_disabled_records_nothing(self):
-        recorder = TraceRecorder(enabled=False)
-        recorder.record(1.0, "c", "x")
-        assert len(recorder) == 0
-
-    def test_category_filter(self):
-        recorder = TraceRecorder(categories=["keep"])
-        recorder.record(1.0, "keep", "x")
-        recorder.record(2.0, "drop", "x")
-        assert len(recorder) == 1
-
-    def test_clear(self):
-        recorder = TraceRecorder()
-        recorder.record(1.0, "c", "x")
-        recorder.clear()
-        assert len(recorder) == 0
+        sim = Simulator(spans=True)
+        x, y = Process(sim, "x"), Process(sim, "y")
+        sim.schedule(1.0, lambda: x.trace("a", value=1))
+        sim.schedule(2.0, lambda: y.trace("a"))
+        sim.schedule(3.0, lambda: x.trace("b"))
+        sim.run()
+        assert len(sim.spans.by_name("a")) == 2
+        assert len(sim.spans.by_actor("x")) == 2
+        assert sim.spans.by_name("a")[0].tags == {"value": 1}
 
 
 class TestProcess:
@@ -100,14 +78,38 @@ class TestProcess:
         assert p1.rng().random(3).tolist() != p2.rng().random(3).tolist()
 
     def test_process_trace_carries_actor_and_time(self):
-        sim = Simulator()
+        # A trace point is a zero-duration ok span in the kernel's span
+        # stream, begun after the conversation already open around it.
+        sim = Simulator(spans=True)
         proc = Process(sim, "me")
-        sim.schedule(1.5, lambda: proc.trace("cat", key="v"))
+
+        def act():
+            sim.spans.begin("conversation", "other")
+            proc.trace("cat", key="v")
+
+        sim.schedule(1.5, act)
         sim.run()
-        record = sim.trace.first("cat")
-        assert record.actor == "me"
-        assert record.time == 1.5
-        assert record.detail == {"key": "v"}
+        opened, point = sim.spans
+        assert opened.name == "conversation" and opened.end is None
+        assert (point.name, point.actor, point.status) == ("cat", "me", "ok")
+        assert point.start == point.end == 1.5
+        assert point.tags == {"key": "v"}
+        assert point.span_id > opened.span_id
+        assert sim.spans.by_name("cat") == sim.spans.by_actor("me") == [point]
+
+    def test_default_simulator_retains_nothing_per_trace(self):
+        sim = Simulator()
+        proc = Process(sim, "p")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(10_000):
+                proc.trace("x", n=i)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
+        assert len(sim.spans) == 0
 
     def test_now_follows_clock(self):
         sim = Simulator()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import ScenarioSpec, build
-from repro.runtime.spec import LedgerSpec, TransportSpec, VectorSpec
+from repro.runtime.spec import LedgerSpec, ObsSpec, TransportSpec, VectorSpec
 from repro.vector.backend import NumpyBackend, PythonBackend, select_backend
 from repro.workloads.scenarios import scaled_spec
 
@@ -315,3 +315,31 @@ class TestProfilerWeights:
         snap = profiler.snapshot()
         assert "weighted_events" not in snap
         assert all("weighted" not in s for s in snap["by_label"].values())
+
+    def test_sharded_merge_keeps_device_equivalents(self, tmp_path):
+        from repro.obs import validate_artifact_dir
+        from repro.shard import run_sharded
+
+        # Spans off: a span-recording world keeps devices out of cohorts.
+        spec = dataclasses.replace(
+            direct_spec(2, 3, enabled=True), obs=ObsSpec(enabled=True, spans=False)
+        )
+        run_sharded(spec, 6.0, shards=2, processes=False, obs_dir=tmp_path)
+        parts = [
+            json.loads((tmp_path / f"shard-{i:04d}" / "profile.json").read_text())
+            for i in range(2)
+        ]
+        merged = json.loads((tmp_path / "profile.json").read_text())
+        assert merged["events"] == sum(p["events"] for p in parts)
+        weighted = sum(p["weighted_events"] for p in parts)
+        assert merged["weighted_events"] == weighted > merged["events"]
+        assert merged["weighted_events_per_s"] == int(weighted / merged["wall_s"])
+        for table in ("by_actor", "by_event_type"):
+            for key, stats in merged[table].items():
+                counts = [p[table][key] for p in parts if key in p[table]]
+                total = sum(c.get("weighted", c["count"]) for c in counts)
+                assert stats.get("weighted", stats["count"]) == total, (table, key)
+                # Emitted only where it differs, like a single snapshot.
+                assert stats.get("weighted") != stats["count"]
+        assert any("weighted" in s for s in merged["by_actor"].values())
+        assert validate_artifact_dir(tmp_path) == []
