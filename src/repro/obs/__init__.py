@@ -11,8 +11,9 @@ a run into a self-contained artifact directory — ``spans.jsonl``,
 (:mod:`repro.obs.artifacts`, validated by :mod:`repro.obs.validate`).
 
 Everything defaults to off and is engineered for zero overhead when
-disabled: the span tracer method-swaps to no-ops, and the kernel checks
-for a profiler once per run call, not per event.
+disabled: the span tracer method-swaps to no-ops, and the kernel's one
+run loop pays a single ``is None`` test per event when no profiler is
+installed.
 
 Import-graph note: the kernel imports :mod:`repro.obs.spans`, so this
 package sits *below* ``repro.sim`` and must not import it (or

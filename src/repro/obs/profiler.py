@@ -1,18 +1,18 @@
 """Kernel profiling: where a run spends its wall-clock time.
 
-The profiler owns an exact replica of :meth:`Simulator._execute`'s hot
-loop with ``perf_counter`` wrapped around every callback.  The kernel
-checks for an installed profiler **once per run call**, not once per
-event, so the disabled configuration pays a single ``is not None`` test
-per ``run_until``/``run`` — the BENCH regression gate verifies this
-stays in the noise.
+The profiler records; it does not run.  :meth:`Simulator._execute` is
+the only event loop: with a profiler installed it wraps every callback
+in ``perf_counter`` and hands ``(label, elapsed_s, now)`` to
+:meth:`KernelProfiler.record`.  With none installed the loop pays one
+``is None`` test per event.
 
 What it records, keyed by event label:
 
 * count / total / max wall seconds per label,
 * a power-of-two microsecond histogram per label (bucket ``b`` holds
   callbacks with ``2^(b-1) <= µs < 2^b``),
-* periodic events-per-second samples (every ``sample_every`` events).
+* periodic events-per-second samples, every :data:`SAMPLE_EVERY`
+  recorded events counted across run calls.
 
 Snapshots aggregate labels two ways.  The **actor** is the label prefix
 before the first ``:`` (labels follow ``"{actor}:{purpose}"``).  The
@@ -27,16 +27,12 @@ on the latter.
 
 from __future__ import annotations
 
-from heapq import heappop
 from time import perf_counter
-from typing import TYPE_CHECKING, Any
-
-from repro.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.kernel import Simulator
+from typing import Any
 
 HIST_BUCKETS = 32
+#: Recorded events between events-per-second samples.
+SAMPLE_EVERY = 10_000
 
 
 class _LabelStats:
@@ -102,19 +98,21 @@ def _event_type(label: str) -> str:
 
 
 class KernelProfiler:
-    """Collects per-label wall-clock stats by running the kernel loop.
+    """Collects per-label wall-clock stats from the kernel's run loop.
 
     Install with :meth:`Simulator.set_profiler`; remove by installing
-    ``None``.  One profiler may span several ``run_until`` calls — the
-    stats accumulate.
+    ``None``.  The kernel calls :meth:`start_run`/:meth:`end_run`
+    around each run call and :meth:`record` after each callback.  One
+    profiler may span several ``run_until`` calls — the stats
+    accumulate.
     """
 
-    def __init__(self, sample_every: int = 10_000) -> None:
-        self._sample_every = max(1, sample_every)
+    def __init__(self) -> None:
         self._by_label: dict[str, _LabelStats] = {}
         self._events = 0
         self._weighted_events = 0
         self._wall_s = 0.0
+        self._run_start = 0.0
         self._samples: list[dict[str, Any]] = []
         self._weights: dict[str, Any] = {}
 
@@ -142,79 +140,41 @@ class KernelProfiler:
         else:
             self._weights[label] = provider
 
-    # -- the instrumented run loop -------------------------------------
+    # -- the kernel's hooks ------------------------------------------------
 
-    def execute(
-        self,
-        sim: "Simulator",
-        end_time: float,
-        max_events: int | None,
-        guard: str,
-    ) -> None:
-        """Mirror of ``Simulator._execute`` with per-callback timing.
+    def start_run(self) -> None:
+        """A run call begins: start its wall clock."""
+        self._run_start = perf_counter()
 
-        Must preserve the kernel's exact semantics: cancelled-head pops,
-        batched same-instant dispatch with a single clock write, the
-        ``max_events`` guard, and the once-per-run ``_events_executed``
-        flush in ``finally``.
+    def end_run(self) -> None:
+        """A run call ends (normally or by raising): bank its wall time."""
+        self._wall_s += perf_counter() - self._run_start
+
+    def record(self, label: str, elapsed_s: float, now: float) -> None:
+        """One callback with ``label`` ran for ``elapsed_s`` at sim time ``now``.
+
+        Every :data:`SAMPLE_EVERY`-th recorded event appends an
+        events-per-second sample; the count spans run calls, so a world
+        advanced in short steps samples as often as one long run.
         """
-        heap = sim.queue._heap
-        clock = sim.clock
-        now = clock.now
-        executed = 0
-        executed_weight = 0
-        by_label = self._by_label
-        weights = self._weights
-        sample_every = self._sample_every
-        run_start = perf_counter()
-        try:
-            while heap:
-                entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
-                    heappop(heap)
-                    continue
-                time = entry[0]
-                if time > end_time:
-                    break
-                heappop(heap)
-                if time != now:
-                    clock.now = now = time
-                executed += 1
-                start = perf_counter()
-                event.callback()
-                elapsed = perf_counter() - start
-                stats = by_label.get(event.label)
-                if stats is None:
-                    stats = by_label[event.label] = _LabelStats()
-                if weights:
-                    provider = weights.get(event.label)
-                    weight = int(provider()) if provider is not None else 1
-                else:
-                    weight = 1
-                executed_weight += weight
-                stats.add(elapsed, weight)
-                if executed % sample_every == 0:
-                    wall = self._wall_s + (perf_counter() - run_start)
-                    total = self._events + executed
-                    self._samples.append(
-                        {
-                            "events": total,
-                            "sim_time": now,
-                            "wall_s": round(wall, 6),
-                            "events_per_s": int(total / wall) if wall > 0 else 0,
-                        }
-                    )
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"{guard} exceeded max_events={max_events}; "
-                        "suspected runaway event loop"
-                    )
-        finally:
-            self._wall_s += perf_counter() - run_start
-            self._events += executed
-            self._weighted_events += executed_weight
-            sim._events_executed += executed
+        stats = self._by_label.get(label)
+        if stats is None:
+            stats = self._by_label[label] = _LabelStats()
+        provider = self._weights.get(label) if self._weights else None
+        weight = 1 if provider is None else int(provider())
+        stats.add(elapsed_s, weight)
+        self._weighted_events += weight
+        self._events = events = self._events + 1
+        if events % SAMPLE_EVERY == 0:
+            wall = self._wall_s + (perf_counter() - self._run_start)
+            self._samples.append(
+                {
+                    "events": events,
+                    "sim_time": now,
+                    "wall_s": round(wall, 6),
+                    "events_per_s": int(events / wall) if wall > 0 else 0,
+                }
+            )
 
     # -- reporting -----------------------------------------------------
 

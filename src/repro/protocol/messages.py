@@ -10,6 +10,7 @@ a report carries ``ID + Addr(Master) + energy``, and so on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -418,6 +419,19 @@ def _opt_address(text: str | None) -> NetworkAddress | None:
     return parse_address(text) if text else None
 
 
+def _finite(data: dict[str, Any], key: str) -> float:
+    """``data[key]`` as a finite float.
+
+    Wire JSON admits ``NaN``/``Infinity`` and ``float`` parses ``"nan"``;
+    a non-finite reading would pass the range screens and then fail
+    canonical ledger encoding at the next block flush.
+    """
+    value = float(data[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {data[key]!r}")
+    return value
+
+
 def message_from_dict(data: dict[str, Any]) -> Message:
     """Rebuild a message dataclass from its ``to_dict`` form."""
     kind = data.get("type")
@@ -434,11 +448,11 @@ def message_from_dict(data: dict[str, Any]) -> Message:
             master=_opt_address(data.get("master")),
             temporary=_opt_address(data.get("temporary")),
             sequence=int(data["sequence"]),
-            measured_at=float(data["measured_at"]),
-            interval_s=float(data["interval_s"]),
-            current_ma=float(data["current_ma"]),
-            voltage_v=float(data["voltage_v"]),
-            energy_mwh=float(data["energy_mwh"]),
+            measured_at=_finite(data, "measured_at"),
+            interval_s=_finite(data, "interval_s"),
+            current_ma=_finite(data, "current_ma"),
+            voltage_v=_finite(data, "voltage_v"),
+            energy_mwh=_finite(data, "energy_mwh"),
             buffered=bool(data.get("buffered", False)),
         )
     if kind == "ack":

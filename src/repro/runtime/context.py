@@ -70,7 +70,7 @@ class SimContext:
         enabled = obs is not None and obs.enabled
         simulator = Simulator(seed=seed, spans=enabled and obs.spans)
         if enabled and obs.profile:
-            simulator.set_profiler(KernelProfiler(sample_every=obs.sample_every))
+            simulator.set_profiler(KernelProfiler())
         return cls(simulator)
 
     # -- kernel passthrough ----------------------------------------------

@@ -254,20 +254,14 @@ class ObsSpec(SpecCodec):
     Attributes:
         enabled: Master switch; off means no spans and no profiler.
         spans: Record protocol-conversation spans (when enabled).
-        profile: Install the kernel wall-clock profiler (when enabled).
-        sample_every: Events between profiler events/sec samples.
+        profile: Install the kernel wall-clock profiler (when enabled);
+            it samples events/sec every
+            :data:`~repro.obs.profiler.SAMPLE_EVERY` events.
     """
 
     enabled: bool = False
     spans: bool = True
     profile: bool = True
-    sample_every: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ConfigError(
-                f"sample_every must be >= 1, got {self.sample_every}"
-            )
 
 
 @dataclass(frozen=True)

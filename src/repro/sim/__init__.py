@@ -4,9 +4,10 @@ The kernel is the substrate every other subsystem runs on.  It provides:
 
 * :class:`~repro.sim.clock.SimClock` — the single source of simulated time,
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventQueue`
-  — a deterministic priority queue of timestamped callbacks,
-* :class:`~repro.sim.kernel.Simulator` — the run loop with scheduling,
-  periodic tasks and stop conditions,
+  — timestamped callbacks and the deterministic heap they wait in,
+* :class:`~repro.sim.kernel.Simulator` — scheduling, periodic tasks and
+  the one run loop that pops and dispatches events (timing each
+  callback when a profiler is installed),
 * :class:`~repro.sim.process.Process` — a base class for simulated actors
   (devices, aggregators, brokers),
 * :class:`~repro.sim.rng.RngStreams` — named, independently seeded random

@@ -1,4 +1,4 @@
-"""Timestamped events and the deterministic event queue.
+"""Timestamped events and the heap they wait in.
 
 Events order by ``(time, priority, sequence)``.  ``sequence`` is a global
 insertion counter, so events scheduled for the same instant at the same
@@ -11,6 +11,10 @@ resolves on the first three scalar fields with C tuple comparison and
 the :class:`Event` handle itself is never compared.  The handle is a
 ``__slots__`` class, keeping per-event memory to the six fields the
 kernel actually needs.
+
+:class:`EventQueue` holds the heap; the kernel pushes
+(:meth:`Simulator.schedule`, :meth:`Simulator.call_later`) and pops
+(its run loop) inline.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import Any, Callable
-
-from repro.errors import SchedulingError
 
 
 class Event:
@@ -68,9 +70,9 @@ class Event:
 
 
 class EventQueue:
-    """Priority queue of :class:`Event` with deterministic tie-breaking.
+    """The heap of pending events, with deterministic tie-breaking.
 
-    The kernel's run loop reaches into :attr:`_heap` directly (same
+    The kernel pushes onto :attr:`_heap` and pops from it inline (same
     package, hot path); every entry is ``(time, priority, sequence,
     event)`` and the first three fields reproduce exactly the ordering
     the original rich-comparison implementation had.
@@ -86,22 +88,6 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push(
-        self,
-        time: float,
-        callback: Callable[[], Any],
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback`` at ``time`` and return its handle."""
-        if not callable(callback):
-            raise SchedulingError(f"callback must be callable, got {callback!r}")
-        time = float(time)  # the kernel assigns event times to the clock verbatim
-        sequence = next(self._counter)
-        event = Event(time, priority, sequence, callback, label)
-        heapq.heappush(self._heap, (time, priority, sequence, event))
-        return event
-
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is empty.
 
@@ -114,15 +100,6 @@ class EventQueue:
         if not heap:
             return None
         return heap[0][0]
-
-    def pop(self) -> Event | None:
-        """Remove and return the next live event, or None when empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if not event.cancelled:
-                return event
-        return None
 
     def clear(self) -> None:
         """Drop every pending event."""

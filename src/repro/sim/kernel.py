@@ -11,7 +11,9 @@ harness drives the loop with :meth:`Simulator.run_until` or
 from __future__ import annotations
 
 import math
+import sys
 from heapq import heappop, heappush
+from time import perf_counter
 from typing import Any, Callable
 
 from repro.errors import SchedulingError, SimulationError
@@ -133,9 +135,9 @@ class Simulator:
     def set_profiler(self, profiler) -> None:
         """Install (or, with ``None``, remove) a kernel profiler.
 
-        The profiler substitutes its own instrumented copy of the run
-        loop; with none installed the only cost is one ``is not None``
-        check per ``run_until``/``run`` call.
+        The run loop times each callback and passes it to the profiler's
+        ``record``; with none installed the only cost is one ``is None``
+        test per event.  A change takes effect at the next run call.
         """
         self._profiler = profiler
 
@@ -231,18 +233,8 @@ class Simulator:
 
     # -- run loop ------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the single next event.  Returns False when queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        self._events_executed += 1
-        event.callback()
-        return True
-
     def _execute(self, end_time: float, max_events: int | None, guard: str) -> None:
-        """The hot loop shared by :meth:`run_until` and :meth:`run`.
+        """The one event loop, shared by :meth:`run_until` and :meth:`run`.
 
         One heap scan per event: the loop inspects the head entry once,
         pops it, and dispatches — there is no separate peek-then-pop
@@ -253,39 +245,22 @@ class Simulator:
         instant but a lower priority still fires in exact
         ``(time, priority, sequence)`` order — the order is bit-identical
         to the pre-tuple-heap kernel.
+
+        The ``max_events`` guard runs on every path (``None`` compares
+        against ``sys.maxsize``).  With a profiler installed, each
+        callback is timed and handed to its ``record``; with none, the
+        per-event cost is one ``is None`` test on a local.
         """
         profiler = self._profiler
-        if profiler is not None:
-            # The profiler runs its own instrumented replica of this
-            # loop; delegating here keeps the uninstrumented path free
-            # of per-event timing branches.
-            profiler.execute(self, end_time, max_events, guard)
-            return
+        record = None if profiler is None else profiler.record
+        limit = sys.maxsize if max_events is None else max_events
         heap = self.queue._heap
         clock = self.clock
         now = clock.now
         executed = 0
+        if profiler is not None:
+            profiler.start_run()
         try:
-            if max_events is None:
-                # Unguarded loop: no bound bookkeeping per event.
-                while heap:
-                    entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
-                        heappop(heap)
-                        continue
-                    time = entry[0]
-                    if time > end_time:
-                        break
-                    heappop(heap)
-                    if time != now:
-                        # Direct write: heap pop order is nondecreasing
-                        # in time, so the monotonicity check advance_to()
-                        # does is already guaranteed here.
-                        clock.now = now = time
-                    executed += 1
-                    event.callback()
-                return
             while heap:
                 entry = heap[0]
                 event = entry[3]
@@ -297,10 +272,18 @@ class Simulator:
                     break
                 heappop(heap)
                 if time != now:
+                    # Direct write: heap pop order is nondecreasing in
+                    # time, so the monotonicity check advance_to() does
+                    # is already guaranteed here.
                     clock.now = now = time
                 executed += 1
-                event.callback()
-                if executed >= max_events:
+                if record is None:
+                    event.callback()
+                else:
+                    start = perf_counter()
+                    event.callback()
+                    record(event.label, perf_counter() - start, now)
+                if executed >= limit:
                     raise SimulationError(
                         f"{guard} exceeded max_events={max_events}; "
                         "suspected runaway event loop"
@@ -309,6 +292,8 @@ class Simulator:
             # Flushed once per run, not once per event; every reader
             # samples the counter between runs.
             self._events_executed += executed
+            if profiler is not None:
+                profiler.end_run()
 
     def run_until(self, end_time: float, max_events: int | None = None) -> None:
         """Run events with time <= ``end_time``; clock lands on ``end_time``.

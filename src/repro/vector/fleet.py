@@ -388,7 +388,7 @@ class VectorFleet:
             label="vector:scan",
         )
         profiler = self._sim.profiler
-        if profiler is not None and hasattr(profiler, "set_weight"):
+        if profiler is not None:
             profiler.set_weight(
                 self.deliver_label, lambda: self._last_deliver_weight
             )
@@ -444,7 +444,7 @@ class VectorFleet:
                 self._cohort_counter += 1
                 self._cohorts.append(cohort)
                 profiler = self._sim.profiler
-                if profiler is not None and hasattr(profiler, "set_weight"):
+                if profiler is not None:
                     profiler.set_weight(
                         cohort.sample_label, lambda c=cohort: len(c)
                     )

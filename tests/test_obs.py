@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.monitoring.counters import CounterBank
 from repro.monitoring.timeseries import SeriesBank
 from repro.obs import (
@@ -20,8 +19,8 @@ from repro.obs import (
     write_artifacts,
 )
 from repro.obs.spans import DISABLED_TRACER, NOOP_SPAN, SpanTracer
-from repro.runtime import ObsSpec, build
-from repro.workloads.scenarios import paper_testbed_spec
+from repro.runtime import ObsSpec, TransportSpec, build
+from repro.workloads.scenarios import paper_testbed_spec, scaled_spec
 
 
 class FakeClock:
@@ -160,7 +159,7 @@ class TestObsSpec:
         assert not obs.enabled and obs.spans and obs.profile
 
     def test_dict_round_trip(self):
-        obs = ObsSpec(enabled=True, spans=False, profile=True, sample_every=500)
+        obs = ObsSpec(enabled=True, spans=False, profile=True)
         assert ObsSpec.from_dict(obs.to_dict()) == obs
 
     def test_scenario_spec_json_round_trip(self):
@@ -170,10 +169,6 @@ class TestObsSpec:
 
         revived = ScenarioSpec.from_json(spec.to_json())
         assert revived.obs == spec.obs
-
-    def test_sample_every_validated(self):
-        with pytest.raises(ConfigError):
-            ObsSpec(sample_every=0)
 
 
 class TestKernelProfiler:
@@ -198,6 +193,32 @@ class TestKernelProfiler:
         from repro.obs.spans import _begin_disabled
 
         assert sim.spans.begin is _begin_disabled
+
+    def test_samples_do_not_depend_on_run_call_length(self):
+        # The profiler counts its own events across run calls, so a world
+        # advanced in 0.1 s steps (as serve mode and shard windows advance
+        # theirs) samples at the same events as one long run.
+        def world():
+            spec = scaled_spec(
+                n_networks=3, devices_per_network=10, seed=7,
+                transport=TransportSpec(kind="direct"),
+            )
+            return build(dataclasses.replace(spec, obs=ObsSpec(enabled=True, spans=False)))
+
+        stepped = world()
+        for k in range(1, 201):
+            stepped.run_until(k * 0.1)
+        single = world()
+        single.run_until(stepped.simulator.now)
+        assert stepped.simulator.events_executed > 20_000
+
+        def samples(scenario):
+            snapshot = scenario.simulator.profiler.snapshot()
+            return [(s["events"], s["sim_time"]) for s in snapshot["samples"]]
+
+        assert samples(stepped) == samples(single)
+        events = [n for n, _ in samples(stepped)]
+        assert events == list(range(10_000, stepped.simulator.events_executed + 1, 10_000))
 
     def test_observed_run_is_bit_identical_to_plain_run(self):
         plain = build(paper_testbed_spec(seed=7))

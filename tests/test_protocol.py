@@ -1,5 +1,7 @@
 """Tests for protocol messages, codec and the device FSM."""
 
+import json
+
 import pytest
 
 from repro.errors import CodecError, ProtocolError
@@ -32,6 +34,14 @@ from repro.protocol.messages import (
 DEVICE = DeviceId("device1")
 MASTER = NetworkAddress(AggregatorId("agg1"), 1)
 TEMP = NetworkAddress(AggregatorId("agg2"), 9)
+
+
+def report_bytes_with(field, raw):
+    """A full ``consumption_report`` on the wire, ``field`` set to the raw
+    JSON text ``raw`` and written first (so a test id names it)."""
+    body = make_report(seq=1).to_dict()
+    del body[field]
+    return f'{{"{field}": {raw}, {json.dumps(body)[1:]}'.encode("utf-8")
 
 
 def make_report(seq=0, master=MASTER, temp=None, buffered=False):
@@ -144,6 +154,13 @@ class TestCodecAdversarial:
             b'{"type": "consumption_report", "device": "d", "sequence": "x"}',
             b'{"type": "receipt_request", "device": "d", "sequence": null}',
             b'{"type": "mgmt", "device": "d", "command": "martian"}',
+            # Non-finite readings: json.loads admits NaN/Infinity, and
+            # 1e999 overflows to inf.
+            report_bytes_with("current_ma", "NaN"),
+            report_bytes_with("energy_mwh", "Infinity"),
+            report_bytes_with("measured_at", "-Infinity"),
+            report_bytes_with("voltage_v", "1e999"),
+            report_bytes_with("interval_s", '"nan"'),
         ],
         ids=lambda p: repr(p)[:40],
     )

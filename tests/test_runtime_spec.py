@@ -239,7 +239,6 @@ def scenario_specs(draw):
             enabled=draw(st.booleans()),
             spans=draw(st.booleans()),
             profile=draw(st.booleans()),
-            sample_every=draw(st.integers(min_value=1, max_value=100_000)),
         ),
         ledger=ledger,
         sharding=_sharding(draw, network_names),

@@ -165,6 +165,23 @@ class TestAggregatorService:
         kinds = [r["verdict"] for r in verdicts["results"]]
         assert kinds == ["ack", "error", "error"]
 
+    def test_non_finite_reading_is_an_error_and_ledger_keeps_every_ack(self):
+        # A NaN reading passes the range screen; accepting it would make
+        # the next block flush fail canonical encoding and stall the
+        # ledger.  The codec refuses it; its honest neighbours land.
+        service = AggregatorService(serve_spec(step_s=1.0))
+        service.register(encode_message(RegistrationRequest(DeviceId("ext"))))
+        service.ingest(json.dumps([report_dict("ext", s) for s in (1, 2)]))
+        bad = report_dict("ext", 4, current_ma=float("nan"))
+        verdicts = service.ingest(json.dumps([report_dict("ext", 3), bad]))
+        assert [r["verdict"] for r in verdicts["results"]] == ["ack", "error"]
+        later = service.ingest(json.dumps([report_dict("ext", s) for s in (5, 6, 7)]))
+        assert later["accepted"] == 3
+        service.advance()
+        chain = service.scenario.chain
+        on_ledger = [r["sequence"] for r in chain.records_for_device(DeviceId("ext").uid)]
+        assert sorted(on_ledger) == [1, 2, 3, 5, 6, 7]
+
     def test_malformed_batch_body_raises(self):
         service = AggregatorService(serve_spec())
         with pytest.raises(CodecError):

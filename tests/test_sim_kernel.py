@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
+from repro.obs.profiler import KernelProfiler
 from repro.sim import Event, EventQueue, SimClock, Simulator
 
 
@@ -37,60 +38,73 @@ class TestSimClock:
 
 class TestEventQueue:
     def test_pop_in_time_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         order = []
-        queue.push(2.0, lambda: order.append("b"))
-        queue.push(1.0, lambda: order.append("a"))
-        queue.push(3.0, lambda: order.append("c"))
-        while (event := queue.pop()) is not None:
-            event.callback()
+        sim.schedule(2.0, lambda: order.append("b"))
+        sim.schedule(1.0, lambda: order.append("a"))
+        sim.schedule(3.0, lambda: order.append("c"))
+        sim.run()
         assert order == ["a", "b", "c"]
 
     def test_same_time_fifo(self):
-        queue = EventQueue()
-        events = [queue.push(1.0, lambda: None, label=str(i)) for i in range(5)]
-        popped = [queue.pop().label for _ in range(5)]
-        assert popped == [e.label for e in events]
+        sim = Simulator()
+        order = []
+        events = [
+            sim.schedule(1.0, lambda i=i: order.append(str(i)), label=str(i))
+            for i in range(5)
+        ]
+        sim.run()
+        assert order == [e.label for e in events]
 
     def test_priority_breaks_ties(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, priority=5, label="low")
-        queue.push(1.0, lambda: None, priority=1, label="high")
-        assert queue.pop().label == "high"
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, lambda: order.append("low"), priority=5)
+        sim.schedule(1.0, lambda: order.append("high"), priority=1)
+        sim.run()
+        assert order == ["high", "low"]
 
     def test_cancel_skips_event(self):
-        queue = EventQueue()
-        victim = queue.push(1.0, lambda: None, label="victim")
-        queue.push(2.0, lambda: None, label="survivor")
+        sim = Simulator()
+        order = []
+        victim = sim.schedule(1.0, lambda: order.append("victim"))
+        sim.schedule(2.0, lambda: order.append("survivor"))
         victim.cancel()
-        assert queue.pop().label == "survivor"
-        assert queue.pop() is None
+        sim.run_until(1.5)
+        assert order == []
+        assert sim.queue.peek_time() == 2.0
+        sim.run()
+        assert order == ["survivor"]
+        assert sim.queue.peek_time() is None
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        victim = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
+        sim = Simulator()
+        victim = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
         victim.cancel()
-        assert queue.peek_time() == 2.0
+        assert sim.queue.peek_time() == 2.0
 
     def test_peek_empty_is_none(self):
         assert EventQueue().peek_time() is None
 
     def test_len_and_bool(self):
-        queue = EventQueue()
-        assert not queue
-        queue.push(1.0, lambda: None)
-        assert queue and len(queue) == 1
+        sim = Simulator()
+        assert not sim.queue
+        sim.schedule(1.0, lambda: None)
+        assert sim.queue and len(sim.queue) == 1
 
     def test_non_callable_rejected(self):
         with pytest.raises(SchedulingError):
-            EventQueue().push(1.0, "not callable")
+            Simulator().schedule(1.0, "not callable")
 
     def test_clear(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.clear()
-        assert queue.pop() is None
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(True))
+        sim.queue.clear()
+        assert sim.queue.peek_time() is None
+        sim.run()
+        assert fired == [] and sim.events_executed == 0
 
 
 class TestSimulator:
@@ -163,22 +177,33 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run_until(4.0)
 
-    def test_max_events_guard(self):
+    @pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+    def test_max_events_guard(self, profiled):
         sim = Simulator()
+        profiler = KernelProfiler() if profiled else None
+        sim.set_profiler(profiler)
 
         def forever():
             sim.call_later(0.0, forever)
 
         sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="^run_until exceeded max_events=100;"):
             sim.run_until(1.0, max_events=100)
+        assert sim.events_executed == 100
+        if profiler is not None:
+            assert profiler.snapshot()["events"] == sim.events_executed
 
-    def test_events_executed_counter(self):
+    @pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+    def test_events_executed_counter(self, profiled):
         sim = Simulator()
+        profiler = KernelProfiler() if profiled else None
+        sim.set_profiler(profiler)
         for t in range(5):
             sim.schedule(float(t), lambda: None)
         sim.run()
         assert sim.events_executed == 5
+        if profiler is not None:
+            assert profiler.snapshot()["events"] == 5
 
 
 class TestPeriodicTask:
