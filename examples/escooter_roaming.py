@@ -28,7 +28,7 @@ def main() -> None:
         DeviceId("escooter"),
         DeviceConfig(),
         scenario.grid,
-        scenario.channel,
+        scenario.transport,
         EscooterChargeProfile(
             capacity_mah=50.0, initial_soc=0.1, cc_current_ma=150.0
         ),

@@ -16,6 +16,7 @@ protocol messages on topics:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
@@ -37,7 +38,6 @@ from repro.chain.sync import (
     SyncPolicy,
     SyncStats,
 )
-from repro.net.channel import WirelessChannel
 from repro.protocol.codec import as_message, encode_message, encoded_size
 from repro.protocol.device_fsm import DeviceFsm, DevicePhase, FsmDecision
 from repro.protocol.messages import (
@@ -173,10 +173,7 @@ class MeteringDevice(Process):
         config: Static configuration.
         grid: The electrical topology (for attach/detach).
         transport: The scenario's transport backend (link, radio and
-            endpoint factories).  A bare
-            :class:`~repro.net.channel.WirelessChannel` is accepted for
-            backward compatibility and wrapped in an
-            :class:`~repro.transport.mqtt.MqttTransport`.
+            endpoint factories), e.g. ``scenario.transport``.
         load_profile: Grid-side load current (mA) over time, *excluding*
             the MCU's own draw (added automatically).
     """
@@ -187,14 +184,10 @@ class MeteringDevice(Process):
         device_id: DeviceId,
         config: DeviceConfig,
         grid: GridTopology,
-        transport: Transport | WirelessChannel,
+        transport: Transport,
         load_profile: LoadProfile,
     ) -> None:
         super().__init__(runtime, device_id.name)
-        if isinstance(transport, WirelessChannel):
-            from repro.transport.mqtt import MqttTransport
-
-            transport = MqttTransport(transport)
         self._device_id = device_id
         self._config = config
         self._grid = grid
@@ -628,17 +621,8 @@ class MeteringDevice(Process):
         """Update a buffered report's addresses to the current membership."""
         if report.master == self._fsm.master and report.temporary == self._fsm.temporary:
             return report
-        return ConsumptionReport(
-            device_id=report.device_id,
-            master=self._fsm.master,
-            temporary=self._fsm.temporary,
-            sequence=report.sequence,
-            measured_at=report.measured_at,
-            interval_s=report.interval_s,
-            current_ma=report.current_ma,
-            voltage_v=report.voltage_v,
-            energy_mwh=report.energy_mwh,
-            buffered=report.buffered,
+        return dataclasses.replace(
+            report, master=self._fsm.master, temporary=self._fsm.temporary
         )
 
     def _publish_message(

@@ -12,6 +12,7 @@ the loss is observable, never silent.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 
 from repro.errors import StorageError
@@ -80,18 +81,7 @@ class LocalStore:
         for _ in range(count):
             report = self._records.popleft()
             if not report.buffered:
-                report = ConsumptionReport(
-                    device_id=report.device_id,
-                    master=report.master,
-                    temporary=report.temporary,
-                    sequence=report.sequence,
-                    measured_at=report.measured_at,
-                    interval_s=report.interval_s,
-                    current_ma=report.current_ma,
-                    voltage_v=report.voltage_v,
-                    energy_mwh=report.energy_mwh,
-                    buffered=True,
-                )
+                report = dataclasses.replace(report, buffered=True)
             drained.append(report)
         return drained
 

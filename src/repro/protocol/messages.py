@@ -1,27 +1,21 @@
 """Protocol message types (Fig. 3).
 
-Every message is a frozen dataclass with a ``to_dict`` JSON-compatible
-form; :mod:`repro.protocol.codec` maps between the dataclasses and wire
-dictionaries.  Field names mirror the figure's annotations: a
-registration request carries ``ID + Request registration (NULL | Master)``,
-a report carries ``ID + Addr(Master) + energy``, and so on.
+Every message is a frozen dataclass; its fields and type hints are its
+wire form, which :mod:`repro.protocol.codec` derives (one JSON key per
+field) and checks on decode.  Field names mirror the figure's
+annotations: a registration request carries ``ID + Request registration
+(NULL | Master)``, a report carries ``ID + Addr(Master) + energy``, and
+so on.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ProtocolError
-from repro.ids import (
-    AggregatorId,
-    DeviceId,
-    NetworkAddress,
-    interned_device_id,
-    parse_address,
-)
+from repro.ids import AggregatorId, DeviceId, NetworkAddress
 
 
 class NackReason(enum.Enum):
@@ -51,13 +45,6 @@ class RegistrationRequest:
         """True when this requests temporary (roaming) membership."""
         return self.master is not None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "registration_request",
-            "device": self.device_id.name,
-            "master": str(self.master) if self.master else None,
-        }
-
 
 @dataclass(frozen=True)
 class RegistrationResponse:
@@ -66,14 +53,6 @@ class RegistrationResponse:
     device_id: DeviceId
     address: NetworkAddress
     temporary: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "registration_response",
-            "device": self.device_id.name,
-            "address": str(self.address),
-            "temporary": self.temporary,
-        }
 
 
 @dataclass(frozen=True)
@@ -113,21 +92,6 @@ class ConsumptionReport:
         if self.interval_s <= 0:
             raise ProtocolError(f"interval must be positive, got {self.interval_s}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "consumption_report",
-            "device": self.device_id.name,
-            "master": str(self.master) if self.master else None,
-            "temporary": str(self.temporary) if self.temporary else None,
-            "sequence": self.sequence,
-            "measured_at": self.measured_at,
-            "interval_s": self.interval_s,
-            "current_ma": self.current_ma,
-            "voltage_v": self.voltage_v,
-            "energy_mwh": self.energy_mwh,
-            "buffered": self.buffered,
-        }
-
     def to_record(self) -> dict[str, Any]:
         """Ledger-record form stored inside blocks."""
         return {
@@ -150,13 +114,6 @@ class Ack:
     device_id: DeviceId
     sequence: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "ack",
-            "device": self.device_id.name,
-            "sequence": self.sequence,
-        }
-
 
 @dataclass(frozen=True)
 class Nack:
@@ -165,14 +122,6 @@ class Nack:
     device_id: DeviceId
     reason: NackReason
     sequence: int | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "nack",
-            "device": self.device_id.name,
-            "reason": self.reason.value,
-            "sequence": self.sequence,
-        }
 
 
 @dataclass(frozen=True)
@@ -183,14 +132,6 @@ class MembershipVerifyRequest:
     claimed_master: AggregatorId
     host: AggregatorId
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "membership_verify_request",
-            "device": self.device_id.name,
-            "claimed_master": self.claimed_master.name,
-            "host": self.host.name,
-        }
-
 
 @dataclass(frozen=True)
 class MembershipVerifyResponse:
@@ -200,14 +141,6 @@ class MembershipVerifyResponse:
     master: AggregatorId
     valid: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "membership_verify_response",
-            "device": self.device_id.name,
-            "master": self.master.name,
-            "valid": self.valid,
-        }
-
 
 @dataclass(frozen=True)
 class ForwardedConsumption:
@@ -215,13 +148,6 @@ class ForwardedConsumption:
 
     report: ConsumptionReport
     host: AggregatorId
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "forwarded_consumption",
-            "report": self.report.to_dict(),
-            "host": self.host.name,
-        }
 
 
 @dataclass(frozen=True)
@@ -239,15 +165,6 @@ class MgmtCommand:
     command: str
     argument: float | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "mgmt_command",
-            "device": self.device_id.name,
-            "request_id": self.request_id,
-            "command": self.command,
-            "argument": self.argument,
-        }
-
 
 @dataclass(frozen=True)
 class MgmtResponse:
@@ -257,15 +174,6 @@ class MgmtResponse:
     request_id: int
     ok: bool
     payload: dict[str, Any]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "mgmt_response",
-            "device": self.device_id.name,
-            "request_id": self.request_id,
-            "ok": self.ok,
-            "payload": self.payload,
-        }
 
 
 @dataclass(frozen=True)
@@ -278,13 +186,6 @@ class ReceiptRequest:
 
     device_id: DeviceId
     sequence: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "receipt_request",
-            "device": self.device_id.name,
-            "sequence": self.sequence,
-        }
 
 
 @dataclass(frozen=True)
@@ -300,15 +201,6 @@ class ReceiptResponse:
     sequence: int
     found: bool
     receipt: dict[str, Any] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "receipt_response",
-            "device": self.device_id.name,
-            "sequence": self.sequence,
-            "found": self.found,
-            "receipt": self.receipt,
-        }
 
 
 @dataclass(frozen=True)
@@ -330,14 +222,6 @@ class HeaderBatchRequest:
         if self.max_count < 1:
             raise ProtocolError(f"max_count must be >= 1, got {self.max_count}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "header_batch_request",
-            "device": self.device_id.name,
-            "from_height": self.from_height,
-            "max_count": self.max_count,
-        }
-
 
 @dataclass(frozen=True)
 class HeaderBatchResponse:
@@ -356,16 +240,6 @@ class HeaderBatchResponse:
     headers: tuple[dict[str, Any], ...]
     checkpoint: dict[str, Any] | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "header_batch_response",
-            "device": self.device_id.name,
-            "from_height": self.from_height,
-            "tip_height": self.tip_height,
-            "headers": [dict(header) for header in self.headers],
-            "checkpoint": self.checkpoint,
-        }
-
 
 @dataclass(frozen=True)
 class TransferMembership:
@@ -374,25 +248,12 @@ class TransferMembership:
     device_id: DeviceId
     new_master: NetworkAddress
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "transfer_membership",
-            "device": self.device_id.name,
-            "new_master": str(self.new_master),
-        }
-
 
 @dataclass(frozen=True)
 class RemoveDevice:
     """Sequence 3: old master deletes a transferred/lost device."""
 
     device_id: DeviceId
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "remove_device",
-            "device": self.device_id.name,
-        }
 
 
 Message = (
@@ -414,95 +275,3 @@ Message = (
     | RemoveDevice
 )
 
-
-def _opt_address(text: str | None) -> NetworkAddress | None:
-    return parse_address(text) if text else None
-
-
-def _finite(data: dict[str, Any], key: str) -> float:
-    """``data[key]`` as a finite float.
-
-    Wire JSON admits ``NaN``/``Infinity`` and ``float`` parses ``"nan"``;
-    a non-finite reading would pass the range screens and then fail
-    canonical ledger encoding at the next block flush.
-    """
-    value = float(data[key])
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {data[key]!r}")
-    return value
-
-
-def message_from_dict(data: dict[str, Any]) -> Message:
-    """Rebuild a message dataclass from its ``to_dict`` form."""
-    kind = data.get("type")
-    device = interned_device_id(data["device"]) if "device" in data else None
-    if kind == "registration_request":
-        return RegistrationRequest(device, _opt_address(data.get("master")))
-    if kind == "registration_response":
-        return RegistrationResponse(
-            device, parse_address(data["address"]), bool(data.get("temporary", False))
-        )
-    if kind == "consumption_report":
-        return ConsumptionReport(
-            device_id=device,
-            master=_opt_address(data.get("master")),
-            temporary=_opt_address(data.get("temporary")),
-            sequence=int(data["sequence"]),
-            measured_at=_finite(data, "measured_at"),
-            interval_s=_finite(data, "interval_s"),
-            current_ma=_finite(data, "current_ma"),
-            voltage_v=_finite(data, "voltage_v"),
-            energy_mwh=_finite(data, "energy_mwh"),
-            buffered=bool(data.get("buffered", False)),
-        )
-    if kind == "ack":
-        return Ack(device, data.get("sequence"))
-    if kind == "nack":
-        return Nack(device, NackReason(data["reason"]), data.get("sequence"))
-    if kind == "membership_verify_request":
-        return MembershipVerifyRequest(
-            device, AggregatorId(data["claimed_master"]), AggregatorId(data["host"])
-        )
-    if kind == "membership_verify_response":
-        return MembershipVerifyResponse(
-            device, AggregatorId(data["master"]), bool(data["valid"])
-        )
-    if kind == "forwarded_consumption":
-        report = message_from_dict(data["report"])
-        if not isinstance(report, ConsumptionReport):
-            raise ProtocolError("forwarded_consumption must wrap a consumption_report")
-        return ForwardedConsumption(report, AggregatorId(data["host"]))
-    if kind == "mgmt_command":
-        argument = data.get("argument")
-        return MgmtCommand(
-            device, int(data["request_id"]), str(data["command"]),
-            float(argument) if argument is not None else None,
-        )
-    if kind == "mgmt_response":
-        return MgmtResponse(
-            device, int(data["request_id"]), bool(data["ok"]), dict(data["payload"])
-        )
-    if kind == "receipt_request":
-        return ReceiptRequest(device, int(data["sequence"]))
-    if kind == "receipt_response":
-        return ReceiptResponse(
-            device, int(data["sequence"]), bool(data["found"]), data.get("receipt")
-        )
-    if kind == "header_batch_request":
-        return HeaderBatchRequest(
-            device, int(data["from_height"]), int(data["max_count"])
-        )
-    if kind == "header_batch_response":
-        checkpoint = data.get("checkpoint")
-        return HeaderBatchResponse(
-            device_id=device,
-            from_height=int(data["from_height"]),
-            tip_height=int(data["tip_height"]),
-            headers=tuple(dict(header) for header in data["headers"]),
-            checkpoint=dict(checkpoint) if checkpoint is not None else None,
-        )
-    if kind == "transfer_membership":
-        return TransferMembership(device, parse_address(data["new_master"]))
-    if kind == "remove_device":
-        return RemoveDevice(device)
-    raise ProtocolError(f"unknown message type {kind!r}")

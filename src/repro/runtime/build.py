@@ -159,7 +159,7 @@ def add_device(
         DeviceId(name),
         device_config,
         scenario.grid,
-        scenario.transport if scenario.transport is not None else scenario.channel,
+        scenario.transport,
         profile,
     )
     scenario.devices[name] = device

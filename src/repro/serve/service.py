@@ -35,7 +35,7 @@ from repro.chain.receipts import find_and_issue, receipt_to_dict
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId
 from repro.obs.metrics import MetricsRegistry
-from repro.protocol.codec import as_message, encode_message
+from repro.protocol.codec import as_message, encode_message, message_from_dict
 from repro.protocol.messages import (
     Ack,
     ConsumptionReport,
@@ -247,8 +247,8 @@ class AggregatorService:
         results: list[dict[str, Any] | None] = [None] * len(entries)
         for i, entry in enumerate(entries):
             try:
-                message = as_message(json.dumps(entry))
-            except (CodecError, TypeError) as exc:
+                message = message_from_dict(entry)
+            except CodecError as exc:
                 results[i] = {"verdict": "error", "error": str(exc)}
                 continue
             if not isinstance(message, ConsumptionReport):

@@ -182,6 +182,22 @@ class TestAggregatorService:
         on_ledger = [r["sequence"] for r in chain.records_for_device(DeviceId("ext").uid)]
         assert sorted(on_ledger) == [1, 2, 3, 5, 6, 7]
 
+    def test_wrong_typed_fields_are_errors_and_never_reach_the_ledger(self):
+        # Coercing these would ack a buffered record ("false" is truthy),
+        # a sequence-3 record (int(3.9)) and a second copy of sequence 1
+        # (int(True)).  The codec checks each field against its type.
+        service = AggregatorService(serve_spec(step_s=1.0))
+        service.register(encode_message(RegistrationRequest(DeviceId("ext"))))
+        batch = [report_dict("ext", s) for s in (1, 2, 3.9, True)]
+        batch[1]["buffered"] = "false"
+        verdicts = service.ingest(json.dumps(batch))
+        kinds = [r["verdict"] for r in verdicts["results"]]
+        assert kinds == ["ack", "error", "error", "error"]
+        for _ in range(3):
+            service.advance()
+        records = service.scenario.chain.records_for_device(DeviceId("ext").uid)
+        assert [(r["sequence"], r["buffered"]) for r in records] == [(1, False)]
+
     def test_malformed_batch_body_raises(self):
         service = AggregatorService(serve_spec())
         with pytest.raises(CodecError):

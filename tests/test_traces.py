@@ -75,7 +75,7 @@ class TestTraceProfile:
         trace = TraceProfile([0.0, 5.0, 10.0], [30.0, 90.0, 15.0], repeat=True)
         device = MeteringDevice(
             scenario.simulator, DeviceId("traced"), DeviceConfig(),
-            scenario.grid, scenario.channel, trace,
+            scenario.grid, scenario.transport, trace,
         )
         scenario.devices["traced"] = device
         scenario.enter_at("traced", "agg1", 0.0)

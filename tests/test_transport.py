@@ -6,10 +6,10 @@ Covers the seam three ways:
   QoS-1 retransmission exhaustion during an outage, endpoint downtime,
   the shared topic router's ordering and cache invalidation),
 * :func:`topic_matches` edge cases shared by every backend,
-* the layering rule itself: no protocol module imports the MQTT/Wi-Fi
-  backend modules directly (enforced over the AST, so a regression
-  fails in CI rather than in review), and running a world never
-  imports networkx.
+* the layering rule itself: no protocol module imports the MQTT,
+  Wi-Fi or radio-channel backend modules directly (enforced over the
+  AST, so a regression fails in CI rather than in review), and running
+  a world never imports networkx.
 """
 
 import ast
@@ -38,7 +38,7 @@ BACKENDS = ("mqtt", "direct")
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 PROTOCOL_PACKAGES = ("device", "aggregator", "decentral")
-BANNED_MODULES = ("repro.net.mqtt", "repro.net.wifi")
+BANNED_MODULES = ("repro.net.channel", "repro.net.mqtt", "repro.net.wifi")
 
 
 def make_transport(kind: str, sim: Simulator) -> Transport:
