@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.chain.hashing import chain_hash
+from repro.chain.hashing import block_payload, canonical_bytes, chain_hash
 from repro.chain.merkle import merkle_root
 from repro.errors import BlockValidationError
 
@@ -82,24 +82,25 @@ class Block:
         timestamp: float,
         records: list[dict[str, Any]],
     ) -> "Block":
-        """Build a block, computing the Merkle root and chain hash."""
+        """Build a block, computing the Merkle root and chain hash.
+
+        Each record is encoded once; the Merkle leaves and the block
+        hash share those bytes.
+        """
+        encoded = [canonical_bytes(r) for r in records]
         header = BlockHeader(
             height=height,
             previous_hash=previous_hash,
-            merkle_root=merkle_root(records),
+            merkle_root=merkle_root(encoded),
             aggregator=aggregator,
             timestamp=timestamp,
             record_count=len(records),
         )
-        block_hash = chain_hash(previous_hash, {"header": header.to_dict(), "records": records})
-        return Block(header=header, records=tuple(records), block_hash=block_hash)
+        return Block(header=header, records=tuple(records), block_hash=_block_hash(header, encoded))
 
     def compute_hash(self) -> str:
         """Recompute the hash from current contents (for audits)."""
-        return chain_hash(
-            self.header.previous_hash,
-            {"header": self.header.to_dict(), "records": list(self.records)},
-        )
+        return _block_hash(self.header, [canonical_bytes(r) for r in self.records])
 
     def validate_structure(self) -> None:
         """Check internal consistency (Merkle root, count, hash).
@@ -112,12 +113,12 @@ class Block:
                 f"block {self.header.height}: header says {self.header.record_count} "
                 f"records, body has {len(self.records)}"
             )
-        expected_root = merkle_root(list(self.records))
-        if self.header.merkle_root != expected_root:
+        encoded = [canonical_bytes(r) for r in self.records]
+        if self.header.merkle_root != merkle_root(encoded):
             raise BlockValidationError(
                 f"block {self.header.height}: merkle root mismatch"
             )
-        if self.block_hash != self.compute_hash():
+        if self.block_hash != _block_hash(self.header, encoded):
             raise BlockValidationError(
                 f"block {self.header.height}: stored hash does not match contents"
             )
@@ -139,3 +140,9 @@ class Block:
             records=tuple(data["records"]),
             block_hash=data["block_hash"],
         )
+
+
+def _block_hash(header: BlockHeader, encoded_records: list[bytes]) -> str:
+    """Chain hash of ``{"header": header, "records": records}``, given
+    the records' canonical bytes."""
+    return chain_hash(header.previous_hash, block_payload(header.to_dict(), encoded_records))

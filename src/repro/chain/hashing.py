@@ -4,6 +4,11 @@ Hash stability is the whole point of the ledger, so serialisation must be
 canonical: dictionaries are emitted with sorted keys, floats with ``repr``
 round-trip fidelity, and no whitespace variation.  Any Python structure
 of dicts/lists/str/int/float/bool/None can be hashed.
+
+A JSON value is never ``bytes``, so :func:`chain_hash` and the Merkle
+leaves also accept a value's canonical bytes in its place: a block
+encodes each record once and hands the same bytes to both
+(:func:`block_payload`).
 """
 
 from __future__ import annotations
@@ -48,11 +53,29 @@ def chain_hash(previous_hash: str, payload: Any) -> str:
     """Hash linking a payload to its predecessor block.
 
     Mirrors the paper: "the hash of a new block is created from the
-    reported data and the hash of the previous block".
+    reported data and the hash of the previous block".  ``payload`` is a
+    JSON-compatible value or its canonical bytes.
     """
     if len(previous_hash) != 64:
         raise ChainError(f"previous hash must be 64 hex chars, got {previous_hash!r}")
-    return sha256_hex(previous_hash.encode("ascii") + canonical_bytes(payload))
+    if not isinstance(payload, bytes):
+        payload = canonical_bytes(payload)
+    return sha256_hex(previous_hash.encode("ascii") + payload)
+
+
+def block_payload(header: dict[str, Any], encoded_records: list[bytes]) -> bytes:
+    """Canonical bytes of ``{"header": header, "records": records}``.
+
+    ``encoded_records`` are the records' canonical bytes, joined rather
+    than encoded again.  The result is byte-identical to encoding the
+    dict whole: sorted keys put ``header`` before ``records``, the
+    separators are fixed, and ASCII output makes the UTF-8 bytes of the
+    parts concatenate to those of the whole.
+    """
+    return b"".join((
+        b'{"header":', canonical_bytes(header),
+        b',"records":[', b",".join(encoded_records), b"]}",
+    ))
 
 
 GENESIS_HASH = "0" * 64

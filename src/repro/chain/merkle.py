@@ -18,10 +18,13 @@ _EMPTY_ROOT = sha256_hex(b"merkle-empty")
 
 
 def _leaf_hash(record: Any) -> str:
-    # hashlib called directly: one leaf per committed record makes this
-    # the ledger's hottest function, and the sha256_hex wrapper frame
+    # A record is a JSON value or its canonical bytes.  hashlib is
+    # called directly: one leaf per committed record makes this the
+    # ledger's hottest function, and the sha256_hex wrapper frame
     # measurably showed in fleet profiles.  Identical digests.
-    return sha256(b"\x00" + canonical_bytes(record)).hexdigest()
+    if not isinstance(record, bytes):
+        record = canonical_bytes(record)
+    return sha256(b"\x00" + record).hexdigest()
 
 
 def _node_hash(left: str, right: str) -> str:
@@ -29,7 +32,11 @@ def _node_hash(left: str, right: str) -> str:
 
 
 def merkle_root(records: list[Any]) -> str:
-    """Merkle root of a record list (deterministic, duplicate-last pairing)."""
+    """Merkle root of a record list (deterministic, duplicate-last pairing).
+
+    Each record is a JSON value or its canonical bytes; both give the
+    same leaf.
+    """
     return MerkleTree(records).root
 
 
@@ -106,7 +113,8 @@ class MerkleTree:
         root: str,
         leaf_count: int | None = None,
     ) -> bool:
-        """Check that ``record`` is committed under ``root`` by ``proof``.
+        """Check that ``record`` (a JSON value or its canonical bytes) is
+        committed under ``root`` by ``proof``.
 
         With duplicate-last-leaf pairing, ``[A, B, C]`` and
         ``[A, B, C, C]`` share a root (the CVE-2012-2459 shape), so a

@@ -14,6 +14,7 @@ the count into verification closes that hole.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -99,18 +100,43 @@ def receipt_to_dict(receipt: InclusionReceipt) -> dict[str, Any]:
 
 
 def receipt_from_dict(data: dict[str, Any]) -> InclusionReceipt:
-    """Rebuild a receipt from its transported form."""
+    """Rebuild a receipt from its transported form.
+
+    The payload comes from the aggregator, so it is checked before any
+    hashing: both hashes must be 64 lowercase hex characters and every
+    proof entry a ``[side, sibling]`` pair with side ``"L"`` or ``"R"``
+    and a 64-hex sibling.  Anything else raises
+    :class:`~repro.errors.ChainError`.
+    """
     try:
         return InclusionReceipt(
             block_height=int(data["block_height"]),
-            block_hash=str(data["block_hash"]),
-            merkle_root=str(data["merkle_root"]),
+            block_hash=_hex_digest(data["block_hash"], "block_hash"),
+            merkle_root=_hex_digest(data["merkle_root"], "merkle_root"),
             leaf_count=int(data["leaf_count"]),
             record=dict(data["record"]),
-            proof=tuple((side, sibling) for side, sibling in data["proof"]),
+            proof=tuple(_proof_step(step) for step in data["proof"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ChainError(f"malformed receipt payload: {exc}") from exc
+
+
+_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def _hex_digest(value: Any, what: str) -> str:
+    if not isinstance(value, str) or not _HEX_DIGEST.fullmatch(value):
+        raise ValueError(f"{what} must be 64 lowercase hex characters, got {value!r}")
+    return value
+
+
+def _proof_step(step: Any) -> tuple[str, str]:
+    if not isinstance(step, (list, tuple)) or len(step) != 2:
+        raise ValueError(f"proof entry must be a [side, sibling] pair, got {step!r}")
+    side, sibling = step
+    if side not in ("L", "R"):
+        raise ValueError(f"proof side must be 'L' or 'R', got {side!r}")
+    return side, _hex_digest(sibling, "proof sibling")
 
 
 def issue_receipt(chain: Blockchain, block_height: int, record_index: int) -> InclusionReceipt:

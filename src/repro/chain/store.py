@@ -109,6 +109,11 @@ class JsonlBlockStore:
     stat change and re-loads, so a second reader is never stuck on its
     first snapshot.
 
+    A block is committed by its line's newline.  An unterminated final
+    line is an append cut off mid-write (the process died): it is not a
+    block, and the next append truncates it away before writing.  A
+    complete line that does not decode is corruption and raises.
+
     Args:
         path: File to store blocks in; created on first append.
     """
@@ -117,6 +122,7 @@ class JsonlBlockStore:
         self._path = Path(path)
         self._cache: list[Block | None] | None = None
         self._cache_stat: tuple[int, int] | None = None
+        self._committed_bytes = 0
         self._pruned_below = 0
 
     def _stat(self) -> tuple[int, int] | None:
@@ -130,17 +136,20 @@ class JsonlBlockStore:
         current = self._stat()
         if self._cache is None or current != self._cache_stat:
             blocks: list[Block | None] = []
+            committed = 0
             if current is not None:
-                with self._path.open() as handle:
-                    for line_no, line in enumerate(handle):
-                        line = line.strip()
-                        if not line:
+                with self._path.open("rb") as handle:
+                    for line_no, line in enumerate(handle, start=1):
+                        if not line.endswith(b"\n"):
+                            break  # a torn tail: never committed
+                        committed += len(line)
+                        if not line.strip():
                             continue
                         try:
                             blocks.append(Block.from_dict(json.loads(line)))
-                        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                        except (ValueError, KeyError, TypeError) as exc:
                             raise ChainError(
-                                f"corrupt block at {self._path}:{line_no + 1}: {exc}"
+                                f"corrupt block at {self._path}:{line_no}: {exc}"
                             ) from exc
             # Re-apply the prune boundary after a reload: the file stays
             # the full archive, memory stays O(recent).
@@ -148,6 +157,7 @@ class JsonlBlockStore:
                 blocks[height] = None
             self._cache = blocks
             self._cache_stat = current
+            self._committed_bytes = committed
         return self._cache
 
     def height(self) -> int:
@@ -166,9 +176,13 @@ class JsonlBlockStore:
             raise ChainError(
                 f"block height {block.header.height} != next index {len(blocks)}"
             )
-        with self._path.open("a") as handle:
-            handle.write(json.dumps(block.to_dict(), sort_keys=True) + "\n")
+        line = (json.dumps(block.to_dict(), sort_keys=True) + "\n").encode()
+        with self._path.open("ab") as handle:
+            if handle.tell() != self._committed_bytes:
+                handle.truncate(self._committed_bytes)  # drop a torn tail
+            handle.write(line)
         blocks.append(block)
+        self._committed_bytes += len(line)
         self._cache_stat = self._stat()
 
     def get(self, height: int) -> Block:

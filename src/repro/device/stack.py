@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol
 from repro.device.firmware import Firmware
 from repro.device.metering import EnergyMeter, Measurement
 from repro.device.storage import LocalStore
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ChainError, ConfigError, ProtocolError
 from repro.faults.retry import RetryPolicy
 from repro.grid.topology import GridTopology
 from repro.hw.ds3231 import Ds3231Rtc
@@ -835,17 +835,22 @@ class MeteringDevice(Process):
             self._receipts[message.sequence] = None
             self.trace("device.receipt_missing", sequence=message.sequence)
             return
-        receipt = receipt_from_dict(message.receipt)
-        chain_view = self.header_chain
-        if chain_view is not None and chain_view.covers(receipt.block_height):
-            # Full offline verification: the synced header chain vouches
-            # for the block coordinates, no trust in the aggregator.
-            ok = chain_view.verify_receipt(receipt)
-            offline = True
-        else:
-            # Proof-only check against the receipt's own header fields.
-            ok = receipt.verify()
-            offline = False
+        try:
+            receipt = receipt_from_dict(message.receipt)
+            chain_view = self.header_chain
+            if chain_view is not None and chain_view.covers(receipt.block_height):
+                # Full offline verification: the synced header chain vouches
+                # for the block coordinates, no trust in the aggregator.
+                ok = chain_view.verify_receipt(receipt)
+                offline = True
+            else:
+                # Proof-only check against the receipt's own header fields.
+                ok = receipt.verify()
+                offline = False
+        except ChainError:
+            # A malformed payload, or a record with no canonical
+            # encoding, fails like a bad proof.
+            ok = False
         if not ok:
             # A receipt that fails its own proof is worse than none.
             self._receipts[message.sequence] = None

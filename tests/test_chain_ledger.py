@@ -1,5 +1,7 @@
 """Tests for the ledger, stores, audit and consensus."""
 
+import json
+
 import pytest
 
 from repro.chain import (
@@ -120,6 +122,46 @@ class TestStores:
         path = tmp_path / "chain.jsonl"
         path.write_text("\n")
         assert JsonlBlockStore(path).height() == 0
+
+    def torn_chain(self, tmp_path):
+        """A 3-block JSONL ledger whose last append died mid-line."""
+        path = tmp_path / "chain.jsonl"
+        chain = Blockchain(JsonlBlockStore(path))
+        for i in range(3):
+            chain.append("agg1", float(i), [record(seq=i), record(seq=i, device="d2")])
+        data = path.read_bytes()
+        last_line_start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        path.write_bytes(data[: last_line_start + (len(data) - last_line_start) // 2])
+        return path, chain
+
+    def test_jsonl_torn_tail_is_not_a_block(self, tmp_path):
+        path, original = self.torn_chain(tmp_path)
+        reopened = Blockchain(JsonlBlockStore(path))
+        assert reopened.height == 2
+        assert reopened.tip_hash == original.get(1).block_hash
+        reopened.validate()
+
+    def test_jsonl_append_after_torn_tail_replaces_it(self, tmp_path):
+        path, _ = self.torn_chain(tmp_path)
+        reopened = Blockchain(JsonlBlockStore(path))
+        reopened.append("agg1", 9.0, [record(seq=9)])
+        reopened.append("agg1", 10.0, [])
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b""  # every line terminated
+        for line in lines[:-1]:
+            Block.from_dict(json.loads(line)).validate_structure()
+        fresh = Blockchain(JsonlBlockStore(path))
+        assert fresh.height == 4
+        assert fresh.tip_hash == reopened.tip_hash
+        assert audit_chain(fresh).clean
+
+    def test_jsonl_garbage_complete_line_still_raises(self, tmp_path):
+        path, _ = self.torn_chain(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b'{"header": garbage'
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ChainError, match=r"chain\.jsonl:2"):
+            JsonlBlockStore(path).height()
 
 
 class TestAudit:

@@ -109,6 +109,51 @@ class TestHeaderChain:
         assert not light.verify_receipt(forged)
 
 
+def hostile_receipt(payload, case):
+    """A copy of a wire receipt with one field made hostile."""
+    bad = json.loads(json.dumps(payload))
+    if case == "sibling_int":
+        bad["proof"][0][1] = 5
+    elif case == "sibling_non_ascii":
+        bad["proof"][0][1] = "\u00e9" * 64
+    elif case == "side_x":
+        bad["proof"][0][0] = "X"
+    elif case == "proof_triple":
+        bad["proof"][0].append("L")
+    elif case == "sibling_upper_hex":
+        bad["proof"][0][1] = bad["proof"][0][1].upper()
+    elif case == "block_hash_int":
+        bad["block_hash"] = 7
+    elif case == "block_hash_short":
+        bad["block_hash"] = bad["block_hash"][:63]
+    elif case == "merkle_root_none":
+        bad["merkle_root"] = None
+    else:
+        raise AssertionError(case)
+    return bad
+
+
+HOSTILE_CASES = (
+    "sibling_int", "sibling_non_ascii", "side_x", "proof_triple",
+    "sibling_upper_hex", "block_hash_int", "block_hash_short", "merkle_root_none",
+)
+
+
+class TestReceiptPayload:
+    def wire_receipt(self):
+        chain = Blockchain()
+        grow(chain, 3)
+        return receipt_to_dict(issue_receipt(chain, 1, 1))
+
+    def test_wire_receipt_round_trips_and_verifies(self):
+        assert receipt_from_dict(self.wire_receipt()).verify()
+
+    @pytest.mark.parametrize("case", HOSTILE_CASES)
+    def test_hostile_payload_raises_chain_error(self, case):
+        with pytest.raises(ChainError, match="malformed receipt"):
+            receipt_from_dict(hostile_receipt(self.wire_receipt(), case))
+
+
 class TestSyncClient:
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
@@ -319,6 +364,34 @@ class TestEndToEndSync:
             span.tags["offline"] and span.tags["sequence"] == sequence
             for span in verified
         )
+
+    def test_hostile_receipt_is_invalid_and_the_device_keeps_running(self, monkeypatch):
+        # The aggregator answers receipt requests with hostile payloads;
+        # each must land as an invalid receipt, not escape the ctrl
+        # handler and stop the kernel.
+        scenario = build_sync_world(batch=4, obs=ObsSpec(enabled=True, profile=False))
+        scenario.simulator.run_until(20.0)
+        device = next(iter(scenario.devices.values()))
+        cases = dict(zip(sorted(device.acked_sequences), HOSTILE_CASES + ("record_nan",)))
+        assert len(cases) == len(HOSTILE_CASES) + 1
+
+        def answer(receipt):
+            case = cases[receipt.record["sequence"]]
+            payload = receipt_to_dict(receipt)
+            if case == "record_nan":
+                payload["record"]["energy_mwh"] = float("nan")
+                return payload
+            return hostile_receipt(payload, case)
+
+        monkeypatch.setattr("repro.chain.receipts.receipt_to_dict", answer)
+        for sequence in cases:
+            device.request_receipt(sequence)
+        acked_before = len(device.acked_sequences)
+        scenario.simulator.run_until(25.0)
+        assert {seq: device.receipts[seq] for seq in cases} == dict.fromkeys(cases)
+        invalid = scenario.simulator.spans.by_name("device.receipt_invalid")
+        assert {span.tags["sequence"] for span in invalid} == set(cases)
+        assert len(device.acked_sequences) > acked_before
 
     def test_late_device_anchors_at_checkpoint(self):
         # A device entering a mature network must not replay history:
