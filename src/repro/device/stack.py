@@ -17,6 +17,7 @@ protocol messages on topics:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
@@ -238,7 +239,9 @@ class MeteringDevice(Process):
         self._flush_retry_label = f"{self.name}:flush-retry"
         self._handshakes: list[HandshakeRecord] = []
         self._acked_sequences: set[int] = set()
-        self._inflight: dict[int, ConsumptionReport] = {}
+        # Unacked reports: sequence -> (Ack deadline, report), in deadline order.
+        self._inflight: dict[int, tuple[float, ConsumptionReport]] = {}
+        self._ack_timer_armed = False
         self._report_attempts: dict[int, int] = {}
         self._reports_sent = 0
         self._reports_buffered = 0
@@ -650,16 +653,7 @@ class MeteringDevice(Process):
         if delivered:
             self._reports_sent += 1
             self.count("reports_sent")
-            # Remember until Ack'd so a NOT_A_MEMBER Nack (foreign
-            # network) can re-buffer the data instead of losing it.
-            self._inflight[report.sequence] = report
-            if self._config.retry is not None:
-                sequence = report.sequence
-                self.sim.call_later(
-                    self._config.retry.timeout_s,
-                    lambda: self._on_report_timeout(sequence),
-                    label=self._ack_timeout_label,
-                )
+            self._await_ack(report, self.now)
         else:
             # All QoS-1 retries failed (deep fade): keep the data.
             self._store.store(report)
@@ -676,49 +670,67 @@ class MeteringDevice(Process):
         """
         if self._config.retry is not None:
             for sequence in sorted(self._inflight):
-                self._store.store(self._inflight[sequence])
+                self._store.store(self._inflight[sequence][1])
         self._inflight.clear()
         self._report_attempts.clear()
         self._cancel_reg_watchdog()
 
-    def _on_report_timeout(self, sequence: int) -> None:
-        """No Ack within the policy timeout: recover the report.
+    def _await_ack(self, report: ConsumptionReport, sent_at: float) -> None:
+        """Hold ``report`` in flight until its Ack, due ``timeout_s`` after ``sent_at``.
 
-        The report re-enters the local store (so the data survives) and
-        a flush attempt is scheduled after a jittered exponential
-        backoff.  Once the policy's attempt budget is spent the report
-        stops driving its own backoff chain — it stays parked in the
-        store and only rides flushes other events trigger, so active
-        retries are bounded but metered data is lost only to store
-        overflow (§II-C: "temporarily stored in local memory").
+        The window lets a NOT_A_MEMBER Nack or a session loss re-buffer
+        the data.  The timeout is constant, so re-inserting keeps the
+        window in deadline order and a resend restarts its deadline
+        (RFC 6298 §5.1); one timer runs at the oldest deadline (§5).
         """
-        report = self._inflight.pop(sequence, None)
-        if report is None:
-            return  # Acked, nacked, or the session was torn down.
+        retry = self._config.retry
+        deadline = math.inf if retry is None else sent_at + retry.timeout_s
+        self._inflight.pop(report.sequence, None)
+        self._inflight[report.sequence] = (deadline, report)
+        if retry is not None and not self._ack_timer_armed:
+            self._ack_timer_armed = True
+            self.sim.schedule(deadline, self._on_ack_timer, label=self._ack_timeout_label)
+
+    def _on_ack_timer(self) -> None:
+        """No Ack within the policy timeout: recover each overdue report.
+
+        Every report past its deadline re-enters the local store (so the
+        data survives) and a flush attempt is scheduled after a jittered
+        exponential backoff.  Once the policy's attempt budget is spent
+        the report stops driving its own backoff chain — it stays parked
+        in the store and only rides flushes other events trigger, so
+        active retries are bounded but metered data is lost only to
+        store overflow (§II-C: "temporarily stored in local memory").
+        The timer then re-arms at the oldest deadline still in flight or
+        lapses; Acks, Nacks and session loss only remove entries.
+        """
         policy = self._config.retry
         assert policy is not None
-        failures = self._report_attempts.get(sequence, 0) + 1
-        if policy.exhausted(failures):
-            self._report_attempts[sequence] = failures
-            if failures == policy.max_attempts:
-                self._retry_exhausted += 1
-                self.count("retry_exhausted")
-                self.trace(
-                    "device.retry_exhausted", sequence=sequence, attempts=failures
-                )
+        now = self.now
+        inflight = self._inflight
+        while inflight:
+            sequence, (deadline, report) = next(iter(inflight.items()))
+            if deadline > now:
+                self.sim.schedule(deadline, self._on_ack_timer, label=self._ack_timeout_label)
+                return
+            del inflight[sequence]
             self._store.store(report)
-            return
-        self._report_attempts[sequence] = failures
-        self._report_timeouts += 1
-        self.count("report_timeouts")
-        self._store.store(report)
-        self.trace("device.report_timeout", sequence=sequence, attempt=failures)
-        backoff = policy.backoff_s(failures, self.rng("retry"))
-        self._flush_retries += 1
-        self.count("flush_retries")
-        self.sim.call_later(
-            backoff, self._flush_buffer, label=self._flush_retry_label
-        )
+            failures = self._report_attempts.get(sequence, 0) + 1
+            self._report_attempts[sequence] = failures
+            if policy.exhausted(failures):
+                if failures == policy.max_attempts:
+                    self._retry_exhausted += 1
+                    self.count("retry_exhausted")
+                    self.trace("device.retry_exhausted", sequence=sequence, attempts=failures)
+                continue
+            self._report_timeouts += 1
+            self.count("report_timeouts")
+            self.trace("device.report_timeout", sequence=sequence, attempt=failures)
+            backoff = policy.backoff_s(failures, self.rng("retry"))
+            self._flush_retries += 1
+            self.count("flush_retries")
+            self.sim.call_later(backoff, self._flush_buffer, label=self._flush_retry_label)
+        self._ack_timer_armed = False
 
     def _flush_buffer(self) -> None:
         """Send buffered records alongside the next transmissions."""
@@ -1011,7 +1023,7 @@ class MeteringDevice(Process):
                 if rejected is not None and message.reason == NackReason.NOT_A_MEMBER:
                     # The host refused for lack of membership, not for the
                     # data itself — keep it for after registration.
-                    self._store.store(rejected)
+                    self._store.store(rejected[1])
             decision = self._fsm.report_nacked(message)
             self._apply_decision(decision)
         elif isinstance(message, ReceiptResponse):

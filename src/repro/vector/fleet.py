@@ -676,8 +676,8 @@ class VectorFleet:
         """Fall back to the real aggregator path for one report.
 
         Builds the exact :class:`ConsumptionReport` the scalar transmit
-        would have produced, restores the device's in-flight window and
-        Ack-timeout watchdog (armed at transmit time, i.e. the tick),
+        would have produced, puts it in the device's in-flight window
+        with its Ack deadline counted from transmit time (the tick),
         and schedules the real ``_process_report`` at the exact arrival
         time — screening, Nacks and Acks then run through the normal
         machinery, including the de-vectorization hook on the device's
@@ -696,17 +696,9 @@ class VectorFleet:
             energy_mwh=energy_mwh,
             buffered=False,
         )
-        device._inflight[sequence] = report
-        retry = device._config.retry
-        sim = self._sim
-        if retry is not None:
-            sim.schedule(
-                tick_time + retry.timeout_s,
-                lambda: device._on_report_timeout(sequence),
-                label=device._ack_timeout_label,
-            )
+        device._await_ack(report, tick_time)
         unit = cohort._unit
-        sim.schedule(
+        self._sim.schedule(
             arrived_at,
             lambda: unit._process_report(report, None),
             label=unit._report_label,

@@ -206,7 +206,7 @@ class TestKernelProfiler:
             return build(dataclasses.replace(spec, obs=ObsSpec(enabled=True, spans=False)))
 
         stepped = world()
-        for k in range(1, 201):
+        for k in range(1, 251):
             stepped.run_until(k * 0.1)
         single = world()
         single.run_until(stepped.simulator.now)
