@@ -1,6 +1,8 @@
-"""Standalone benchmark scripts and the shared BENCH_*.json validator.
+"""Paper-figure and ablation benches, and the end-to-end benchmark.
 
-The ``bench_*.py`` scripts are run directly (they put this directory on
-``sys.path`` themselves); the package exists so the artifact validator
-can run as ``python -m benchmarks.validate``.
+The ``bench_*.py`` files are pytest-benchmark cases
+(``pytest benchmarks/bench_fig5.py``); ``bench_ledger.py`` also runs
+standalone.  ``benchmarks/e2e`` is the benchmark ``BENCHMARK.json``
+declares and every performance change is measured against; its
+``run.py`` imports it as the ``benchmarks.e2e`` package.
 """

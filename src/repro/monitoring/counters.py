@@ -4,14 +4,12 @@ Where :class:`~repro.monitoring.timeseries.TimeSeries` records values
 over time, a :class:`CounterBank` holds monotonically increasing named
 counts — fault injections, retries, timeouts, drops.  Injectors and
 recovery paths increment counters; experiments and dashboards read one
-snapshot at the end (or sample periodically into a
-:class:`~repro.monitoring.timeseries.SeriesBank`).
+snapshot at the end.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.monitoring.timeseries import SeriesBank
 
 
 class CounterBank:
@@ -61,12 +59,3 @@ class CounterBank:
         return sum(
             value for name, value in counts.items() if name.startswith(prefix)
         )
-
-    def record_into(self, bank: SeriesBank, time: float) -> None:
-        """Append the current value of every counter to ``bank``.
-
-        Sampling the bank periodically turns the counters into ordinary
-        time series for dashboards and CSV export.
-        """
-        for name, value in self._counts.items():
-            bank.record(f"counter:{name}", time, float(value), "count")

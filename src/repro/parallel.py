@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import os
 
-from repro.errors import ConfigError
-
 
 def available_cpus() -> int:
     """Number of CPUs this process may actually be scheduled on."""
@@ -22,17 +20,3 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - non-Linux platforms
         return os.cpu_count() or 1
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalize a worker-count request to a concrete pool size.
-
-    ``None`` or ``0`` autodetects via :func:`available_cpus`; positive
-    values pass through untouched (an explicit request may deliberately
-    oversubscribe); anything negative is a configuration error.
-    """
-    if workers is None or workers == 0:
-        return available_cpus()
-    if workers < 0:
-        raise ConfigError(f"workers must be >= 0 (0 = auto), got {workers}")
-    return workers

@@ -372,14 +372,11 @@ class VectorSpec(SpecCodec):
         scan_interval_s: How often the fleet scans for quiescent devices
             to vectorize (and re-vectorize after a de-vectorization).
         min_cohort: Smallest device group worth folding into arrays.
-        backend: ``auto`` (numpy when available), ``python`` (force the
-            ``array``-module fallback — mainly for tests).
     """
 
     enabled: bool = False
     scan_interval_s: float = 1.0
     min_cohort: int = 2
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.scan_interval_s <= 0:
@@ -388,10 +385,6 @@ class VectorSpec(SpecCodec):
             )
         if self.min_cohort < 1:
             raise ConfigError(f"min cohort must be >= 1, got {self.min_cohort}")
-        if self.backend not in ("auto", "python"):
-            raise ConfigError(
-                f"vector backend must be 'auto' or 'python', got {self.backend!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ produces the same ledger digest, counters, summaries and monitoring
 exports as the scalar path, bit for bit.
 """
 
-from repro.vector.backend import HAS_NUMPY, select_backend
 from repro.vector.fleet import VectorFleet
 
-__all__ = ["HAS_NUMPY", "select_backend", "VectorFleet"]
+__all__ = ["VectorFleet"]

@@ -1,14 +1,9 @@
-"""Array math backends for the vectorized fleet.
+"""Array math for the vectorized fleet.
 
-Two interchangeable implementations of the per-tick cohort kernel:
-
-* :class:`NumpyBackend` — the fast path, one ufunc sweep per operation;
-* :class:`PythonBackend` — ``array``-module storage with plain Python
-  loops, used when numpy is unavailable (or forced for testing).
-
-Both apply *exactly* the scalar device stack's operation order per
-element, so their per-device results are bit-identical to each other and
-to the scalar path: IEEE-754 arithmetic is deterministic, and numpy's
+:class:`NumpyBackend` runs the per-tick cohort kernel as one ufunc sweep
+per operation.  It applies *exactly* the scalar device stack's operation
+order per element, so its per-device results are bit-identical to the
+scalar path: IEEE-754 arithmetic is deterministic, and numpy's
 element-wise ufuncs on float64 perform the same rounding as the
 equivalent Python expression.
 
@@ -19,16 +14,9 @@ arithmetic.
 
 from __future__ import annotations
 
-from array import array
 from typing import Sequence
 
-try:  # pragma: no cover - exercised implicitly by which backend runs
-    import numpy as _np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAS_NUMPY = False
+import numpy as _np
 
 # Seconds per year as the DS3231 model computes it (constant-folded the
 # same way CPython folds the literal expression in ``Ds3231Rtc.read``).
@@ -37,8 +25,6 @@ _SECONDS_PER_YEAR = 365.25 * 24 * 3600
 
 class NumpyBackend:
     """Vectorized cohort math on float64 ndarrays."""
-
-    name = "numpy"
 
     @staticmethod
     def from_list(values: Sequence[float]):
@@ -124,90 +110,3 @@ class NumpyBackend:
         """``count`` sensor-noise draws, consuming the stream exactly
         like ``count`` sequential scalar ``rng.normal(0.0, std)``."""
         return rng.normal(0.0, std, size=count).tolist()
-
-
-class PythonBackend:
-    """The same kernel on ``array('d')`` storage with Python loops.
-
-    Element order of operations is identical to :class:`NumpyBackend`
-    (and to the scalar stack), so results stay bit-identical — only
-    slower.  Keeps the fleet functional when numpy is absent.
-    """
-
-    name = "python"
-
-    @staticmethod
-    def from_list(values: Sequence[float]):
-        return array("d", values)
-
-    @staticmethod
-    def to_list(arr) -> list[float]:
-        return list(arr)
-
-    @staticmethod
-    def delete(arr, index: int):
-        out = array("d", arr)
-        del out[index]
-        return out
-
-    @staticmethod
-    def any_out_of_range(true_arr, range_arr) -> int | None:
-        for i, value in enumerate(true_arr):
-            if abs(value) > range_arr[i]:
-                return i
-        return None
-
-    @staticmethod
-    def sample(true_arr, gain, offset, noise, lsb, voltage, interval_s,
-               energy_total, true_total):
-        n = len(true_arr)
-        reading = array("d", bytes(8 * n))
-        energy = array("d", bytes(8 * n))
-        for i in range(n):
-            true = true_arr[i]
-            noisy = true * gain[i] + offset[i] + noise[i]
-            quantised = round(noisy / lsb[i]) * lsb[i]
-            r = max(0.0, quantised)
-            e = r * voltage[i] * interval_s / 3600.0
-            reading[i] = r
-            energy[i] = e
-            energy_total[i] += e
-            true_total[i] += true * voltage[i] * interval_s / 3600.0
-        return reading, energy
-
-    @staticmethod
-    def rtc_read(now: float, last_sync, ppm, aging):
-        out = array("d", bytes(8 * len(ppm)))
-        for i in range(len(ppm)):
-            elapsed = now - last_sync[i]
-            years = elapsed / _SECONDS_PER_YEAR
-            effective_ppm = ppm[i] + aging[i] * years
-            out[i] = now + elapsed * effective_ppm * 1e-6
-        return out
-
-    @staticmethod
-    def accumulate_idle(idle_time, entered_at, now: float):
-        for i in range(len(idle_time)):
-            idle_time[i] += now - entered_at[i]
-            entered_at[i] = now
-
-    @staticmethod
-    def host_delays(rng, median: float, sigma: float, now: float, count: int):
-        if sigma == 0:
-            return [now + median] * count
-        return [now + median * float(rng.lognormal(0.0, sigma)) for _ in range(count)]
-
-    @staticmethod
-    def stable_order(times: list[float]) -> list[int]:
-        return sorted(range(len(times)), key=times.__getitem__)
-
-    @staticmethod
-    def noise_block(rng, std: float, count: int) -> list[float]:
-        return [float(rng.normal(0.0, std)) for _ in range(count)]
-
-
-def select_backend(force_python: bool = False):
-    """The fastest available backend (or the Python one on request)."""
-    if force_python or not HAS_NUMPY:
-        return PythonBackend
-    return NumpyBackend

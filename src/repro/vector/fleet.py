@@ -43,7 +43,7 @@ from repro.hw.esp32 import McuState
 from repro.protocol.device_fsm import DevicePhase
 from repro.protocol.messages import ConsumptionReport
 from repro.transport.direct import DirectHub, DirectLink, DirectTransport
-from repro.vector.backend import select_backend
+from repro.vector.backend import NumpyBackend
 
 if TYPE_CHECKING:
     from repro.device.stack import MeteringDevice
@@ -355,7 +355,7 @@ class VectorFleet:
         context = scenario.context
         self._sim = scenario.simulator
         self._counts = context.counters._counts
-        self._backend = select_backend(force_python=spec.backend == "python")
+        self._backend = NumpyBackend
         self._latency_s = scenario.transport.latency_s
         self._cohorts: list[Cohort] = []
         self._cohort_counter = 0

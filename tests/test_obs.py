@@ -16,7 +16,6 @@ from repro.obs import (
     merge_profiles,
     read_bundle,
     validate_artifact_dir,
-    write_artifacts,
 )
 from repro.obs.spans import DISABLED_TRACER, NOOP_SPAN, SpanTracer
 from repro.runtime import ObsSpec, TransportSpec, build

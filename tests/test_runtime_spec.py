@@ -246,7 +246,6 @@ def scenario_specs(draw):
             enabled=draw(st.booleans()),
             scan_interval_s=draw(st.floats(min_value=0.1, max_value=10.0)),
             min_cohort=draw(st.integers(min_value=1, max_value=64)),
-            backend=draw(st.sampled_from(("auto", "python"))),
         ),
         serve=ServeSpec(
             enabled=draw(st.booleans()),

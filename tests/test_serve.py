@@ -134,6 +134,24 @@ class TestAggregatorService:
         assert verdicts["accepted"] == 3
         assert [r["verdict"] for r in verdicts["results"]] == ["ack"] * 3
 
+    def test_batching_amortises_kernel_work_per_report(self):
+        # One kernel advance serves a whole batch, so the kernel events
+        # spent per acknowledged report must not grow with batch size.
+        per_report = {}
+        for batch_size in (1, 8, 64):
+            service = AggregatorService(serve_spec(step_s=0.05))
+            service.register(encode_message(RegistrationRequest(DeviceId("ext-1"))))
+            sim = service.scenario.simulator
+            before = sim.events_executed
+            acked = 0
+            for first in range(1, 65, batch_size):
+                batch = [report_dict("ext-1", s) for s in range(first, first + batch_size)]
+                acked += service.ingest(json.dumps({"reports": batch}))["accepted"]
+            assert acked == 64, batch_size
+            per_report[batch_size] = (sim.events_executed - before) / acked
+        assert per_report[1] >= per_report[8] >= per_report[64], per_report
+        assert per_report[64] <= 0.5 * per_report[1], per_report
+
     def test_register_rejects_wrong_message_type(self):
         service = AggregatorService(serve_spec())
         with pytest.raises(CodecError):

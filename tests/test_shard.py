@@ -10,8 +10,8 @@ Covers the sharding contract end to end:
   latency; a requested window can only shorten it),
 * determinism — the pinned seed-7 reference digest, counters, summary
   maps and monitoring CSV exports are byte-identical for ``--shards``
-  in {1, 2, 4}, in-process and across worker processes, and for any
-  randomized assignment (hypothesis),
+  in {1, 2, 4}, on a full and a line mesh, in-process and across
+  worker processes, and for any randomized assignment (hypothesis),
 * the cross-shard message plane — a roaming membership-verify round
   trip crosses the pipe-less plane and comes back,
 * the CLI ``--shards`` flag.
@@ -29,7 +29,7 @@ from repro.errors import BackhaulError, ConfigError, SimulationError
 from repro.ids import AggregatorId, DeviceId
 from repro.runtime import ScenarioSpec, ShardSpec, build
 from repro.runtime.spec import MeshSpec, TransportSpec
-from repro.shard import ShardEngine, ShardPlan, partition, run_sharded
+from repro.shard import ShardEngine, partition, run_sharded
 from repro.shard.runner import _boundaries, _route
 from repro.sim.kernel import Simulator
 from repro.workloads.scenarios import scaled_spec
@@ -46,14 +46,19 @@ SHARD_REFERENCE_SEED7_DIGEST = (
 FAST_DIRECT = TransportSpec(kind="direct", scan_s=0.05, assoc_s=0.05, connect_s=0.02)
 
 
-def reference_spec(seed: int = 7, mesh_latency_s: float = 0.05) -> ScenarioSpec:
+def reference_spec(
+    seed: int = 7, mesh_latency_s: float = 0.05, mesh: str = "full"
+) -> ScenarioSpec:
     """4 networks x 3 devices, direct transport, sharding-friendly mesh.
 
     The 50 ms mesh latency keeps the conservative window count small
-    (80 windows for a 4 s run) so shard tests stay fast.
+    (80 windows for a 4 s run) so shard tests stay fast.  ``mesh`` is
+    the backhaul topology (``full`` or ``line``).
     """
-    spec = scaled_spec(4, 3, seed=seed, transport=FAST_DIRECT)
-    return dataclasses.replace(spec, mesh=MeshSpec(latency_s=mesh_latency_s))
+    spec = scaled_spec(4, 3, seed=seed, transport=FAST_DIRECT, mesh_topology=mesh)
+    return dataclasses.replace(
+        spec, mesh=MeshSpec(topology=mesh, latency_s=mesh_latency_s)
+    )
 
 
 class TestRunWindow:
@@ -152,9 +157,17 @@ class TestDeterminism:
         assert run.mode == "serial"
         assert run.ledger_digest == SHARD_REFERENCE_SEED7_DIGEST
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_sharded_matches_serial_everywhere(self, tmp_path, shards):
-        spec = reference_spec()
+    @pytest.mark.parametrize(
+        ("mesh", "shards"),
+        [
+            pytest.param("full", 2, id="2"),
+            pytest.param("full", 4, id="4"),
+            pytest.param("line", 2, id="line-2"),
+            pytest.param("line", 4, id="line-4"),
+        ],
+    )
+    def test_sharded_matches_serial_everywhere(self, tmp_path, mesh, shards):
+        spec = reference_spec(mesh=mesh)
         serial = run_sharded(spec, 4.0, shards=1)
         run = run_sharded(spec, 4.0, shards=shards, processes=False)
         assert run.ledger_digest == SHARD_REFERENCE_SEED7_DIGEST

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.obs.profiler import KernelProfiler
-from repro.sim import Event, EventQueue, SimClock, Simulator
+from repro.sim import EventQueue, SimClock, Simulator
 
 
 class TestSimClock:

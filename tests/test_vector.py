@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.runtime import ScenarioSpec, build
 from repro.runtime.spec import LedgerSpec, ObsSpec, TransportSpec, VectorSpec
-from repro.vector.backend import NumpyBackend, PythonBackend, select_backend
 from repro.workloads.scenarios import scaled_spec
 
 # Fast-join direct transport so short runs reach steady state quickly
@@ -247,13 +246,11 @@ class TestVectorSpec:
         assert restored == spec
 
     def test_enabled_round_trip_lossless(self):
-        spec = direct_spec(
-            1, 2, enabled=True, scan_interval_s=2.0, min_cohort=3, backend="python"
-        )
+        spec = direct_spec(1, 2, enabled=True, scan_interval_s=2.0, min_cohort=3)
         restored = ScenarioSpec.from_json(spec.to_json())
         assert restored == spec
         assert restored.vector == VectorSpec(
-            enabled=True, scan_interval_s=2.0, min_cohort=3, backend="python"
+            enabled=True, scan_interval_s=2.0, min_cohort=3
         )
 
     def test_validation(self):
@@ -263,27 +260,10 @@ class TestVectorSpec:
             VectorSpec(scan_interval_s=0.0)
         with pytest.raises(ConfigError):
             VectorSpec(min_cohort=0)
-        with pytest.raises(ConfigError):
-            VectorSpec(backend="fortran")
-
-
-class TestBackends:
-    def test_select_backend(self):
-        assert select_backend(force_python=True) is PythonBackend
-        assert select_backend() in (NumpyBackend, PythonBackend)
-
-    def test_python_backend_run_identical_to_auto(self):
-        spec = direct_spec(1, 3)
-        auto = run_snapshot(
-            dataclasses.replace(spec, vector=VectorSpec(enabled=True)), 5.0
-        )
-        python = run_snapshot(
-            dataclasses.replace(
-                spec, vector=VectorSpec(enabled=True, backend="python")
-            ),
-            5.0,
-        )
-        assert canon(auto) == canon(python)
+        data = json.loads(direct_spec(1, 2, enabled=True).to_json())
+        data["vector"]["backend"] = "python"
+        with pytest.raises(ConfigError, match="unknown keys"):
+            ScenarioSpec.from_dict(data)
 
 
 class TestProfilerWeights:
