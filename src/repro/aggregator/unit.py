@@ -166,8 +166,6 @@ class AggregatorUnit(Process):
         self._down = False
         self._mesh = mesh
         self._duties: list[Any] = []
-        self._acks_sent = 0
-        self._nacks_sent = 0
         self._last_checked_window_start = -1.0
         # Residual checks are suppressed while membership churns: a
         # newly attached device consumes (the feeder sees it) before its
@@ -257,12 +255,12 @@ class AggregatorUnit(Process):
     @property
     def acks_sent(self) -> int:
         """Positive acknowledgments sent to devices."""
-        return self._acks_sent
+        return self.counted("acks_sent")
 
     @property
     def nacks_sent(self) -> int:
         """Negative acknowledgments sent to devices."""
-        return self._nacks_sent
+        return self.counted("nacks_sent")
 
     # -- lifecycle --------------------------------------------------------
 
@@ -319,14 +317,12 @@ class AggregatorUnit(Process):
         )
 
     def _ack(self, device_id: DeviceId, sequence: int | None = None) -> None:
-        self._acks_sent += 1
         self.count("acks_sent")
         self._send_to_device(device_id, Ack(device_id, sequence))
 
     def _nack(
         self, device_id: DeviceId, reason: NackReason, sequence: int | None = None
     ) -> None:
-        self._nacks_sent += 1
         self.count("nacks_sent")
         self._send_to_device(device_id, Nack(device_id, reason, sequence))
 

@@ -243,12 +243,6 @@ class MeteringDevice(Process):
         self._inflight: dict[int, tuple[float, ConsumptionReport]] = {}
         self._ack_timer_armed = False
         self._report_attempts: dict[int, int] = {}
-        self._reports_sent = 0
-        self._reports_buffered = 0
-        self._report_timeouts = 0
-        self._retry_exhausted = 0
-        self._flush_retries = 0
-        self._registration_timeouts = 0
         self._reg_watchdog: Any | None = None
         self._receipts: dict[int, "InclusionReceipt | None"] = {}
         self._handshake_span: Any | None = None
@@ -338,12 +332,12 @@ class MeteringDevice(Process):
     @property
     def reports_sent(self) -> int:
         """Reports handed to MQTT (live + flushed)."""
-        return self._reports_sent
+        return self.counted("reports_sent")
 
     @property
     def reports_buffered(self) -> int:
         """Measurements diverted to local storage."""
-        return self._reports_buffered
+        return self.counted("reports_buffered")
 
     @property
     def acked_count(self) -> int:
@@ -372,10 +366,10 @@ class MeteringDevice(Process):
         because no response (Ack or Nack) ever arrived.
         """
         return {
-            "report_timeouts": self._report_timeouts,
-            "flush_retries": self._flush_retries,
-            "retry_exhausted": self._retry_exhausted,
-            "registration_timeouts": self._registration_timeouts,
+            "report_timeouts": self.counted("report_timeouts"),
+            "flush_retries": self.counted("flush_retries"),
+            "retry_exhausted": self.counted("retry_exhausted"),
+            "registration_timeouts": self.counted("registration_timeouts"),
         }
 
     def true_current_ma(self, at_time: float) -> float:
@@ -616,7 +610,6 @@ class MeteringDevice(Process):
             self._transmit(report)
         else:
             self._store.store(report)
-            self._reports_buffered += 1
             self.count("reports_buffered")
             self.trace("device.buffer", sequence=report.sequence)
 
@@ -651,13 +644,11 @@ class MeteringDevice(Process):
         )
         self._mcu.set_state(McuState.IDLE, self.now)
         if delivered:
-            self._reports_sent += 1
             self.count("reports_sent")
             self._await_ack(report, self.now)
         else:
             # All QoS-1 retries failed (deep fade): keep the data.
             self._store.store(report)
-            self._reports_buffered += 1
             self.count("reports_buffered")
 
     def _recover_inflight(self) -> None:
@@ -719,15 +710,12 @@ class MeteringDevice(Process):
             self._report_attempts[sequence] = failures
             if policy.exhausted(failures):
                 if failures == policy.max_attempts:
-                    self._retry_exhausted += 1
                     self.count("retry_exhausted")
                     self.trace("device.retry_exhausted", sequence=sequence, attempts=failures)
                 continue
-            self._report_timeouts += 1
             self.count("report_timeouts")
             self.trace("device.report_timeout", sequence=sequence, attempt=failures)
             backoff = policy.backoff_s(failures, self.rng("retry"))
-            self._flush_retries += 1
             self.count("flush_retries")
             self.sim.call_later(backoff, self._flush_buffer, label=self._flush_retry_label)
         self._ack_timer_armed = False
@@ -924,7 +912,6 @@ class MeteringDevice(Process):
             return
         if not self._client.connected:
             return
-        self._registration_timeouts += 1
         self.count("registration_timeouts")
         self.trace("device.registration_timeout")
         self._send_registration(

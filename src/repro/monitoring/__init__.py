@@ -2,15 +2,15 @@
 
 The testbed used Grafana to watch live transmissions; here a
 :class:`~repro.monitoring.timeseries.TimeSeries` records any named
-quantity over simulated time, :mod:`repro.monitoring.dashboards` renders
-text sparkline dashboards, and :mod:`repro.monitoring.export` writes
-CSV/JSON for external plotting.
+quantity over simulated time, a :class:`CounterBank` is the one store of
+named counts, and :mod:`repro.monitoring.dashboards` renders text
+sparkline dashboards.  Both stores are exported by
+:mod:`repro.obs.metrics` (Prometheus text, JSONL, per-series CSV).
 """
 
 from repro.monitoring.alerts import Alert, AlertCondition, AlertManager, AlertRule
 from repro.monitoring.counters import CounterBank
 from repro.monitoring.dashboards import render_dashboard, render_series
-from repro.monitoring.export import series_to_csv, series_to_json
 from repro.monitoring.html import render_dashboard_html, save_dashboard_html
 from repro.monitoring.timeseries import SeriesBank, TimeSeries
 
@@ -24,8 +24,6 @@ __all__ = [
     "render_dashboard_html",
     "render_series",
     "save_dashboard_html",
-    "series_to_csv",
-    "series_to_json",
     "SeriesBank",
     "TimeSeries",
 ]

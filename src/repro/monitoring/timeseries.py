@@ -113,6 +113,10 @@ class TimeSeries:
             lo = start + i * bucket_s
         return out
 
+    def last_time(self) -> float | None:
+        """The most recent sample time, or None when empty."""
+        return self._times[-1] if self._times else None
+
     def last_value(self) -> float | None:
         """The most recent sample value, or None when empty."""
         return self._values[-1] if self._values else None

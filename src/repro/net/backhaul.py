@@ -72,8 +72,6 @@ class BackhaulMesh(Process):
         self._routes: dict[tuple[AggregatorId, AggregatorId], Route] = {}
         self._handlers: dict[AggregatorId, BackhaulHandler] = {}
         self._per_hop_cost_s = per_hop_cost_s
-        self._messages_sent = 0
-        self._messages_dropped = 0
         self._partition: list[frozenset[AggregatorId]] | None = None
         self._down: set[AggregatorId] = set()
         self._link_injectors: dict[frozenset[AggregatorId], LinkFaultInjector] = {}
@@ -81,12 +79,12 @@ class BackhaulMesh(Process):
     @property
     def messages_sent(self) -> int:
         """Total messages routed so far."""
-        return self._messages_sent
+        return self.counted("messages_sent")
 
     @property
     def messages_dropped(self) -> int:
         """Messages lost to partitions, downed nodes or link faults."""
-        return self._messages_dropped
+        return self.counted("messages_dropped")
 
     @property
     def partitioned(self) -> bool:
@@ -244,7 +242,6 @@ class BackhaulMesh(Process):
         returned in each case.
         """
         if self._severed(source, destination):
-            self._messages_dropped += 1
             self.count("messages_dropped")
             if span is not None:
                 self._spans.finish(span, "dropped", reason="severed")
@@ -258,7 +255,6 @@ class BackhaulMesh(Process):
                     continue
                 verdict = injector.message_verdict()
                 if verdict in (FaultAction.DROP, FaultAction.CORRUPT):
-                    self._messages_dropped += 1
                     self.count("messages_dropped")
                     if span is not None:
                         self._spans.finish(span, "dropped", reason=verdict.value)
@@ -292,7 +288,6 @@ class BackhaulMesh(Process):
         latency, copies = self._admit(source, destination, span)
         if copies == 0:
             return latency
-        self._messages_sent += 1
         self.count("messages_sent")
 
         def _arrive() -> None:
@@ -300,7 +295,6 @@ class BackhaulMesh(Process):
             # leaves the span's outcome to whichever copy landed first.
             if destination in self._down:
                 # Crashed while the message was in flight.
-                self._messages_dropped += 1
                 self.count("messages_dropped")
                 if span is not None:
                     self._spans.finish(span, "dropped", reason="node_down")

@@ -3,8 +3,9 @@
 The reproduction's answer to the testbed's Grafana: a cross-cutting
 layer that records *protocol conversations* as parent/child spans and
 every actor's trace points as point events in the same stream
-(:mod:`repro.obs.spans`), fronts the counter and series banks with one
-exporting registry (:mod:`repro.obs.metrics`), times the kernel's event
+(:mod:`repro.obs.spans`), snapshots the counter and series banks once
+and renders them as Prometheus text, JSONL or per-series CSV
+(:mod:`repro.obs.metrics`, the one metrics exporter), times the kernel's event
 loop per actor and event type (:mod:`repro.obs.profiler`), and packages
 a run into a self-contained artifact directory — ``spans.jsonl``,
 ``metrics.prom``, ``metrics.jsonl``, ``profile.json``, ``manifest.json``
@@ -29,16 +30,13 @@ from repro.obs.artifacts import (
     read_bundle,
     write_artifacts,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import KernelProfiler
 from repro.obs.session import ObsSession, active, capture
 from repro.obs.spans import Span, SpanTracer
-from repro.obs.validate import validate_artifact_dir
 
 __all__ = [
     "ArtifactBundle",
     "KernelProfiler",
-    "MetricsRegistry",
     "ObsSession",
     "RunArtifact",
     "Span",
@@ -49,6 +47,5 @@ __all__ = [
     "merge_artifact_dirs",
     "merge_profiles",
     "read_bundle",
-    "validate_artifact_dir",
     "write_artifacts",
 ]

@@ -7,8 +7,8 @@ merge of several):
   time, event count), file list.
 * ``spans.jsonl`` — every recorded span, protocol conversations and
   trace points alike, one JSON object per line, in begin order.
-* ``metrics.prom`` / ``metrics.jsonl`` — the
-  :class:`~repro.obs.metrics.MetricsRegistry` exports.
+* ``metrics.prom`` / ``metrics.jsonl`` — the run's counters and series,
+  snapshotted and rendered by :mod:`repro.obs.metrics`.
 * ``profile.json`` — the kernel profiler snapshot (``{"enabled":
   false}`` when profiling was off).
 
@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, render_jsonl, render_prometheus
+from repro.obs.metrics import (
+    fold_counters,
+    render_jsonl,
+    render_prometheus,
+    snapshot_metrics,
+)
 
 FORMAT = "repro-obs/1"
 FILES = ("manifest.json", "spans.jsonl", "metrics.prom", "metrics.jsonl", "profile.json")
@@ -60,17 +65,10 @@ def collect_scenario(scenario: Any) -> RunArtifact:
 
     ``scenario`` is duck-typed (this module must not import
     ``repro.runtime``): anything with ``simulator``, ``counters``,
-    ``aggregators`` and optionally ``spec``/``master_seed`` works.
+    ``monitoring`` and optionally ``spec``/``master_seed`` works.
     """
     sim = scenario.simulator
-    registry = MetricsRegistry()
-    counters = getattr(scenario, "counters", None)
-    if counters is not None:
-        registry.add_counters(counters)
-    for name, unit in getattr(scenario, "aggregators", {}).items():
-        monitoring = getattr(unit, "monitoring", None)
-        if monitoring is not None:
-            registry.add_series(monitoring, prefix=f"{name}.")
+    counters, series = snapshot_metrics(scenario)
     profiler = getattr(sim, "profiler", None)
     spec = getattr(scenario, "spec", None)
     return RunArtifact(
@@ -79,8 +77,8 @@ def collect_scenario(scenario: Any) -> RunArtifact:
         sim_time=sim.now,
         events=sim.events_executed,
         spans=sim.spans.to_dicts(),
-        counters=registry.counter_values(),
-        series=registry.series_entries(),
+        counters=counters,
+        series=series,
         profile=profiler.snapshot() if profiler is not None else {"enabled": False},
     )
 
@@ -109,13 +107,12 @@ def bundle_artifacts(artifacts: list[RunArtifact]) -> ArtifactBundle:
     for index, artifact in enumerate(artifacts):
         for span in artifact.spans:
             bundle.spans.append({**span, "run": index} if many else span)
-        for name, value in artifact.counters.items():
-            bundle.counters[name] = bundle.counters.get(name, 0) + value
         for entry in artifact.series:
             bundle.series.append(
                 {**entry, "name": f"run{index}.{entry['name']}"} if many else entry
             )
         bundle.runs.append(artifact.run_entry())
+    bundle.counters = fold_counters(a.counters for a in artifacts)
     bundle.profile = merge_profiles([a.profile for a in artifacts])
     return bundle
 
@@ -200,19 +197,16 @@ def merge_artifact_dirs(
     wall-clock fields sum too, which is the meaningful aggregate).
     """
     merged = ArtifactBundle()
-    profiles: list[dict[str, Any]] = []
-    for index, directory in enumerate(dirs):
-        part = read_bundle(directory)
+    parts = [read_bundle(directory) for directory in dirs]
+    for index, (directory, part) in enumerate(zip(dirs, parts)):
         merged.spans.extend({**span, "part": index} for span in part.spans)
-        for name, value in part.counters.items():
-            merged.counters[name] = merged.counters.get(name, 0) + value
         merged.series.extend(
             {**entry, "name": f"part{index}.{entry['name']}"} for entry in part.series
         )
         merged.runs.extend({**run, "part": index} for run in part.runs)
-        profiles.append(part.profile)
         merged.merged_from.append(Path(directory).name)
-    merged.profile = merge_profiles(profiles)
+    merged.counters = fold_counters(part.counters for part in parts)
+    merged.profile = merge_profiles([part.profile for part in parts])
     return write_bundle(out_dir, merged)
 
 

@@ -1,33 +1,35 @@
-"""Unified metrics registry fronting ``CounterBank`` and ``SeriesBank``.
+"""The one metrics exporter: a world's snapshot and three renderers.
 
-The monitoring layer grew two unrelated stores: monotonic event
-counters (:class:`~repro.monitoring.counters.CounterBank`) and sampled
-time series (:class:`~repro.monitoring.timeseries.SeriesBank`).  The
-registry presents both through one facade and exports them in two
-machine-readable formats:
-
-* Prometheus text exposition (``to_prometheus``) — three metric
-  families: ``repro_counter`` (counter), ``repro_series_last`` and
-  ``repro_series_samples`` (gauges), each keyed by a ``name`` label so
-  the dynamic counter namespace does not explode the metric-family
-  namespace.
-* JSONL (``to_jsonl``) — one self-describing record per counter/series,
-  the format the run-artifact merge tooling consumes.
-
-Output is deterministic: entries are sorted by name, collisions between
-registered banks sum (counters) or concatenate (series).
+Counts live only in the shared
+:class:`~repro.monitoring.counters.CounterBank`; sampled values live in
+each aggregator's :class:`~repro.monitoring.timeseries.SeriesBank`.
+:func:`snapshot_metrics` reads both into plain data, which renders as
+Prometheus text (:func:`render_prometheus`: a ``repro_counter`` counter
+family and ``repro_series_last``/``repro_series_samples`` gauges, each
+keyed by a ``name`` label so the dynamic counter namespace does not
+explode the family namespace) or as ``metrics.jsonl`` records
+(:func:`render_jsonl`); :func:`write_series_csv` writes the samples
+themselves.  :func:`fold_counters` sums snapshots by name (shards,
+multi-run bundles).  Every output is sorted by name.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
-from typing import TYPE_CHECKING, Any
+import re
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.monitoring.counters import CounterBank
     from repro.monitoring.timeseries import SeriesBank
 
 _LABEL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
+
+# Series names become file names on export; everything outside this set
+# is replaced so exports work on any filesystem.
+_UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
 
 
 def _escape_label(value: str) -> str:
@@ -49,70 +51,45 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-class MetricsRegistry:
-    """Aggregates counter banks and series banks behind one export."""
+def snapshot_metrics(world: Any) -> tuple[dict[str, int], list[dict[str, Any]]]:
+    """A scenario's ``(counters, series)``, duck-typed below ``repro.runtime``.
 
-    def __init__(self) -> None:
-        self._counter_banks: list[tuple[str, CounterBank]] = []
-        self._series_banks: list[tuple[str, SeriesBank]] = []
+    Reads ``world.counters`` (a bank or ``None``) and the
+    ``world.monitoring`` banks (aggregator -> bank), whose series are
+    named ``<aggregator>.<series>`` with their unit, count and last
+    sample.
+    """
+    series: list[dict[str, Any]] = []
+    for aggregator, bank in world.monitoring.items():
+        for name in bank.names:
+            samples = bank[name]
+            series.append(
+                {
+                    "name": f"{aggregator}.{name}",
+                    "unit": samples.unit,
+                    "samples": len(samples),
+                    "last_time": samples.last_time(),
+                    "last_value": samples.last_value(),
+                }
+            )
+    series.sort(key=lambda entry: entry["name"])
+    counters = world.counters
+    return (counters.snapshot() if counters is not None else {}), series
 
-    def add_counters(self, bank: CounterBank, prefix: str = "") -> None:
-        self._counter_banks.append((prefix, bank))
 
-    def add_series(self, bank: SeriesBank, prefix: str = "") -> None:
-        self._series_banks.append((prefix, bank))
-
-    # -- snapshots -----------------------------------------------------
-
-    def counter_values(self) -> dict[str, int]:
-        """All counters, prefixed, summed on name collision, sorted."""
-        merged: dict[str, int] = {}
-        for prefix, bank in self._counter_banks:
-            for name, value in bank.snapshot().items():
-                key = prefix + name
-                merged[key] = merged.get(key, 0) + value
-        return dict(sorted(merged.items()))
-
-    def series_entries(self) -> list[dict[str, Any]]:
-        """One record per series: name, unit, sample count, last value."""
-        entries: list[dict[str, Any]] = []
-        for prefix, bank in self._series_banks:
-            for name in bank.names:
-                series = bank[name]
-                times = series.times
-                entries.append(
-                    {
-                        "name": prefix + name,
-                        "unit": series.unit,
-                        "samples": len(series),
-                        "last_time": times[-1] if times else None,
-                        "last_value": series.last_value(),
-                    }
-                )
-        entries.sort(key=lambda e: e["name"])
-        return entries
-
-    # -- exports -------------------------------------------------------
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format, deterministic ordering."""
-        return render_prometheus(self.counter_values(), self.series_entries())
-
-    def to_records(self) -> list[dict[str, Any]]:
-        return render_records(self.counter_values(), self.series_entries())
-
-    def to_jsonl(self) -> str:
-        return render_jsonl(self.counter_values(), self.series_entries())
+def fold_counters(snapshots: Iterable[Mapping[str, int]]) -> dict[str, int]:
+    """Sum counter snapshots by name, keys sorted like a snapshot's."""
+    totals: dict[str, int] = {}
+    for snapshot in snapshots:
+        for name, value in snapshot.items():
+            totals[name] = totals.get(name, 0) + value
+    return {name: totals[name] for name in sorted(totals)}
 
 
 def render_prometheus(
     counters: dict[str, int], series: list[dict[str, Any]]
 ) -> str:
-    """Render already-snapshotted metrics as Prometheus text.
-
-    Shared by the registry and the artifact merge tooling (which
-    re-renders merged snapshots without the original banks).
-    """
+    """Snapshotted metrics as Prometheus text exposition."""
     lines: list[str] = []
     lines.append("# HELP repro_counter Monotonic event counters from the run.")
     lines.append("# TYPE repro_counter counter")
@@ -136,23 +113,35 @@ def render_prometheus(
     return "\n".join(lines) + "\n"
 
 
-def render_records(
-    counters: dict[str, int], series: list[dict[str, Any]]
-) -> list[dict[str, Any]]:
-    """The ``metrics.jsonl`` records for snapshotted metrics."""
+def render_jsonl(counters: dict[str, int], series: list[dict[str, Any]]) -> str:
+    """Snapshotted metrics as ``metrics.jsonl``: counters, then series."""
     records: list[dict[str, Any]] = [
         {"kind": "counter", "name": name, "value": value}
         for name, value in sorted(counters.items())
     ]
     for entry in sorted(series, key=lambda e: e["name"]):
         records.append({"kind": "series", **entry})
-    return records
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
-def render_jsonl(counters: dict[str, int], series: list[dict[str, Any]]) -> str:
-    import json
-
-    return "".join(
-        json.dumps(record, sort_keys=True) + "\n"
-        for record in render_records(counters, series)
-    )
+def write_series_csv(
+    directory: str | Path, banks: Mapping[str, "SeriesBank"]
+) -> list[Path]:
+    """Write each series of ``banks`` (aggregator -> bank) to
+    ``<aggregator>__<series>.csv``: a ``time_s,value_<unit or raw>``
+    header, then one row per sample.  Returns the paths written.
+    """
+    target = Path(directory)
+    target.mkdir(parents=True, exist_ok=True)
+    written = []
+    for aggregator, bank in banks.items():
+        for name in bank.names:
+            samples = bank[name]
+            path = target / f"{aggregator}__{_UNSAFE_CHARS.sub('_', name)}.csv"
+            with path.open("w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["time_s", f"value_{samples.unit or 'raw'}"])
+                for time, value in zip(samples.times, samples.values):
+                    writer.writerow([f"{time:.6f}", f"{value:.9g}"])
+            written.append(path)
+    return written

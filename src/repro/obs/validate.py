@@ -24,10 +24,11 @@ from typing import Any
 
 SCHEMA_PATH = Path(__file__).with_name("schema.json")
 
-# metric_name{labels} value  — the subset of the exposition format the
-# registry emits (no timestamps, no exemplars).
+# metric_name{labels} value  — the subset of the exposition format
+# repro.obs.metrics renders (no timestamps, no exemplars), including the
+# non-finite spellings +Inf, -Inf and NaN.
 _PROM_SAMPLE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9][0-9eE+.-]*$"
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (-?[0-9][0-9eE+.-]*|[+-]Inf|NaN)$"
 )
 _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),

@@ -9,7 +9,6 @@ run can be reproduced from its own :meth:`snapshot`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -19,9 +18,9 @@ from repro.chain.ledger import Blockchain
 from repro.device.stack import MeteringDevice
 from repro.errors import ConfigError
 from repro.grid.topology import GridTopology
-from repro.monitoring.export import series_to_csv
 from repro.net.backhaul import BackhaulMesh
 from repro.net.channel import WirelessChannel
+from repro.obs.metrics import write_series_csv
 from repro.runtime.context import SimContext
 from repro.runtime.spec import ScenarioSpec
 from repro.sim.kernel import Simulator
@@ -30,11 +29,8 @@ from repro.transport.base import Transport
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.monitoring.counters import CounterBank
+    from repro.monitoring.timeseries import SeriesBank
     from repro.workloads.mobility import MobilityTrace
-
-# Series names become file names on export; everything outside this set
-# is replaced so exports work on any filesystem.
-_UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
 
 
 @dataclass
@@ -68,6 +64,11 @@ class Scenario:
     def counters(self) -> "CounterBank | None":
         """The shared counter bank every layer emits into (via context)."""
         return self.context.counters if self.context is not None else None
+
+    @property
+    def monitoring(self) -> "dict[str, SeriesBank]":
+        """Each aggregator's recorded series, by aggregator name."""
+        return {name: unit.monitoring for name, unit in self.aggregators.items()}
 
     def aggregator(self, name: str) -> AggregatorUnit:
         """Aggregator by name, with a helpful error."""
@@ -164,20 +165,11 @@ class Scenario:
 
         return write_artifacts(directory, [collect_scenario(self)])
 
-    def export_monitoring(self, directory) -> list:
+    def export_monitoring(self, directory) -> list[Path]:
         """Write every aggregator's recorded series as CSV files.
 
         Returns the written paths; files are named
-        ``<aggregator>__<series>.csv`` with filesystem-unsafe
-        characters in the series name replaced by ``_``.
+        ``<aggregator>__<series>.csv``
+        (:func:`~repro.obs.metrics.write_series_csv`).
         """
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, unit in self.aggregators.items():
-            for series_name in unit.monitoring.names:
-                safe = _UNSAFE_CHARS.sub("_", series_name)
-                path = target / f"{name}__{safe}.csv"
-                path.write_text(series_to_csv(unit.monitoring[series_name]))
-                written.append(path)
-        return written
+        return write_series_csv(directory, self.monitoring)

@@ -34,7 +34,7 @@ from typing import Any
 from repro.chain.receipts import find_and_issue, receipt_to_dict
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import render_prometheus, snapshot_metrics
 from repro.protocol.codec import as_message, encode_message, message_from_dict
 from repro.protocol.messages import (
     Ack,
@@ -360,13 +360,7 @@ class AggregatorService:
     def metrics(self) -> str:
         """Prometheus text exposition of the whole served world."""
         with self._lock:
-            registry = MetricsRegistry()
-            counters = self._scenario.counters
-            if counters is not None:
-                registry.add_counters(counters)
-            for name, unit in self._scenario.aggregators.items():
-                registry.add_series(unit.monitoring, prefix=f"{name}.")
-            return registry.to_prometheus()
+            return render_prometheus(*snapshot_metrics(self._scenario))
 
     def healthz(self) -> dict[str, Any]:
         """Liveness and a cheap world snapshot."""

@@ -14,24 +14,28 @@ backhaul latency.  The backhaul mesh is the only cross-shard boundary.
   mesh that routes remote traffic into an outbox,
 * :mod:`repro.shard.engine` — :class:`ShardEngine`, one shard's wired
   world plus its window/absorb/finish drive API,
-* :mod:`repro.shard.merge` — deterministic merge of per-shard chains,
-  counters and monitoring series back into the serial view,
+* :mod:`repro.shard.merge` — deterministic merge of per-shard chains
+  and of the per-name maps (summaries, series banks) back into the
+  serial view; counters fold by name
+  (:func:`repro.obs.metrics.fold_counters`),
 * :mod:`repro.shard.runner` — :func:`run_sharded`, the in-process and
   multi-process orchestrators behind the CLI's ``--shards``.
 
 Determinism contract: for any shard count, noise-free fault set and the
-``direct`` transport, the merged ledger digest, counters and monitoring
-exports are byte-identical to the serial run (``--shards 1`` *is* the
-serial path).
+``direct`` transport, the merged ledger digest, counters, fault schedule
+and monitoring exports are byte-identical to the serial run
+(``--shards 1`` *is* the serial path).  Every shard arms the
+environment faults (channel blackout and noise, backhaul partition), so
+only shard 0 reports their window-opening counters.  One known
+exception: when an aggregator's restart re-arms its block duty ahead of
+an earlier-declared aggregator's at the same instant (the paper testbed
+with ``agg2`` crashing at 15 s for 4 s), the serial kernel flushes the
+later-declared block first, the ``(timestamp, declaration index)``
+merge does not, and the ledger digests differ.
 """
 
 from repro.shard.engine import ShardEngine, ShardResult
-from repro.shard.merge import (
-    merge_aggregator_series,
-    merge_chain_ops,
-    merge_counter_snapshots,
-    merge_series_parts,
-)
+from repro.shard.merge import merge_chain_ops
 from repro.shard.partition import ShardPlan, partition
 from repro.shard.plane import RemoteMessage
 from repro.shard.proxy import ShardBackhaulProxy
@@ -45,9 +49,6 @@ __all__ = [
     "ShardEngine",
     "ShardResult",
     "merge_chain_ops",
-    "merge_counter_snapshots",
-    "merge_series_parts",
-    "merge_aggregator_series",
     "ShardedRun",
     "run_sharded",
 ]

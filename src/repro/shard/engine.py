@@ -31,6 +31,7 @@ from typing import Any
 
 from repro.chain.ledger import Blockchain
 from repro.ids import AggregatorId
+from repro.monitoring.timeseries import SeriesBank
 from repro.runtime.build import build_partial
 from repro.runtime.context import SimContext
 from repro.runtime.scenario import Scenario
@@ -83,8 +84,7 @@ class ShardResult:
         "series",
         "devices_summary",
         "aggregators_summary",
-        "messages_sent",
-        "messages_dropped",
+        "faults",
     )
 
     def __init__(
@@ -95,11 +95,10 @@ class ShardResult:
         busy_s: float,
         chain_ops: list,
         counters: dict[str, int],
-        series: dict[str, list[tuple[str, str, list[float], list[float]]]],
+        series: dict[str, SeriesBank],
         devices_summary: dict,
         aggregators_summary: dict,
-        messages_sent: int,
-        messages_dropped: int,
+        faults: list[dict[str, Any]],
     ) -> None:
         self.index = index
         self.networks = networks
@@ -110,8 +109,7 @@ class ShardResult:
         self.series = series
         self.devices_summary = devices_summary
         self.aggregators_summary = aggregators_summary
-        self.messages_sent = messages_sent
-        self.messages_dropped = messages_dropped
+        self.faults = faults
 
 
 class ShardEngine:
@@ -208,39 +206,30 @@ class ShardEngine:
     # -- results --------------------------------------------------------
 
     def result(self, busy_s: float = 0.0) -> ShardResult:
-        """Package this shard's run for the cross-shard merge."""
+        """Package this shard's run for the cross-shard merge.
+
+        Every shard arms the environment faults, so each counts their
+        window openings; only shard 0 reports those counters, which
+        keeps the merged counts equal to the serial run's.
+        """
         summary = self.scenario.summary()
-        series: dict[str, list[tuple[str, str, list[float], list[float]]]] = {}
-        for name, unit in self.scenario.aggregators.items():
-            bank = unit.monitoring
-            series[name] = [
-                (
-                    series_name,
-                    bank[series_name].unit,
-                    bank[series_name].times,
-                    bank[series_name].values,
-                )
-                for series_name in bank.names
-            ]
-        counters = (
-            self.context.counters.snapshot()
-            if self.context.counters is not None
-            else {}
-        )
+        counters = self.context.counters.snapshot()
+        if self.index != 0:
+            for fault in self.spec.faults:
+                if fault.kind in _GLOBAL_FAULT_KINDS:
+                    counters.pop(f"fault.{fault.name}.activations", None)
+                    if fault.kind == "channel_blackout":
+                        counters.pop(f"{fault.target or 'radio'}.blackouts", None)
+        plan = self.scenario.fault_plan
         return ShardResult(
             index=self.index,
             networks=self.networks,
             events_executed=self.simulator.events_executed,
             busy_s=busy_s,
             chain_ops=list(self.chain.ops),
-            counters=dict(counters),
-            series=series,
+            counters=counters,
+            series=self.scenario.monitoring,
             devices_summary=summary["devices"],
             aggregators_summary=summary["aggregators"],
-            messages_sent=self.proxy.messages_sent,
-            messages_dropped=self.proxy.messages_dropped,
+            faults=plan.describe() if plan is not None else [],
         )
-
-    def write_obs_artifacts(self, directory) -> None:
-        """Write this shard's observability artifacts to ``directory``."""
-        self.scenario.write_obs_artifacts(directory)

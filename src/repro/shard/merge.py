@@ -1,8 +1,12 @@
 """Deterministic merges from per-shard snapshots to the serial view.
 
-Each merge here is a pure function of the shard results (taken in shard
-index order), so the output is independent of how the shards were
-scheduled — the foundation of the byte-identical digest contract.
+:func:`merge_chain_ops` replays the shards' append logs into the serial
+chain; :func:`merge_summaries` unions the per-shard maps keyed by device
+or aggregator name (summaries, and each aggregator's series bank).
+Counters fold with :func:`repro.obs.metrics.fold_counters`.  Each merge
+is a pure function of the shard results (taken in shard index order), so
+the output is independent of how the shards were scheduled — the
+foundation of the byte-identical digest contract.
 """
 
 from __future__ import annotations
@@ -12,12 +16,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.chain.ledger import Blockchain
 from repro.errors import ConfigError
-from repro.monitoring.timeseries import SeriesBank
 from repro.runtime.spec import LedgerSpec
-
-# One shard's recorded series for one aggregator:
-# (name, unit, times, values) per series, bank creation order.
-SeriesPart = Sequence[tuple[str, str, Sequence[float], Sequence[float]]]
 
 
 def merge_chain_ops(
@@ -51,69 +50,11 @@ def merge_chain_ops(
     return chain
 
 
-def merge_counter_snapshots(snapshots: Iterable[dict[str, int]]) -> dict[str, int]:
-    """Sum per-shard counter snapshots; keys sorted like
-    :meth:`~repro.monitoring.counters.CounterBank.snapshot`."""
-    totals: dict[str, int] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.items():
-            totals[name] = totals.get(name, 0) + value
-    return {name: totals[name] for name in sorted(totals)}
-
-
-def merge_series_parts(parts: Sequence[SeriesPart]) -> SeriesBank:
-    """Merge several shards' recordings of (possibly) the same series.
-
-    Series names keep first-seen order across the parts; a name
-    appearing in several parts has its samples interleaved by
-    ``(time, part_index, position)`` — deterministic, and stable for
-    the common disjoint-time case.  Conflicting concrete units raise
-    :class:`~repro.errors.ConfigError` (via
-    :meth:`~repro.monitoring.timeseries.SeriesBank.series`).
-    """
-    bank = SeriesBank()
-    points: dict[str, list[tuple[float, int, int, float]]] = {}
-    for part_index, part in enumerate(parts):
-        for name, unit, times, values in part:
-            bank.series(name, unit)
-            bucket = points.setdefault(name, [])
-            for position, (time, value) in enumerate(zip(times, values)):
-                bucket.append((time, part_index, position, value))
-    for name in bank.names:
-        series = bank[name]
-        for time, _part, _pos, value in sorted(points.get(name, ())):
-            series.append(time, value)
-    return bank
-
-
-def merge_aggregator_series(
-    maps: Sequence[dict[str, SeriesPart]],
-) -> dict[str, SeriesBank]:
-    """Combine per-shard ``{aggregator: series part}`` maps.
-
-    Aggregators are disjoint across shards by construction; the same
-    name appearing twice means two shards both claim to own it, which
-    is a partitioning bug worth failing loudly on.  Output keys follow
-    shard order then each shard's own order — for a round-robin plan of
-    a declaration-ordered spec this is *not* declaration order, so
-    consumers needing that (monitoring export) sort by spec order.
-    """
-    merged: dict[str, SeriesBank] = {}
-    for shard_index, part_map in enumerate(maps):
-        for name, part in part_map.items():
-            if name in merged:
-                raise ConfigError(
-                    f"aggregator {name!r} reported by two shards "
-                    f"(second: shard {shard_index})"
-                )
-            merged[name] = merge_series_parts([part])
-    return merged
-
-
 def merge_summaries(summaries: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """Union per-shard ``{name: stats}`` maps (devices or aggregators).
+    """Union per-shard ``{name: value}`` maps (devices or aggregators).
 
-    Keys are disjoint across shards; collisions raise.
+    Keys are disjoint across shards; two shards claiming one name is a
+    partitioning bug, so collisions raise.
     """
     merged: dict[str, Any] = {}
     for summary in summaries:

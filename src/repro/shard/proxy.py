@@ -107,7 +107,6 @@ class ShardBackhaulProxy(BackhaulMesh):
         latency, copies = self._admit(source, destination, span)
         if copies == 0:
             return latency
-        self._messages_sent += 1
         self.count("messages_sent")
         now = self.sim.now
         for _ in range(copies):
@@ -155,7 +154,6 @@ class ShardBackhaulProxy(BackhaulMesh):
         """
         destination = message.destination
         if destination in self._down:
-            self._messages_dropped += 1
             self.count("messages_dropped")
             self.trace("backhaul.drop_down", destination=str(destination))
             return

@@ -33,20 +33,14 @@ from typing import Any, Iterator
 
 from repro.chain.ledger import Blockchain
 from repro.errors import ConfigError, ExperimentError
-from repro.monitoring.export import series_to_csv
 from repro.monitoring.timeseries import SeriesBank
+from repro.obs.metrics import fold_counters, write_series_csv
 from repro.parallel import available_cpus
 from repro.runtime.build import build
 from repro.runtime.context import SimContext
-from repro.runtime.scenario import _UNSAFE_CHARS
 from repro.runtime.spec import ObsSpec, ScenarioSpec
 from repro.shard.engine import ShardEngine, ShardResult
-from repro.shard.merge import (
-    merge_aggregator_series,
-    merge_chain_ops,
-    merge_counter_snapshots,
-    merge_summaries,
-)
+from repro.shard.merge import merge_chain_ops, merge_summaries
 from repro.shard.partition import ShardPlan, partition
 from repro.shard.plane import RemoteMessage
 
@@ -160,16 +154,7 @@ class ShardedRun:
     def export_monitoring(self, directory) -> list[Path]:
         """Write per-aggregator series CSVs, byte-identical to
         :meth:`Scenario.export_monitoring` on the serial run."""
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name, bank in self.monitoring.items():
-            for series_name in bank.names:
-                safe = _UNSAFE_CHARS.sub("_", series_name)
-                path = target / f"{name}__{safe}.csv"
-                path.write_text(series_to_csv(bank[series_name]))
-                written.append(path)
-        return written
+        return write_series_csv(directory, self.monitoring)
 
 
 def _resolve_obs(spec: ScenarioSpec, obs_dir) -> ObsSpec:
@@ -197,14 +182,8 @@ def _run_serial(spec: ScenarioSpec, until: float, obs_dir) -> ShardedRun:
         groups=(tuple(spec.network_names),),
         window_s=None,
         chain=scenario.chain,
-        counters=(
-            dict(scenario.counters.snapshot())
-            if scenario.counters is not None
-            else {}
-        ),
-        monitoring={
-            name: unit.monitoring for name, unit in scenario.aggregators.items()
-        },
+        counters=scenario.counters.snapshot(),
+        monitoring=scenario.monitoring,
         devices=summary["devices"],
         aggregators=summary["aggregators"],
         shard_events=[scenario.simulator.events_executed],
@@ -229,10 +208,16 @@ def _merge_results(
         spec.network_names,
         ledger=spec.ledger,
     )
-    counters = merge_counter_snapshots(result.counters for result in results)
-    monitoring = merge_aggregator_series([result.series for result in results])
+    counters = fold_counters(result.counters for result in results)
+    monitoring = merge_summaries(result.series for result in results)
     devices = merge_summaries(result.devices_summary for result in results)
     aggregators = merge_summaries(result.aggregators_summary for result in results)
+    # Every shard describes the environment faults it armed; one entry
+    # per fault name, in the serial plan's (start, name) order.
+    faults: dict[str, dict[str, Any]] = {}
+    for result in results:
+        for entry in result.faults:
+            faults.setdefault(entry["name"], entry)
     # Spec declaration order, matching the serial world's dict order.
     return ShardedRun(
         spec=spec,
@@ -254,7 +239,7 @@ def _merge_results(
         shard_events=[result.events_executed for result in results],
         shard_busy_s=[result.busy_s for result in results],
         wall_s=wall_s,
-        faults=[],
+        faults=sorted(faults.values(), key=lambda f: (f["start_at"], f["name"])),
     )
 
 
@@ -290,7 +275,7 @@ def _run_in_process(
         shard_dirs = []
         for index, engine in enumerate(engines):
             shard_dir = Path(obs_dir) / f"shard-{index:04d}"
-            engine.write_obs_artifacts(shard_dir)
+            engine.scenario.write_obs_artifacts(shard_dir)
             shard_dirs.append(shard_dir)
         _merge_obs(shard_dirs, obs_dir)
     results = [engine.result(busy[index]) for index, engine in enumerate(engines)]
@@ -345,7 +330,7 @@ def _shard_worker(
         engine.finish(until)
         busy += time.process_time() - t0
         if obs_dir is not None:
-            engine.write_obs_artifacts(obs_dir)
+            engine.scenario.write_obs_artifacts(obs_dir)
         conn.send(engine.result(busy))
     except BaseException as exc:  # surface the failure to the parent
         conn.send(ExperimentError(f"shard {index} failed: {exc!r}"))

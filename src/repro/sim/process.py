@@ -107,6 +107,18 @@ class Process:
         counts[name] = value
         return value
 
+    def counted(self, metric: str) -> int:
+        """This actor's current ``metric`` count, 0 if never counted.
+
+        The read side of :meth:`count`: the bank is the only place a
+        count lives, and reading never creates a key, so a snapshot
+        holds only counters that were incremented.
+        """
+        name = self._counter_names.get(metric)
+        if name is None:
+            name = f"{self._name}.{metric}"
+        return self._counts.get(name, 0)
+
     def trace(self, category: str, **detail: Any) -> None:
         """Record a trace point attributed to this actor.
 

@@ -332,7 +332,6 @@ class Cohort:
             tick_seqs.append(sequence)
             seqs[i] = sequence + 1
             device._sequence = sequence + 1
-            device._reports_sent += 1
             mcu = member.mcu
             mcu._time_by_index[_IDLE_INDEX] = idle_list[i]
             mcu._state_entered_at = now
@@ -666,7 +665,6 @@ class VectorFleet:
             if screened:
                 stats.reports_screened += screened
             if accepted:
-                unit._acks_sent += accepted
                 counts[acks_key] = counts.get(acks_key, 0) + accepted
                 broker._messages_routed += accepted
 

@@ -1,7 +1,5 @@
 """Tests for time series, dashboards and exports."""
 
-import json
-
 import pytest
 
 from repro.errors import ConfigError
@@ -10,11 +8,9 @@ from repro.monitoring import (
     TimeSeries,
     render_dashboard,
     render_series,
-    series_to_csv,
-    series_to_json,
 )
 from repro.monitoring.dashboards import sparkline
-from repro.monitoring.export import export_bank
+from repro.obs.metrics import write_series_csv
 
 
 def filled_series(n=10, step=1.0):
@@ -64,6 +60,8 @@ class TestTimeSeries:
     def test_last_value(self):
         assert filled_series(3).last_value() == 2.0
         assert TimeSeries("x").last_value() is None
+        assert filled_series(3, step=0.5).last_time() == 1.0
+        assert TimeSeries("x").last_time() is None
 
     def test_resample_edges_do_not_drift(self):
         # Pre-fix the loop accumulated `edge += bucket_s`, so with a
@@ -151,44 +149,12 @@ class TestDashboards:
 
 
 class TestExport:
-    def test_csv_has_header_and_rows(self):
-        text = series_to_csv(filled_series(3))
-        lines = text.strip().splitlines()
+    def test_csv_has_header_and_rows(self, tmp_path):
+        bank = SeriesBank()
+        bank.record("received:device1", 0.0, 1.0, unit="mA")
+        bank.record("received:device1", 1.0, 2.5)
+        (path,) = write_series_csv(tmp_path, {"agg1": bank})
+        assert path == tmp_path / "agg1__received_device1.csv"
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "time_s,value_mA"
-        assert len(lines) == 4
-
-    def test_json_roundtrip(self):
-        data = json.loads(series_to_json(filled_series(3)))
-        assert data["name"] == "test"
-        assert data["values"] == [0.0, 1.0, 2.0]
-
-    def test_export_bank_writes_files(self, tmp_path):
-        bank = SeriesBank()
-        bank.record("received:device1", 0.0, 1.0)
-        paths = export_bank(bank, tmp_path)
-        assert len(paths) == 1
-        assert paths[0].exists()
-        assert "received_device1" in paths[0].name
-
-    def test_export_bank_dedupes_sanitized_collisions(self, tmp_path):
-        # "a/b" and "a:b" both sanitize to "a_b" — pre-fix the second
-        # export silently overwrote the first.
-        bank = SeriesBank()
-        bank.record("a/b", 0.0, 1.0)
-        bank.record("a:b", 0.0, 2.0)
-        paths = export_bank(bank, tmp_path)
-        assert len(paths) == 2
-        assert len(set(paths)) == 2
-        assert all(p.exists() for p in paths)
-        contents = {p.read_text() for p in paths}
-        assert len(contents) == 2  # both series' data survived
-
-    def test_export_bank_suffix_never_shadows_literal_name(self, tmp_path):
-        # A series literally named like the dedupe suffix must not be
-        # overwritten by a deduped neighbour.
-        bank = SeriesBank()
-        bank.record("a_b.1", 0.0, 0.0)
-        bank.record("a/b", 0.0, 1.0)
-        bank.record("a:b", 0.0, 2.0)
-        paths = export_bank(bank, tmp_path)
-        assert len(set(paths)) == 3
+        assert lines[1:] == ["0.000000,1", "1.000000,2.5"]

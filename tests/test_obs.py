@@ -3,21 +3,27 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.monitoring.counters import CounterBank
 from repro.monitoring.timeseries import SeriesBank
 from repro.obs import (
-    MetricsRegistry,
     capture,
     collect_scenario,
     merge_artifact_dirs,
     merge_profiles,
     read_bundle,
-    validate_artifact_dir,
+)
+from repro.obs.metrics import (
+    fold_counters,
+    render_jsonl,
+    render_prometheus,
+    snapshot_metrics,
 )
 from repro.obs.spans import DISABLED_TRACER, NOOP_SPAN, SpanTracer
+from repro.obs.validate import validate_artifact_dir
 from repro.runtime import ObsSpec, TransportSpec, build
 from repro.workloads.scenarios import paper_testbed_spec, scaled_spec
 
@@ -96,26 +102,25 @@ class TestSpanTracer:
 
 
 class TestMetricsRegistry:
-    def make_registry(self):
+    """The world snapshot, the counter fold and the renderers."""
+
+    def make_snapshot(self):
         counters = CounterBank()
         counters.increment("reports_sent", 3)
         series = SeriesBank()
         series.record("feeder", 0.0, 1.5, unit="mA")
         series.record("feeder", 1.0, 2.5)
-        registry = MetricsRegistry()
-        registry.add_counters(counters)
-        registry.add_series(series, prefix="agg1.")
-        return registry
+        return snapshot_metrics(SimpleNamespace(counters=counters, monitoring={"agg1": series}))
 
     def test_prometheus_text(self):
-        text = self.make_registry().to_prometheus()
+        text = render_prometheus(*self.make_snapshot())
         assert 'repro_counter{name="reports_sent"} 3' in text
         assert 'repro_series_last{name="agg1.feeder",unit="mA"} 2.5' in text
         assert 'repro_series_samples{name="agg1.feeder"} 2' in text
 
     def test_jsonl_records(self):
         records = [
-            json.loads(line) for line in self.make_registry().to_jsonl().splitlines()
+            json.loads(line) for line in render_jsonl(*self.make_snapshot()).splitlines()
         ]
         kinds = {r["kind"] for r in records}
         assert kinds == {"counter", "series"}
@@ -132,24 +137,22 @@ class TestMetricsRegistry:
         series.record("pos", 0.0, math.inf)
         series.record("neg", 0.0, -math.inf)
         series.record("bad", 0.0, math.nan)
-        registry = MetricsRegistry()
-        registry.add_series(series)
-        text = registry.to_prometheus()
-        assert 'repro_series_last{name="pos"} +Inf' in text
-        assert 'repro_series_last{name="neg"} -Inf' in text
-        assert 'repro_series_last{name="bad"} NaN' in text
+        world = SimpleNamespace(counters=None, monitoring={"agg": series})
+        text = render_prometheus(*snapshot_metrics(world))
+        assert 'repro_series_last{name="agg.pos"} +Inf' in text
+        assert 'repro_series_last{name="agg.neg"} -Inf' in text
+        assert 'repro_series_last{name="agg.bad"} NaN' in text
         for spelling in ("inf", "nan"):
             for line in text.splitlines():
                 assert not line.endswith(spelling), line
 
     def test_counter_collisions_sum(self):
-        a, b = CounterBank(), CounterBank()
-        a.increment("x", 1)
-        b.increment("x", 2)
-        registry = MetricsRegistry()
-        registry.add_counters(a)
-        registry.add_counters(b)
-        assert registry.counter_values() == {"x": 3}
+        # The one counter fold: shards' snapshots and multi-run bundles
+        # sum by name into a snapshot-ordered dict.
+        merged = fold_counters([{"x": 1, "z": 2}, {"x": 2, "a": 4}, {}])
+        assert merged == {"a": 4, "x": 3, "z": 2}
+        assert list(merged) == ["a", "x", "z"]
+        assert fold_counters([]) == {}
 
 
 class TestObsSpec:
@@ -298,6 +301,12 @@ class TestArtifacts:
         assert bundle.spans == []
         assert bundle.profile == {"enabled": False}
         assert bundle.counters  # counters exist regardless of obs
+        # Non-finite samples render as +Inf/-Inf/NaN, which must validate.
+        bank = scenario.aggregator("agg1").monitoring
+        for name, value in (("pos", math.inf), ("neg", -math.inf), ("bad", math.nan)):
+            bank.record(name, 2.0, value, unit="mA")
+        scenario.write_obs_artifacts(tmp_path / "non-finite")
+        assert validate_artifact_dir(tmp_path / "non-finite") == []
 
     def test_merge_is_deterministic_and_sums(self, tmp_path):
         for index, seed in enumerate((7, 8)):

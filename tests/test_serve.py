@@ -9,6 +9,7 @@ import pytest
 from repro.chain.receipts import receipt_from_dict
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId, parse_address
+from repro.obs.artifacts import collect_scenario, write_artifacts
 from repro.protocol.codec import encode_message
 from repro.protocol.messages import RegistrationRequest
 from repro.runtime import ScenarioSpec, ServeSpec, TransportSpec, build
@@ -257,13 +258,16 @@ class TestAggregatorService:
         with pytest.raises(ConfigError):
             service.ledger_headers(count=0)
 
-    def test_metrics_exposition(self):
+    def test_metrics_exposition(self, tmp_path):
         service = AggregatorService(serve_spec())
         service.register(encode_message(RegistrationRequest(DeviceId("ext-1"))))
         service.ingest(json.dumps([report_dict("ext-1", 1)]))
         text = service.metrics()
         assert "# TYPE repro_counter counter" in text
         assert 'name="serve.reports_ingested"' in text
+        # /metrics and the artifact exporter are one pipeline.
+        paths = write_artifacts(tmp_path, [collect_scenario(service.scenario)])
+        assert text == paths["metrics.prom"].read_text()
 
     def test_healthz_tracks_world(self):
         service = AggregatorService(serve_spec())

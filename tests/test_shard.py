@@ -8,10 +8,12 @@ Covers the sharding contract end to end:
   and partitioner-level "more shards than aggregators" guards, and the
   conservative window (always <= the minimum cross-shard backhaul
   latency; a requested window can only shorten it),
-* determinism — the pinned seed-7 reference digest, counters, summary
-  maps and monitoring CSV exports are byte-identical for ``--shards``
-  in {1, 2, 4}, on a full and a line mesh, in-process and across
-  worker processes, and for any randomized assignment (hypothesis),
+* determinism — the pinned seed-7 reference digest, the whole snapshot
+  (counters, fault schedule, summary maps) and monitoring CSV exports
+  are byte-identical for ``--shards`` in {1, 2, 4}, on a full and a line
+  mesh, under an aggregator crash and a radio blackout, in-process and
+  across worker processes, and for any randomized assignment
+  (hypothesis); an ``agg2`` crash is the known exception,
 * the cross-shard message plane — a roaming membership-verify round
   trip crosses the pipe-less plane and comes back,
 * the CLI ``--shards`` flag.
@@ -32,7 +34,7 @@ from repro.runtime.spec import MeshSpec, TransportSpec
 from repro.shard import ShardEngine, partition, run_sharded
 from repro.shard.runner import _boundaries, _route
 from repro.sim.kernel import Simulator
-from repro.workloads.scenarios import scaled_spec
+from repro.workloads.scenarios import blackout_spec, crash_spec, scaled_spec
 
 # Merged ledger tip hash of the seed-7 reference fleet below run to
 # t=4.0.  Captured on the serial path; every shard count, execution
@@ -59,6 +61,24 @@ def reference_spec(
     return dataclasses.replace(
         spec, mesh=MeshSpec(topology=mesh, latency_s=mesh_latency_s)
     )
+
+
+def sharding_world(name: str) -> tuple[ScenarioSpec, float]:
+    """A world for the shards-vs-serial check, and its horizon.
+
+    ``full``/``line`` are the reference fleet on that mesh; the rest are
+    paper-testbed chaos worlds on the direct transport, run to 30 s.
+    """
+    if name in ("full", "line"):
+        return reference_spec(mesh=name), 4.0
+    chaos = {
+        "crash": crash_spec(seed=7),
+        "blackout": blackout_spec(seed=7),
+        "agg2-crash": crash_spec(
+            seed=7, crash_at=15.0, outage_s=4.0, aggregator="agg2"
+        ),
+    }[name]
+    return dataclasses.replace(chaos, transport=TransportSpec(kind="direct")), 30.0
 
 
 class TestRunWindow:
@@ -158,26 +178,38 @@ class TestDeterminism:
         assert run.ledger_digest == SHARD_REFERENCE_SEED7_DIGEST
 
     @pytest.mark.parametrize(
-        ("mesh", "shards"),
+        ("world", "shards"),
         [
             pytest.param("full", 2, id="2"),
             pytest.param("full", 4, id="4"),
             pytest.param("line", 2, id="line-2"),
             pytest.param("line", 4, id="line-4"),
+            pytest.param("crash", 2, id="crash-2"),
+            pytest.param("blackout", 2, id="blackout-2"),
+            pytest.param(
+                "agg2-crash",
+                2,
+                id="agg2-crash-2",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason=(
+                        "after agg2's restart re-arms its duties the serial "
+                        "kernel flushes agg2's 20.0 s block before agg1's; the "
+                        "(timestamp, declaration index) merge puts agg1 first"
+                    ),
+                ),
+            ),
         ],
     )
-    def test_sharded_matches_serial_everywhere(self, tmp_path, mesh, shards):
-        spec = reference_spec(mesh=mesh)
-        serial = run_sharded(spec, 4.0, shards=1)
-        run = run_sharded(spec, 4.0, shards=shards, processes=False)
-        assert run.ledger_digest == SHARD_REFERENCE_SEED7_DIGEST
-        assert run.counters == serial.counters
-        assert run.devices == serial.devices
-        assert run.aggregators == serial.aggregators
-        assert run.chain.height == serial.chain.height
-        assert run.summary()["total_energy_mwh"] == pytest.approx(
-            serial.summary()["total_energy_mwh"]
-        )
+    def test_sharded_matches_serial_everywhere(self, tmp_path, world, shards):
+        spec, until = sharding_world(world)
+        serial = run_sharded(spec, until, shards=1)
+        run = run_sharded(spec, until, shards=shards, processes=False)
+        if world in ("full", "line"):
+            assert run.ledger_digest == SHARD_REFERENCE_SEED7_DIGEST
+        expected, actual = serial.snapshot(), run.snapshot()
+        del expected["sharding"], actual["sharding"]
+        assert actual == expected
         serial_dir = tmp_path / "serial"
         shard_dir = tmp_path / f"s{shards}"
         serial.export_monitoring(serial_dir)

@@ -1,7 +1,7 @@
-"""Cross-shard merge tests: chains, counters, series banks, summaries.
+"""Cross-shard merge tests: chains and per-name maps.
 
 The merge layer is pure data-in/data-out, so these tests drive it with
-hand-built shard snapshots — unit conflicts, name collisions, empty
+hand-built shard snapshots — same-instant ties, name collisions, empty
 shards — without spinning up engines.
 """
 
@@ -10,13 +10,7 @@ import pytest
 from repro.chain.ledger import Blockchain
 from repro.errors import ConfigError
 from repro.runtime.spec import LedgerSpec
-from repro.shard.merge import (
-    merge_aggregator_series,
-    merge_chain_ops,
-    merge_counter_snapshots,
-    merge_series_parts,
-    merge_summaries,
-)
+from repro.shard.merge import merge_chain_ops, merge_summaries
 
 
 def _record(device: str, seq: int) -> dict:
@@ -67,86 +61,6 @@ class TestChainMerge:
         merged = merge_chain_ops([ops], names)
         assert merged.get(0).records[0]["sequence"] == 0
         assert merged.get(1).records[0]["sequence"] == 1
-
-
-class TestCounterMerge:
-    def test_sums_across_shards(self):
-        merged = merge_counter_snapshots(
-            [{"a": 1, "b": 2}, {"b": 3, "c": 4}, {}]
-        )
-        assert merged == {"a": 1, "b": 5, "c": 4}
-
-    def test_keys_sorted_like_counterbank_snapshot(self):
-        merged = merge_counter_snapshots([{"z": 1}, {"a": 1}])
-        assert list(merged) == ["a", "z"]
-
-    def test_no_shards(self):
-        assert merge_counter_snapshots([]) == {}
-
-
-class TestSeriesMerge:
-    def test_disjoint_names_keep_order_and_units(self):
-        bank = merge_series_parts(
-            [
-                [("current", "mA", [0.0, 1.0], [5.0, 6.0])],
-                [("voltage", "V", [0.5], [3.3])],
-            ]
-        )
-        assert bank.names == ["current", "voltage"]
-        assert bank["current"].unit == "mA"
-        assert bank["current"].values == [5.0, 6.0]
-        assert bank["voltage"].times == [0.5]
-
-    def test_name_collision_interleaves_by_time(self):
-        bank = merge_series_parts(
-            [
-                [("load", "W", [0.0, 2.0], [1.0, 3.0])],
-                [("load", "W", [1.0], [2.0])],
-            ]
-        )
-        assert bank["load"].times == [0.0, 1.0, 2.0]
-        assert bank["load"].values == [1.0, 2.0, 3.0]
-
-    def test_unit_conflict_raises(self):
-        with pytest.raises(ConfigError, match="refusing conflicting unit"):
-            merge_series_parts(
-                [
-                    [("load", "W", [0.0], [1.0])],
-                    [("load", "mA", [1.0], [2.0])],
-                ]
-            )
-
-    def test_wildcard_unit_adopts_concrete(self):
-        bank = merge_series_parts(
-            [
-                [("load", "", [0.0], [1.0])],
-                [("load", "W", [1.0], [2.0])],
-            ]
-        )
-        assert bank["load"].unit == "W"
-
-    def test_empty_parts(self):
-        assert merge_series_parts([]).names == []
-        assert merge_series_parts([[], []]).names == []
-
-
-class TestAggregatorSeriesMerge:
-    def test_disjoint_aggregators(self):
-        merged = merge_aggregator_series(
-            [
-                {"net-0": [("s", "", [0.0], [1.0])]},
-                {"net-1": [("s", "", [0.0], [2.0])]},
-            ]
-        )
-        assert set(merged) == {"net-0", "net-1"}
-        assert merged["net-1"]["s"].values == [2.0]
-
-    def test_duplicate_aggregator_raises(self):
-        with pytest.raises(ConfigError, match="two shards"):
-            merge_aggregator_series([{"net-0": []}, {"net-0": []}])
-
-    def test_empty_shard_maps(self):
-        assert merge_aggregator_series([{}, {}]) == {}
 
 
 class TestSummaryMerge:

@@ -97,6 +97,13 @@ class TestProcess:
         assert point.span_id > opened.span_id
         assert sim.spans.by_name("cat") == sim.spans.by_actor("me") == [point]
 
+    def test_counted_reads_the_bank_without_creating_keys(self):
+        proc = Process(Simulator(), "p")
+        assert proc.counted("sent") == 0
+        assert proc.counters.snapshot() == {}
+        proc.count("sent", 2)
+        assert proc.counted("sent") == proc.counters.get("p.sent") == 2
+
     def test_default_simulator_retains_nothing_per_trace(self):
         sim = Simulator()
         proc = Process(sim, "p")

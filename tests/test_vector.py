@@ -297,7 +297,7 @@ class TestProfilerWeights:
         assert all("weighted" not in s for s in snap["by_label"].values())
 
     def test_sharded_merge_keeps_device_equivalents(self, tmp_path):
-        from repro.obs import validate_artifact_dir
+        from repro.obs.validate import validate_artifact_dir
         from repro.shard import run_sharded
 
         # Spans off: a span-recording world keeps devices out of cohorts.
