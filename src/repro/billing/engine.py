@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.billing.invoice import Invoice, InvoiceLine
+from repro.billing.invoice import Invoice, InvoiceLine, check_period
 from repro.billing.tariff import Tariff
 from repro.chain.ledger import Blockchain
-from repro.errors import BillingError
 from repro.ids import DeviceId
 
 
@@ -55,11 +54,7 @@ class BillingEngine:
         exactly ``end`` is billed by the next period's invoice, never
         both.
         """
-        start, end = period
-        if end < start:
-            raise BillingError(f"inverted billing period [{start}, {end})")
-        if end == start:
-            raise BillingError(f"empty billing period [{start}, {end})")
+        start, end = check_period(period, "billing")
         tariff = self._tariff_for(device_id.uid)
         invoice = Invoice(device=device_id.name, period=period)
         seen_sequences: set[int] = set()
@@ -84,7 +79,7 @@ class BillingEngine:
 
     def settlement_summary(self, period: tuple[float, float]) -> dict[str, Any]:
         """Totals per device name over a half-open period ``[start, end)``."""
-        start, end = period
+        start, end = check_period(period, "billing")
         totals: dict[str, float] = {}
         for block in self._chain:
             for record in block.records:

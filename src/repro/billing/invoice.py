@@ -13,6 +13,21 @@ from dataclasses import dataclass, field
 from repro.errors import BillingError
 
 
+def check_period(period: tuple[float, float], kind: str) -> tuple[float, float]:
+    """``(start, end)`` of a half-open ``[start, end)`` ``kind`` period.
+
+    An inverted period and an empty one raise different
+    :class:`BillingError` messages, so a caller's swapped bounds are not
+    reported as a benign empty window.
+    """
+    start, end = period
+    if end < start:
+        raise BillingError(f"inverted {kind} period [{start}, {end})")
+    if end == start:
+        raise BillingError(f"empty {kind} period [{start}, {end})")
+    return start, end
+
+
 @dataclass(frozen=True)
 class InvoiceLine:
     """One priced ledger record."""
@@ -55,9 +70,9 @@ class Invoice:
     def add_line(self, line: InvoiceLine) -> None:
         """Append one record and update the totals."""
         start, end = self.period
-        if not start <= line.measured_at <= end:
+        if not start <= line.measured_at < end:
             raise BillingError(
-                f"record at {line.measured_at} outside period [{start}, {end}]"
+                f"record at {line.measured_at} outside period [{start}, {end})"
             )
         self.lines.append(line)
         if line.roaming:

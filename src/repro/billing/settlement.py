@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.billing.invoice import check_period
 from repro.billing.tariff import Tariff
 from repro.chain.ledger import Blockchain
 from repro.errors import BillingError
@@ -80,11 +81,7 @@ class SettlementEngine:
         exactly ``end`` belongs to the *next* period, so adjacent
         settlement runs never bill the same record twice.
         """
-        start, end = period
-        if end < start:
-            raise BillingError(f"inverted settlement period [{start}, {end})")
-        if end == start:
-            raise BillingError(f"empty settlement period [{start}, {end})")
+        start, end = check_period(period, "settlement")
         totals: dict[tuple[str, str], tuple[float, float]] = {}
         for block in self._chain:
             for record in block.records:

@@ -70,17 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        default=None,
-        metavar="N",
-        help=(
-            "run a --scenario world partitioned across N kernel shards "
-            "('auto' detects the usable CPU count; requires transport "
-            "'direct' for N > 1; output is byte-identical for any N; "
-            "default: the spec's sharding block, i.e. serial)"
-        ),
-    )
-    parser.add_argument(
         "--vector",
         action="store_true",
         help=(
@@ -104,18 +93,14 @@ def run_scenario_file(
     path: str,
     until: float,
     obs_dir: str | None = None,
-    shards: int | str | None = None,
     vector: bool = False,
 ) -> dict:
     """Build the spec in ``path``, run it and return the snapshot.
 
     With ``obs_dir``, observability is force-enabled for the run (a
     spec's own ``obs`` block still wins) and the artifact directory is
-    written there.  With ``shards`` (a count or ``"auto"``), the run
-    goes through :func:`~repro.shard.runner.run_sharded` — the snapshot
-    gains a ``sharding`` block but is otherwise the same world, merged
-    back to the serial view.  With ``vector``, the vectorized fleet
-    actor is force-enabled on top of the spec's own ``vector`` block.
+    written there.  With ``vector``, the vectorized fleet actor is
+    force-enabled on top of the spec's own ``vector`` block.
     """
     import dataclasses
 
@@ -126,10 +111,6 @@ def run_scenario_file(
         spec = dataclasses.replace(
             spec, vector=dataclasses.replace(spec.vector, enabled=True)
         )
-    if shards is not None or spec.sharding.shards > 1:
-        from repro.shard.runner import run_sharded
-
-        return run_sharded(spec, until, shards, obs_dir=obs_dir).snapshot()
     if obs_dir is None:
         scenario = build(spec)
         scenario.run_until(until)
@@ -219,15 +200,15 @@ def run_serve(argv: list[str]) -> int:
     return 0
 
 
-def _parse_count(value: str | None, flag: str) -> int | str | None:
-    """``'auto'``/``'0'`` mean autodetect; otherwise a positive count."""
-    if value is None or value == "auto":
-        return value
-    try:
-        count = int(value)
-    except ValueError:
-        raise SystemExit(f"{flag} must be an integer or 'auto', got {value!r}")
-    return "auto" if count == 0 else count
+def _parse_workers(value: str) -> int | None:
+    """``--workers``: a positive count, or ``'auto'``/``'0'`` (``None``: detect)."""
+    if value == "auto":
+        return None
+    if not value.isdecimal():
+        raise SystemExit(
+            f"--workers must be a non-negative integer or 'auto', got {value!r}"
+        )
+    return int(value) or None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
             args.scenario,
             args.until,
             obs_dir=args.obs_dir,
-            shards=_parse_count(args.shards, "--shards"),
             vector=args.vector,
         )
         text = json.dumps(snapshot, indent=2, default=str)
@@ -257,11 +237,8 @@ def main(argv: list[str] | None = None) -> int:
             (out_dir / "scenario_snapshot.json").write_text(text + "\n")
         return 0
     names = args.experiments or None
-    workers = _parse_count(args.workers, "--workers")
     outputs = run_all(
-        names,
-        workers=None if workers == "auto" else workers,
-        obs_dir=args.obs_dir,
+        names, workers=_parse_workers(args.workers), obs_dir=args.obs_dir
     )
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:

@@ -162,27 +162,14 @@ class BackhaulMesh(Process):
         """Attach an aggregator and its receive handler to the mesh."""
         if aggregator_id in self._handlers:
             raise BackhaulError(f"{aggregator_id} already on the mesh")
-        self._add_node(aggregator_id)
-        self._handlers[aggregator_id] = handler
-
-    def _add_node(self, aggregator_id: AggregatorId) -> None:
-        """Make ``aggregator_id`` routable (links may then touch it)."""
         self._links.setdefault(aggregator_id, {})
         self._routes.clear()
-
-    def _knows(self, aggregator_id: AggregatorId) -> bool:
-        """Whether this mesh can route to ``aggregator_id``.
-
-        The serial mesh only knows aggregators with a local handler; the
-        shard proxy widens this to cover remote (other-shard) nodes so
-        the full spec topology can be wired on every shard.
-        """
-        return aggregator_id in self._handlers
+        self._handlers[aggregator_id] = handler
 
     def connect(self, link: BackhaulLink) -> None:
         """Add one mesh link (re-wiring a pair replaces its latency)."""
         for end in (link.a, link.b):
-            if not self._knows(end):
+            if end not in self._handlers:
                 raise BackhaulError(f"{end} is not on the mesh")
         self._links[link.a][link.b] = link.latency_s
         self._links[link.b][link.a] = link.latency_s
@@ -230,41 +217,6 @@ class BackhaulMesh(Process):
         """End-to-end latency along the best path."""
         return self.route(source, destination)[0]
 
-    def _admit(
-        self, source: AggregatorId, destination: AggregatorId, span: Any
-    ) -> tuple[float, int]:
-        """Fault gauntlet shared by :meth:`send` and the shard proxy.
-
-        Returns ``(latency, copies)``; ``copies == 0`` means the message
-        was dropped and the drop bookkeeping (counter, span) has already
-        happened.  A severed drop reports latency ``0.0``, an injector
-        drop the path latency — matching what :meth:`send` has always
-        returned in each case.
-        """
-        if self._severed(source, destination):
-            self.count("messages_dropped")
-            if span is not None:
-                self._spans.finish(span, "dropped", reason="severed")
-            return 0.0, 0
-        latency, path = self.route(source, destination)
-        copies = 1
-        if self._link_injectors:
-            for a, b in zip(path, path[1:]):
-                injector = self._link_injectors.get(frozenset((a, b)))
-                if injector is None:
-                    continue
-                verdict = injector.message_verdict()
-                if verdict in (FaultAction.DROP, FaultAction.CORRUPT):
-                    self.count("messages_dropped")
-                    if span is not None:
-                        self._spans.finish(span, "dropped", reason=verdict.value)
-                    return latency, 0
-                if verdict is FaultAction.DELAY:
-                    latency += injector.extra_delay_s
-                elif verdict is FaultAction.DUPLICATE:
-                    copies = 2
-        return latency, copies
-
     def send(self, source: AggregatorId, destination: AggregatorId, payload: Any) -> float:
         """Deliver ``payload`` to ``destination``; returns the latency.
 
@@ -285,9 +237,28 @@ class BackhaulMesh(Process):
                 source=source.name,
                 destination=destination.name,
             )
-        latency, copies = self._admit(source, destination, span)
-        if copies == 0:
-            return latency
+        if self._severed(source, destination):
+            self.count("messages_dropped")
+            if span is not None:
+                self._spans.finish(span, "dropped", reason="severed")
+            return 0.0
+        latency, path = self.route(source, destination)
+        copies = 1
+        if self._link_injectors:
+            for a, b in zip(path, path[1:]):
+                injector = self._link_injectors.get(frozenset((a, b)))
+                if injector is None:
+                    continue
+                verdict = injector.message_verdict()
+                if verdict in (FaultAction.DROP, FaultAction.CORRUPT):
+                    self.count("messages_dropped")
+                    if span is not None:
+                        self._spans.finish(span, "dropped", reason=verdict.value)
+                    return latency
+                if verdict is FaultAction.DELAY:
+                    latency += injector.extra_delay_s
+                elif verdict is FaultAction.DUPLICATE:
+                    copies = 2
         self.count("messages_sent")
 
         def _arrive() -> None:

@@ -9,8 +9,8 @@ family and ``repro_series_last``/``repro_series_samples`` gauges, each
 keyed by a ``name`` label so the dynamic counter namespace does not
 explode the family namespace) or as ``metrics.jsonl`` records
 (:func:`render_jsonl`); :func:`write_series_csv` writes the samples
-themselves.  :func:`fold_counters` sums snapshots by name (shards,
-multi-run bundles).  Every output is sorted by name.
+themselves.  :func:`fold_counters` sums snapshots by name (multi-run
+bundles, merged artifact directories).  Every output is sorted by name.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@
   the experiment harnesses drive.
 """
 
-from repro.runtime.build import add_device, add_network, build, build_partial
+from repro.runtime.build import add_device, add_network, build
 from repro.runtime.context import SimContext, coerce_context
 from repro.runtime.scenario import Scenario
 from repro.runtime.spec import (
@@ -25,7 +25,6 @@ from repro.runtime.spec import (
     ProfileSpec,
     ScenarioSpec,
     ServeSpec,
-    ShardSpec,
     TransportSpec,
     VectorSpec,
 )
@@ -43,11 +42,9 @@ __all__ = [
     "LedgerSpec",
     "TransportSpec",
     "ObsSpec",
-    "ShardSpec",
     "VectorSpec",
     "ServeSpec",
     "build",
-    "build_partial",
     "add_network",
     "add_device",
 ]

@@ -15,8 +15,6 @@ world — same ledger digest, same snapshot — every time.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.aggregator.unit import AggregatorConfig, AggregatorUnit
 from repro.chain.ledger import Blockchain
 from repro.chain.sync import SyncPolicy
@@ -166,69 +164,57 @@ def add_device(
     return device
 
 
-def build_partial(
+def build(
     spec: ScenarioSpec,
     *,
-    context: SimContext,
-    mesh: BackhaulMesh | None = None,
-    chain: Blockchain | None = None,
-    networks: set[str] | None = None,
-    fault_filter: "Callable[[FaultSpec], bool] | None" = None,
     device_config: DeviceConfig | None = None,
     aggregator_config: AggregatorConfig | None = None,
     segment: WireSegment | None = None,
 ) -> Scenario:
-    """Wire ``spec`` (or a network subset of it) into a :class:`Scenario`.
-
-    The partitioning workhorse behind both :func:`build` (full world,
-    default mesh/chain) and the shard engine (one shard's networks and
-    devices on a per-shard kernel, a
-    :class:`~repro.shard.proxy.ShardBackhaulProxy` as the mesh and a
-    recording chain).
+    """Compile ``spec`` into a fully wired :class:`Scenario`.
 
     Args:
         spec: The declarative world description.
-        context: The context whose kernel/counters everything hangs off.
-        mesh: Backhaul to wire instead of a fresh :class:`BackhaulMesh`.
-            When ``networks`` is a strict subset, the mesh must accept
-            links to the off-subset aggregators (the shard proxy does —
-            the full topology graph lives on every shard so latency
-            lookups see the same paths as the serial mesh).
-        chain: Ledger to use instead of a fresh :class:`Blockchain`
-            configured from ``spec.ledger``.
-        networks: Subset of network names to instantiate (declaration
-            order is preserved); devices follow their home network, and
-            mesh links are wired for the *full* spec topology.  ``None``
-            wires everything.
-        fault_filter: Predicate selecting which spec faults to arm
-            (``None`` arms all); the shard engine keeps environment and
-            partition faults everywhere but crash/broker faults only on
-            the shard owning their target.
-        device_config / aggregator_config / segment: Per-object config
-            overrides, as on :func:`build`.
+        device_config: Override every device's config (ablations pass
+            non-serializable configs here; the spec still records the
+            world shape).
+        aggregator_config: Override every aggregator's config.
+        segment: Override every network's default wire segment.
+
+    Returns:
+        The wired scenario, carrying the context, the originating spec
+        and the master seed as provenance; when the spec schedules
+        faults, ``scenario.fault_plan`` is armed and records into the
+        shared counter bank.
     """
-    ctx = context
+    session = _active_obs_session()
+    # The spec's own obs block wins; otherwise an active capture session
+    # (the CLI's --obs-dir, sweep workers) force-enables observability
+    # without rewriting every spec in flight.
+    obs = spec.obs
+    if not obs.enabled and session is not None:
+        obs = session.obs
+    ctx = SimContext.create(seed=spec.seed, obs=obs)
     channel = (
         WirelessChannel(ChannelParams(), ctx.stream("channel"), counters=ctx.counters)
         if spec.transport.kind == "mqtt"
         else None
     )
-    if chain is None:
-        chain = Blockchain(
-            authorized=set(),
-            counters=ctx.counters,
-            checkpoint_interval=spec.ledger.checkpoint_interval_blocks or None,
-            pruning_depth=(
-                spec.ledger.pruning_depth_blocks
-                if spec.ledger.pruning_depth_blocks > 0
-                else None
-            ),
-        )
+    chain = Blockchain(
+        authorized=set(),
+        counters=ctx.counters,
+        checkpoint_interval=spec.ledger.checkpoint_interval_blocks or None,
+        pruning_depth=(
+            spec.ledger.pruning_depth_blocks
+            if spec.ledger.pruning_depth_blocks > 0
+            else None
+        ),
+    )
     scenario = Scenario(
         simulator=ctx.simulator,
         grid=GridTopology(),
         chain=chain,
-        mesh=mesh if mesh is not None else BackhaulMesh(ctx),
+        mesh=BackhaulMesh(ctx),
         channel=channel,
         transport=spec.transport.build(channel),
         context=ctx,
@@ -236,11 +222,8 @@ def build_partial(
         master_seed=ctx.master_seed,
     )
     dev_config = device_config if device_config is not None else _device_config(spec, ctx)
-    local = set(spec.network_names) if networks is None else set(networks)
 
     for network in spec.networks:
-        if network.name not in local:
-            continue
         agg_config = (
             aggregator_config
             if aggregator_config is not None
@@ -262,75 +245,21 @@ def build_partial(
         )
 
     for device in spec.devices:
-        if device.network not in local:
-            continue
         add_device(scenario, device.name, device.profile.build(), dev_config)
         if device.enter_at is not None:
             scenario.enter_at(device.name, device.network, device.enter_at, device.distance_m)
 
-    armed = [
-        fault
-        for fault in spec.faults
-        if fault_filter is None or fault_filter(fault)
-    ]
-    if armed:
+    if spec.faults:
         scenario.fault_plan = ctx.new_fault_plan()
         injectors: dict[str, LinkFaultInjector] = {}
-        for fault in armed:
+        for fault in spec.faults:
             _arm_fault(scenario, fault, injectors)
     if spec.vector.enabled and spec.transport.kind == "direct":
         # Imported lazily so worlds that never vectorize don't pay for
         # the numpy probe at import time.
         from repro.vector.fleet import VectorFleet
 
-        scenario.vector_fleets.append(VectorFleet(scenario, spec.vector))
-    return scenario
-
-
-def build(
-    spec: ScenarioSpec,
-    *,
-    device_config: DeviceConfig | None = None,
-    aggregator_config: AggregatorConfig | None = None,
-    segment: WireSegment | None = None,
-    context: SimContext | None = None,
-) -> Scenario:
-    """Compile ``spec`` into a fully wired :class:`Scenario`.
-
-    Args:
-        spec: The declarative world description.
-        device_config: Override every device's config (ablations pass
-            non-serializable configs here; the spec still records the
-            world shape).
-        aggregator_config: Override every aggregator's config.
-        segment: Override every network's default wire segment.
-        context: Run inside an existing context (sharing its kernel and
-            counter bank) instead of creating one from ``spec.seed``.
-
-    Returns:
-        The wired scenario, carrying the context, the originating spec
-        and the master seed as provenance; when the spec schedules
-        faults, ``scenario.fault_plan`` is armed and records into the
-        shared counter bank.
-    """
-    session = _active_obs_session()
-    if context is not None:
-        ctx = context
-    else:
-        # The spec's own obs block wins; otherwise an active capture
-        # session (the CLI's --obs-dir, sweep workers) force-enables
-        # observability without rewriting every spec in flight.
-        obs = spec.obs
-        if not obs.enabled and session is not None:
-            obs = session.obs
-        ctx = SimContext.create(seed=spec.seed, obs=obs)
-    scenario = build_partial(
-        spec,
-        context=ctx,
-        device_config=device_config,
-        aggregator_config=aggregator_config,
-        segment=segment,
-    )
+        scenario.vector_fleet = VectorFleet(scenario)
     if session is not None:
         session.register(scenario)
     return scenario

@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.monitoring.counters import CounterBank
     from repro.monitoring.timeseries import SeriesBank
+    from repro.vector.fleet import VectorFleet
     from repro.workloads.mobility import MobilityTrace
 
 
@@ -56,9 +57,7 @@ class Scenario:
     spec: ScenarioSpec | None = None
     master_seed: int = 0
     fault_plan: "FaultPlan | None" = None
-    # VectorFleet instances when vectorized execution is enabled (one
-    # per scenario today; a list so shard engines can iterate blindly).
-    vector_fleets: list = field(default_factory=list)
+    vector_fleet: "VectorFleet | None" = None
 
     @property
     def counters(self) -> "CounterBank | None":

@@ -317,45 +317,6 @@ class LedgerSpec(SpecCodec):
 
 
 @dataclass(frozen=True)
-class ShardSpec(SpecCodec):
-    """Sharded-execution configuration.
-
-    Default **serial** (``shards=1``): a spec without a ``sharding``
-    block builds and runs exactly as before this layer existed.
-
-    Attributes:
-        shards: Number of kernel shards the fleet is partitioned into.
-            Each shard owns a subset of the networks (aggregator +
-            devices + shard-local transport); the backhaul mesh is the
-            only cross-shard boundary.
-        window_s: Optional synchronization-window override.  The
-            effective window is always clamped to the conservative
-            lookahead (the minimum cross-shard backhaul latency), so
-            this can only *shorten* windows, never break causality.
-        assignment: Explicit per-shard network groups, in shard order
-            (e.g. ``(("net-0", "net-2"), ("net-1",))``).  Empty means
-            round-robin over the declaration order.
-    """
-
-    shards: int = 1
-    window_s: float | None = None
-    assignment: tuple[tuple[str, ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.window_s is not None and self.window_s <= 0:
-            raise ConfigError(
-                f"shard window must be positive, got {self.window_s}"
-            )
-        if self.assignment and len(self.assignment) != self.shards:
-            raise ConfigError(
-                f"assignment has {len(self.assignment)} groups for "
-                f"{self.shards} shards"
-            )
-
-
-@dataclass(frozen=True)
 class VectorSpec(SpecCodec):
     """Vectorized (array-backed cohort) execution configuration.
 
@@ -369,22 +330,9 @@ class VectorSpec(SpecCodec):
 
     Attributes:
         enabled: Master switch.
-        scan_interval_s: How often the fleet scans for quiescent devices
-            to vectorize (and re-vectorize after a de-vectorization).
-        min_cohort: Smallest device group worth folding into arrays.
     """
 
     enabled: bool = False
-    scan_interval_s: float = 1.0
-    min_cohort: int = 2
-
-    def __post_init__(self) -> None:
-        if self.scan_interval_s <= 0:
-            raise ConfigError(
-                f"scan interval must be positive, got {self.scan_interval_s}"
-            )
-        if self.min_cohort < 1:
-            raise ConfigError(f"min cohort must be >= 1, got {self.min_cohort}")
 
 
 @dataclass(frozen=True)
@@ -503,8 +451,6 @@ class ScenarioSpec(SpecCodec):
             :class:`ObsSpec`).
         ledger: Ledger sync / checkpoint / pruning configuration
             (default off — see :class:`LedgerSpec`).
-        sharding: Sharded-execution configuration (default serial —
-            see :class:`ShardSpec`).
         vector: Vectorized-execution configuration (default off — see
             :class:`VectorSpec`).
         serve: Serve-mode configuration (default off — see
@@ -522,7 +468,6 @@ class ScenarioSpec(SpecCodec):
     faults: tuple[FaultSpec, ...] = ()
     obs: ObsSpec = field(default_factory=ObsSpec)
     ledger: LedgerSpec = field(default_factory=LedgerSpec)
-    sharding: ShardSpec = field(default_factory=ShardSpec)
     vector: VectorSpec = field(default_factory=VectorSpec)
     serve: ServeSpec = field(default_factory=ServeSpec)
 
@@ -549,27 +494,6 @@ class ScenarioSpec(SpecCodec):
         for a, b in self.mesh.resolve_links(network_names):
             if a not in known or b not in known:
                 raise ConfigError(f"mesh link ({a!r}, {b!r}) references unknown network")
-        if self.sharding.shards > len(self.networks):
-            raise ConfigError(
-                f"spec has {len(self.networks)} aggregators but "
-                f"{self.sharding.shards} shards requested; a shard "
-                "without an aggregator would run empty"
-            )
-        assigned = [m for group in self.sharding.assignment for m in group]
-        if len(set(assigned)) != len(assigned):
-            raise ConfigError(
-                f"duplicate networks in shard assignment: {assigned}"
-            )
-        for member in assigned:
-            if member not in known:
-                raise ConfigError(
-                    f"shard assignment references unknown network {member!r}"
-                )
-        if assigned and set(assigned) != known:
-            raise ConfigError(
-                "shard assignment must cover every network; missing "
-                f"{sorted(known - set(assigned))}"
-            )
         if self.serve.network is not None and self.serve.network not in known:
             raise ConfigError(
                 f"serve block references unknown network {self.serve.network!r} "

@@ -313,27 +313,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_window(self, end_time: float, max_events: int | None = None) -> None:
-        """Run events with time strictly < ``end_time``; clock lands on it.
-
-        The conservative-synchronization hook for sharded execution: a
-        shard executes the half-open window ``[now, end_time)`` and then
-        parks exactly on the boundary, where cross-shard messages with
-        ``deliver_at >= end_time`` can be injected before the next
-        window starts.  Implemented as :meth:`run_until` to the largest
-        float below ``end_time`` — any event at time ``t < end_time``
-        satisfies ``t <= nextafter(end_time, -inf)``, so the strict-<
-        semantics cost nothing in the hot loop.
-        """
-        if end_time < self.clock.now:
-            raise SimulationError(
-                f"end_time {end_time} is before current time {self.clock.now}"
-            )
-        boundary = math.nextafter(end_time, -math.inf)
-        if boundary >= self.clock.now:
-            self.run_until(boundary, max_events)
-        self.clock.advance_to(end_time)
-
     def run(self, max_events: int = 10_000_000) -> None:
         """Run until the queue drains (bounded by ``max_events``)."""
         if self._running:

@@ -27,9 +27,9 @@ achieves this by
   the *same* RNG streams in the *same* order as the scalar path (batch
   draws are bit-compatible with sequential draws),
 * replicating the scalar operation order of every float expression,
-* processing reports inline only when no other kernel event (and no
-  shard window boundary) falls before the report's arrival time, and
-  deferring to the real ``AggregatorUnit._process_report`` otherwise.
+* processing reports inline only when no other kernel event falls
+  before the report's arrival time, and deferring to the real
+  ``AggregatorUnit._process_report`` otherwise.
 """
 
 from __future__ import annotations
@@ -48,12 +48,18 @@ from repro.vector.backend import NumpyBackend
 if TYPE_CHECKING:
     from repro.device.stack import MeteringDevice
     from repro.runtime.scenario import Scenario
-    from repro.runtime.spec import VectorSpec
 
 _IDLE_INDEX = McuState.IDLE.index
 
 #: Sensor-noise draws prefetched per member between generator snapshots.
 _NOISE_BLOCK = 64
+
+#: How often the fleet scans for quiescent devices to vectorize (and
+#: re-vectorize after a de-vectorization), in simulated seconds.
+SCAN_INTERVAL_S = 1.0
+
+#: Smallest device group worth folding into arrays.
+MIN_COHORT = 2
 
 
 class _Member:
@@ -348,9 +354,8 @@ class Cohort:
 class VectorFleet:
     """Scenario-wide coordinator: scans, cohorts, shared delivery."""
 
-    def __init__(self, scenario: "Scenario", spec: "VectorSpec") -> None:
+    def __init__(self, scenario: "Scenario") -> None:
         self._scenario = scenario
-        self._spec = spec
         context = scenario.context
         self._sim = scenario.simulator
         self._counts = context.counters._counts
@@ -362,10 +367,6 @@ class VectorFleet:
         self._deliver_armed = False
         self.deliver_label = "vector:deliver"
         self._last_deliver_weight = 0
-        #: Shard window boundary: reports arriving at or past it defer
-        #: to real kernel events (the conservative-sync barrier may
-        #: inject cross-shard messages before they are due).
-        self.window_horizon = math.inf
         self._watched_links: set[int] = set()
         self._units_by_hub: dict[int, Any] = {}
         transport = scenario.transport
@@ -381,9 +382,9 @@ class VectorFleet:
         # drift decides which side fires first) and always sees the
         # just-sent report in flight.  Mid-interval the steady-state
         # fleet is quiescent — reports acked, MCU idle, store empty.
-        first_scan = self._sim.clock.now + spec.scan_interval_s * 0.55
+        first_scan = self._sim.clock.now + SCAN_INTERVAL_S * 0.55
         self._scan_task = self._sim.every(
-            spec.scan_interval_s, self._scan, first_at=first_scan,
+            SCAN_INTERVAL_S, self._scan, first_at=first_scan,
             label="vector:scan",
         )
         profiler = self._sim.profiler
@@ -435,7 +436,7 @@ class VectorFleet:
                     cohort = existing
                     break
             if cohort is None:
-                if len(entries) < self._spec.min_cohort:
+                if len(entries) < MIN_COHORT:
                     continue
                 cohort = Cohort(
                     self, entries[0][1], interval, first_tick, self._cohort_counter
@@ -555,10 +556,10 @@ class VectorFleet:
 
         Replicates, in exact arrival order, what one hub drain plus N
         ``_process_report`` events do in the scalar path.  A report is
-        handled inline only when its arrival time precedes both the next
-        pending kernel event and the shard window horizon *and* it would
-        sail through screening; anything else becomes a real deferred
-        ``_process_report`` event at its exact arrival time.
+        handled inline only when its arrival time precedes the next
+        pending kernel event *and* it would sail through screening;
+        anything else becomes a real deferred ``_process_report`` event
+        at its exact arrival time.
         """
         pending = self._pending
         self._pending = []
@@ -567,9 +568,8 @@ class VectorFleet:
         sim = self._sim
         backend = self._backend
         now = sim.clock.now
-        horizon = self.window_horizon
         next_event = sim.queue.peek_time()
-        cutoff = horizon if next_event is None or next_event > horizon else next_event
+        cutoff = math.inf if next_event is None else next_event
         for cohort, tick_time, members, seqs, currents, energies, measureds in pending:
             unit = cohort._unit
             count = len(members)

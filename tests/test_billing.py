@@ -63,6 +63,9 @@ class TestInvoice:
         invoice = Invoice("d1", (0.0, 10.0))
         with pytest.raises(BillingError):
             invoice.add_line(InvoiceLine(11.0, 1.0, 1.0, roaming=False))
+        # Periods are half-open, [start, end): ``end`` is the next period's.
+        with pytest.raises(BillingError, match=r"outside period \[0.0, 10.0\)"):
+            invoice.add_line(InvoiceLine(10.0, 1.0, 1.0, roaming=False))
 
     def test_render_mentions_device_and_totals(self):
         invoice = Invoice("escooter", (0.0, 10.0))
@@ -136,6 +139,13 @@ class TestBillingEngine:
         engine = BillingEngine(chain, FlatTariff(1.0))
         with pytest.raises(BillingError):
             engine.invoice(d1, (5.0, 1.0))
+        # The summary checks its period like the invoice does, instead of
+        # returning empty totals for a caller's swapped or equal bounds.
+        for period, message in (((10.0, 5.0), "inverted"), ((5.0, 5.0), "empty")):
+            with pytest.raises(BillingError, match=message):
+                engine.invoice(d1, period)
+            with pytest.raises(BillingError, match=message):
+                engine.settlement_summary(period)
 
     def test_unknown_device_gets_empty_invoice(self):
         chain, _, _ = self.make_chain()

@@ -53,6 +53,12 @@ class TestCli:
         assert args.experiments == []
         assert not args.list
 
+    @pytest.mark.parametrize("value", ["lots", "-3"])
+    def test_bad_workers_value_exits_cleanly(self, value):
+        # A usage error, not an ExperimentError traceback from run_all.
+        with pytest.raises(SystemExit, match="--workers must be"):
+            main(["fig5", "--workers", value])
+
 
 class TestScenarioParams:
     def test_defaults_valid(self):

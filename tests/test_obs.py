@@ -147,8 +147,8 @@ class TestMetricsRegistry:
                 assert not line.endswith(spelling), line
 
     def test_counter_collisions_sum(self):
-        # The one counter fold: shards' snapshots and multi-run bundles
-        # sum by name into a snapshot-ordered dict.
+        # The one counter fold: multi-run bundles and merged artifact
+        # directories sum by name into a snapshot-ordered dict.
         merged = fold_counters([{"x": 1, "z": 2}, {"x": 2, "a": 4}, {}])
         assert merged == {"a": 4, "x": 3, "z": 2}
         assert list(merged) == ["a", "x", "z"]
@@ -198,8 +198,8 @@ class TestKernelProfiler:
 
     def test_samples_do_not_depend_on_run_call_length(self):
         # The profiler counts its own events across run calls, so a world
-        # advanced in 0.1 s steps (as serve mode and shard windows advance
-        # theirs) samples at the same events as one long run.
+        # advanced in 0.1 s steps (as serve mode advances its own) samples
+        # at the same events as one long run.
         def world():
             spec = scaled_spec(
                 n_networks=3, devices_per_network=10, seed=7,

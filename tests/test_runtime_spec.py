@@ -5,7 +5,8 @@ Covers the declarative-spec contract end to end:
 * lossless round-trip — ``from_dict(to_dict())`` and the JSON path
   reproduce the spec exactly, over hypothesis-generated specs,
 * determinism — the spec-built paper testbed reproduces the ledger
-  digest the imperative builder produced before the refactor,
+  digest the imperative builder produced before the refactor, and a
+  direct-transport fleet its own pinned digest on a full and a line mesh,
 * provenance — ``snapshot()`` carries the master seed and the
   originating spec,
 * unified counters — every layer (devices, aggregators, mesh,
@@ -13,6 +14,7 @@ Covers the declarative-spec contract end to end:
 * the ``repro-experiments --scenario`` CLI path.
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -33,7 +35,6 @@ from repro.runtime import (
     ProfileSpec,
     ScenarioSpec,
     ServeSpec,
-    ShardSpec,
     SimContext,
     TransportSpec,
     VectorSpec,
@@ -55,6 +56,23 @@ _ONE_NETWORK = {"networks": [{"name": "a"}]}
 PAPER_TESTBED_SEED7_DIGEST = (
     "bcca848983a69021572fb962b4887cd30c9e19978987dc1c0766c87eec59b70e"
 )
+
+# Ledger tip hash of the seed-7 4 x 3 fast-join direct fleet
+# (``direct_fleet_spec``) run to t=4.0.  The fleet sends nothing over the
+# backhaul, so the full and the line mesh must both reproduce it.
+DIRECT_FLEET_SEED7_DIGEST = (
+    "92af85f1aa32d39416f84e218092b0503bcce32e1c032974432816d7fd2f3cb0"
+)
+
+# Fast-join direct transport: the default scan/assoc/connect latencies
+# (~5.8 s) would leave a 4 s run with an empty ledger.
+FAST_DIRECT = TransportSpec(kind="direct", scan_s=0.05, assoc_s=0.05, connect_s=0.02)
+
+
+def direct_fleet_spec(mesh: str) -> ScenarioSpec:
+    """4 networks x 3 devices on the fast-join direct transport, seed 7."""
+    spec = scaled_spec(4, 3, seed=7, transport=FAST_DIRECT, mesh_topology=mesh)
+    return dataclasses.replace(spec, mesh=MeshSpec(topology=mesh, latency_s=0.05))
 
 _name = st.text(alphabet="abcdefgh123", min_size=1, max_size=8)
 _finite = st.floats(
@@ -134,30 +152,6 @@ def _fault(draw, kind, name, network_names):
     return FaultSpec(
         kind=kind, name=name, start_at=start_at, duration_s=draw(duration),
         groups=draw(groups),
-    )
-
-
-def _sharding(draw, network_names):
-    """A valid ShardSpec: round-robin, or an assignment covering every network."""
-    shards = draw(st.integers(min_value=1, max_value=len(network_names)))
-    assignment = ()
-    if draw(st.booleans()):
-        order = draw(st.permutations(network_names))
-        cuts = sorted(
-            draw(
-                st.sets(
-                    st.integers(min_value=1, max_value=max(1, len(order) - 1)),
-                    min_size=shards - 1,
-                    max_size=shards - 1,
-                )
-            )
-        )
-        bounds = [0, *cuts, len(order)]
-        assignment = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return ShardSpec(
-        shards=shards,
-        window_s=draw(st.none() | st.floats(min_value=1e-4, max_value=1.0)),
-        assignment=assignment,
     )
 
 
@@ -241,12 +235,7 @@ def scenario_specs(draw):
             profile=draw(st.booleans()),
         ),
         ledger=ledger,
-        sharding=_sharding(draw, network_names),
-        vector=VectorSpec(
-            enabled=draw(st.booleans()),
-            scan_interval_s=draw(st.floats(min_value=0.1, max_value=10.0)),
-            min_cohort=draw(st.integers(min_value=1, max_value=64)),
-        ),
+        vector=VectorSpec(enabled=draw(st.booleans())),
         serve=ServeSpec(
             enabled=draw(st.booleans()),
             host=draw(st.sampled_from(("127.0.0.1", "0.0.0.0", "localhost"))),
@@ -334,9 +323,15 @@ class TestRoundTrip:
                 id="network-name-int",
             ),
             pytest.param(
-                {**_ONE_NETWORK, "sharding": {"shards": 1.5}},
-                "scenario.sharding.shards: expected an integer, got float",
-                id="shards-float",
+                {**_ONE_NETWORK, "ledger": {"checkpoint_interval_blocks": 1.5}},
+                "scenario.ledger.checkpoint_interval_blocks: expected an integer, "
+                "got float",
+                id="ledger-float",
+            ),
+            pytest.param(
+                {**_ONE_NETWORK, "sharding": {"shards": 2}},
+                "scenario: unknown keys ['sharding']",
+                id="sharding-block",
             ),
             pytest.param(
                 {**_ONE_NETWORK, "seed": True},
@@ -384,8 +379,6 @@ class TestDeterminism:
     def test_observed_paper_testbed_matches_pinned_digest(self):
         # Spans + profiler are pure observation: an instrumented run
         # must reproduce the pinned ledger digest bit for bit.
-        import dataclasses
-
         from repro.runtime import ObsSpec
 
         spec = dataclasses.replace(
@@ -402,14 +395,18 @@ class TestDeterminism:
         # checkpoints, no pruning) must build the exact pre-ledger-sync
         # world: the chainsync subscription draws no randomness and the
         # sync task never arms.
-        import dataclasses
-
         from repro.runtime import LedgerSpec
 
         spec = dataclasses.replace(paper_testbed_spec(seed=7), ledger=LedgerSpec())
         scenario = build(spec)
         scenario.run_until(30.0)
         assert scenario.chain.tip_hash == PAPER_TESTBED_SEED7_DIGEST
+
+    @pytest.mark.parametrize("mesh", ["full", "line"])
+    def test_direct_fleet_matches_pinned_digest(self, mesh):
+        scenario = build(direct_fleet_spec(mesh))
+        scenario.run_until(4.0)
+        assert scenario.chain.tip_hash == DIRECT_FLEET_SEED7_DIGEST
 
     def test_same_spec_builds_identical_worlds(self):
         spec = scaled_spec(n_networks=2, devices_per_network=3, seed=11)

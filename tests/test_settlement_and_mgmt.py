@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.billing import FlatTariff, SettlementEngine
+from repro.billing import BillingEngine, FlatTariff, SettlementEngine
 from repro.chain import Blockchain
 from repro.errors import BillingError, ProtocolError
 from repro.ids import DeviceId
@@ -68,10 +68,16 @@ class TestSettlementUnit:
         # settlement period", hiding a caller bug behind a benign
         # message; a genuinely empty (zero-length) one is its own error.
         engine = SettlementEngine(self.make_chain(), FlatTariff(1.0))
-        with pytest.raises(BillingError, match="inverted"):
+        with pytest.raises(BillingError, match="inverted settlement period"):
             engine.settle((5.0, 1.0))
-        with pytest.raises(BillingError, match="empty"):
+        with pytest.raises(BillingError, match="empty settlement period"):
             engine.settle((5.0, 5.0))
+        # The billing engine's per-device summary shares the same check.
+        billing = BillingEngine(self.make_chain(), FlatTariff(1.0))
+        with pytest.raises(BillingError, match="inverted billing period"):
+            billing.settlement_summary((10.0, 5.0))
+        with pytest.raises(BillingError, match="empty billing period"):
+            billing.settlement_summary((5.0, 5.0))
 
     def test_boundary_record_never_settles_twice(self):
         # Regression for double billing: both period ends used to be

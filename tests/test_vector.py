@@ -66,9 +66,7 @@ class TestBitIdentity:
     def test_vectorization_actually_engages(self):
         scenario = build(direct_spec(2, 3, enabled=True))
         scenario.run_until(6.0)
-        fleet = scenario.vector_fleets[0]
-        assert fleet.vectorized_count == 6
-        assert len(scenario.vector_fleets) == 1
+        assert scenario.vector_fleet.vectorized_count == 6
 
     def test_fewer_kernel_events_than_scalar(self):
         spec = direct_spec(1, 4)
@@ -153,7 +151,7 @@ class TestDevectorizationTriggers:
         hub = scenario.aggregator("net-0").endpoint
         scenario.simulator.schedule(3.0, lambda: hub.set_down(True))
         scenario.run_until(3.0)
-        fleet = scenario.vector_fleets[0]
+        fleet = scenario.vector_fleet
         assert not scenario.device("dev-0-0").vectorized
         assert not scenario.device("dev-0-1").vectorized
         # the other network's cohort rides on
@@ -179,7 +177,7 @@ class TestDevectorizationTriggers:
         vspec = dataclasses.replace(spec, vector=VectorSpec(enabled=True))
         scenario = build(vspec)
         scenario.run_until(3.0)
-        assert scenario.vector_fleets[0].vectorized_count == 0
+        assert scenario.vector_fleet.vectorized_count == 0
 
     def test_tamper_attack_releases_device(self):
         from repro.anomaly.tamper import ScalingAttack
@@ -211,7 +209,7 @@ class TestDevectorizationTriggers:
         )
         scenario = build(spec)
         scenario.run_until(6.0)
-        assert scenario.vector_fleets[0].vectorized_count == 0
+        assert scenario.vector_fleet.vectorized_count == 0
 
     def test_released_devices_revectorize_when_quiescent(self):
         spec = direct_spec(1, 3, enabled=True)
@@ -220,22 +218,9 @@ class TestDevectorizationTriggers:
         scenario.simulator.schedule(3.0, lambda: hub.set_down(True))
         scenario.simulator.schedule(3.2, lambda: hub.set_down(False))
         scenario.run_until(3.1)
-        assert scenario.vector_fleets[0].vectorized_count == 0
+        assert scenario.vector_fleet.vectorized_count == 0
         scenario.run_until(10.0)
-        assert scenario.vector_fleets[0].vectorized_count == 3
-
-
-class TestSharding:
-    def test_sharded_vector_matches_serial_scalar(self):
-        from repro.shard import run_sharded
-
-        spec = direct_spec(2, 2)
-        serial = run_snapshot(spec, 4.0)
-        vspec = dataclasses.replace(spec, vector=VectorSpec(enabled=True))
-        sharded = run_sharded(vspec, 4.0, 2).snapshot()
-        sharded.pop("spec")
-        sharded.pop("sharding")
-        assert canon(serial) == canon(sharded)
+        assert scenario.vector_fleet.vectorized_count == 3
 
 
 class TestVectorSpec:
@@ -246,24 +231,23 @@ class TestVectorSpec:
         assert restored == spec
 
     def test_enabled_round_trip_lossless(self):
-        spec = direct_spec(1, 2, enabled=True, scan_interval_s=2.0, min_cohort=3)
+        spec = direct_spec(1, 2, enabled=True)
         restored = ScenarioSpec.from_json(spec.to_json())
         assert restored == spec
-        assert restored.vector == VectorSpec(
-            enabled=True, scan_interval_s=2.0, min_cohort=3
-        )
+        assert restored.vector == VectorSpec(enabled=True)
 
     def test_validation(self):
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError):
-            VectorSpec(scan_interval_s=0.0)
-        with pytest.raises(ConfigError):
-            VectorSpec(min_cohort=0)
-        data = json.loads(direct_spec(1, 2, enabled=True).to_json())
-        data["vector"]["backend"] = "python"
-        with pytest.raises(ConfigError, match="unknown keys"):
-            ScenarioSpec.from_dict(data)
+        # The scan cadence and the cohort floor are fleet constants, not
+        # spec keys: a document still carrying them fails loudly.
+        for key, value in (
+            ("backend", "python"), ("scan_interval_s", 2.0), ("min_cohort", 3),
+        ):
+            data = json.loads(direct_spec(1, 2, enabled=True).to_json())
+            data["vector"][key] = value
+            with pytest.raises(ConfigError, match="unknown keys"):
+                ScenarioSpec.from_dict(data)
 
 
 class TestProfilerWeights:
@@ -296,20 +280,27 @@ class TestProfilerWeights:
         assert "weighted_events" not in snap
         assert all("weighted" not in s for s in snap["by_label"].values())
 
-    def test_sharded_merge_keeps_device_equivalents(self, tmp_path):
+    def test_merged_artifacts_keep_device_equivalents(self, tmp_path):
+        from repro.obs import merge_artifact_dirs
         from repro.obs.validate import validate_artifact_dir
-        from repro.shard import run_sharded
 
-        # Spans off: a span-recording world keeps devices out of cohorts.
-        spec = dataclasses.replace(
-            direct_spec(2, 3, enabled=True), obs=ObsSpec(enabled=True, spans=False)
-        )
-        run_sharded(spec, 6.0, shards=2, processes=False, obs_dir=tmp_path)
+        # Two vectorized worlds, as a --workers sweep writes them.  Spans
+        # off: a span-recording world keeps devices out of cohorts.
+        part_dirs = []
+        for seed in (7, 8):
+            spec = dataclasses.replace(
+                direct_spec(2, 3, seed=seed, enabled=True),
+                obs=ObsSpec(enabled=True, spans=False),
+            )
+            scenario = build(spec)
+            scenario.run_until(6.0)
+            part_dirs.append(tmp_path / f"seed{seed}")
+            scenario.write_obs_artifacts(part_dirs[-1])
+        merge_artifact_dirs(part_dirs, tmp_path / "merged")
         parts = [
-            json.loads((tmp_path / f"shard-{i:04d}" / "profile.json").read_text())
-            for i in range(2)
+            json.loads((part_dir / "profile.json").read_text()) for part_dir in part_dirs
         ]
-        merged = json.loads((tmp_path / "profile.json").read_text())
+        merged = json.loads((tmp_path / "merged" / "profile.json").read_text())
         assert merged["events"] == sum(p["events"] for p in parts)
         weighted = sum(p["weighted_events"] for p in parts)
         assert merged["weighted_events"] == weighted > merged["events"]
@@ -322,4 +313,4 @@ class TestProfilerWeights:
                 # Emitted only where it differs, like a single snapshot.
                 assert stats.get("weighted") != stats["count"]
         assert any("weighted" in s for s in merged["by_actor"].values())
-        assert validate_artifact_dir(tmp_path) == []
+        assert validate_artifact_dir(tmp_path / "merged") == []
