@@ -9,10 +9,15 @@ series Fig. 5 compares.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.errors import AnomalyError
 from repro.ids import DeviceId
+
+# Default history: the attribution and loss-allocation experiments read
+# every window of runs up to 40 s long.
+HISTORY_S = 40.0
 
 
 @dataclass
@@ -46,17 +51,21 @@ class ReportAggregator:
 
     Args:
         window_s: Bucket width (normally ``T_measure``).
-        keep_windows: Bounded history length (old windows are evicted).
+        keep_windows: Bounded history length; the oldest windows are
+            evicted first (default: :data:`HISTORY_S` worth).
     """
 
-    def __init__(self, window_s: float = 0.1, keep_windows: int = 10000) -> None:
+    def __init__(self, window_s: float = 0.1, keep_windows: int | None = None) -> None:
         if window_s <= 0:
             raise AnomalyError(f"window must be positive, got {window_s}")
+        if keep_windows is None:
+            keep_windows = int(HISTORY_S / window_s) + 1
         if keep_windows < 1:
             raise AnomalyError(f"history must be >= 1 windows, got {keep_windows}")
         self._window_s = window_s
         self._keep = keep_windows
         self._windows: dict[int, Window] = {}
+        self._held: list[int] = []  # min-heap of the indices in _windows
 
     @property
     def window_s(self) -> float:
@@ -72,9 +81,9 @@ class ReportAggregator:
         if window is None:
             window = Window(start=index * self._window_s)
             self._windows[index] = window
+            heapq.heappush(self._held, index)
             if len(self._windows) > self._keep:
-                oldest = min(self._windows)
-                del self._windows[oldest]
+                del self._windows[heapq.heappop(self._held)]
         return window
 
     def add_report(self, device_id: DeviceId, at_time: float, current_ma: float) -> None:

@@ -11,8 +11,9 @@ experiments.
 Beyond raw storage the chain maintains three derived structures:
 
 * a **per-device record index** mapping ``device_uid`` to the (height,
-  record index, sequence) coordinates of every retained record, so
-  receipt issuance and billing queries stop being O(chain) scans,
+  record index, sequence) coordinates of every retained record, held in
+  flat arrays (16 B a record), so receipt issuance and billing queries
+  stop being O(chain) scans,
 * a **header list** for *every* height ever appended — this is what
   lightweight clients sync (:mod:`repro.chain.sync`) and what keeps
   receipts against pruned blocks verifiable,
@@ -29,6 +30,7 @@ appended by other writers.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -40,6 +42,52 @@ from repro.errors import BlockValidationError, ChainError
 
 if TYPE_CHECKING:
     from repro.monitoring.counters import CounterBank
+
+
+# A record's place in the chain: ``height * _SLOTS + record index``.
+_SLOTS = 2**32
+# Stand-in for a sequence that does not fit a 64-bit int (missing, a
+# string, a float...); the record's own value is kept aside by position.
+_IRREGULAR = -(2**63)
+
+
+class _DeviceIndex:
+    """One device's records in chain order: two flat arrays, 16 B a record."""
+
+    __slots__ = ("places", "sequences", "irregular")
+
+    def __init__(self) -> None:
+        self.places = array("Q")
+        self.sequences = array("q")
+        self.irregular: dict[int, Any] = {}
+
+    def add_irregular(self, sequence: Any) -> None:
+        self.irregular[len(self.sequences)] = sequence
+        self.sequences.append(_IRREGULAR)
+
+    def find(self, sequence: Any) -> int | None:
+        """Position of the first record whose sequence equals ``sequence``."""
+        found = 0
+        while True:
+            try:
+                found = self.sequences.index(sequence, found)
+            except ValueError:
+                found = None
+                break
+            if found not in self.irregular:
+                break
+            found += 1  # an irregular record's stand-in: matched by value below
+        for at, stored in self.irregular.items():
+            if found is not None and at > found:
+                break
+            if stored == sequence:
+                return at
+        return found
+
+    def drop_below(self, height: int) -> None:
+        cut = bisect_left(self.places, height * _SLOTS)
+        del self.places[:cut], self.sequences[:cut]
+        self.irregular = {at - cut: seq for at, seq in self.irregular.items() if at >= cut}
 
 
 class Blockchain:
@@ -88,8 +136,7 @@ class Blockchain:
         self._checkpoints: list[Checkpoint] = []
         self._records_total = 0
         self._pruned_below = 0
-        # device_uid -> height-sorted (height, record_index, sequence)
-        self._device_index: dict[str, list[tuple[int, int, Any]]] = {}
+        self._device_index: dict[str, _DeviceIndex] = {}
         self._indexed_height = 0
         self._sync_with_store()
 
@@ -115,12 +162,21 @@ class Blockchain:
     def _admit(self, block: Block) -> None:
         header = block.header
         self._headers.append(HeaderRecord(header=header, block_hash=block.block_hash))
-        for index, record in enumerate(block.records):
+        place = header.height * _SLOTS
+        device_index = self._device_index
+        for record in block.records:
             uid = record.get("device_uid")
             if uid is not None:
-                self._device_index.setdefault(uid, []).append(
-                    (header.height, index, record.get("sequence"))
-                )
+                entry = device_index.get(uid)
+                if entry is None:
+                    entry = device_index[uid] = _DeviceIndex()
+                entry.places.append(place)
+                sequence = record.get("sequence")
+                try:
+                    entry.sequences.append(sequence)
+                except (TypeError, OverflowError):
+                    entry.add_irregular(sequence)
+            place += 1
         self._records_total += len(block.records)
         self._indexed_height += 1
         self._tip_hash = block.block_hash
@@ -333,12 +389,10 @@ class Blockchain:
         dropped = pruner(below_height)
         self._pruned_below = below_height
         for uid in list(self._device_index):
-            entries = self._device_index[uid]
-            cut = bisect_left(entries, (below_height,))
-            if cut == len(entries):
+            entry = self._device_index[uid]
+            entry.drop_below(below_height)
+            if not entry.places:
                 del self._device_index[uid]
-            elif cut:
-                self._device_index[uid] = entries[cut:]
         return dropped
 
     # ------------------------------------------------------------------
@@ -351,10 +405,9 @@ class Blockchain:
         with pruning.
         """
         self._sync_with_store()
-        for height, index, seq in self._device_index.get(device_uid, ()):
-            if seq == sequence:
-                return (height, index)
-        return None
+        entry = self._device_index.get(device_uid)
+        found = entry.find(sequence) if entry is not None else None
+        return None if found is None else divmod(entry.places[found], _SLOTS)
 
     def records_for_device(self, device_uid: str) -> list[dict[str, Any]]:
         """All *retained* records of one device, in chain order.
@@ -367,8 +420,12 @@ class Blockchain:
         """
         self._sync_with_store()
         found: list[dict[str, Any]] = []
+        entry = self._device_index.get(device_uid)
+        if entry is None:
+            return found
         block: Block | None = None
-        for height, index, _seq in self._device_index.get(device_uid, ()):
+        for place in entry.places:
+            height, index = divmod(place, _SLOTS)
             if block is None or block.header.height != height:
                 block = self._store.get(height)
             if index < len(block.records):

@@ -4,7 +4,8 @@ The ledger only needs ``put`` / ``get`` / ``height``.  Two backends:
 
 * :class:`InMemoryBlockStore` — the default for simulations,
 * :class:`JsonlBlockStore` — one JSON document per line on disk, so a
-  ledger survives the process and external tools can inspect it.
+  ledger survives the process and external tools can inspect it; only
+  line offsets and the newest few bodies stay in memory.
 
 Stores are *dumb on purpose*: they keep whatever bytes they are given.
 Detecting that stored data was mutated is the auditor's job
@@ -16,12 +17,13 @@ a long-running ledger stays O(recent) in memory.  Pruned heights still
 count toward ``height()`` — they are positions the chain once held, not
 holes — but ``get`` raises :class:`~repro.errors.PrunedBlockError` for
 them.  The JSONL file is never rewritten: on disk it remains the full
-archive, pruning only evicts the in-memory copies.
+archive, and pruning only makes ``get`` refuse the pruned heights.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from pathlib import Path
 from typing import Protocol
 
@@ -102,28 +104,45 @@ class InMemoryBlockStore:
 
 
 class JsonlBlockStore:
-    """Append-only JSON-lines file store.
+    """Append-only JSON-lines file store with a bounded body cache.
 
-    The in-memory cache is keyed on the file's (size, mtime) stat: when
-    another writer appends to the same file, the next read notices the
-    stat change and re-loads, so a second reader is never stuck on its
-    first snapshot.
+    Memory holds each committed line's byte offset and the newest
+    :attr:`CACHED_BODIES` block bodies (an :class:`InMemoryBlockStore`
+    pruned as it slides); an older body is read back from its line on
+    :meth:`get`.  A long-running ledger therefore costs memory per
+    block, not per record, and every block stays readable.
+
+    The offsets are keyed on the file's (size, mtime) stat: when another
+    writer appends to the same file, the next read notices the stat
+    change and re-loads, so a second reader is never stuck on its first
+    snapshot.
 
     A block is committed by its line's newline.  An unterminated final
     line is an append cut off mid-write (the process died): it is not a
     block, and the next append truncates it away before writing.  A
-    complete line that does not decode is corruption and raises.
+    complete line that does not decode, or whose block claims another
+    height than its position, is corruption and raises.  Loading decodes
+    every committed line.
 
     Args:
         path: File to store blocks in; created on first append.
     """
 
+    # Newest block bodies kept decoded in memory.
+    CACHED_BODIES = 8
+
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        self._cache: list[Block | None] | None = None
-        self._cache_stat: tuple[int, int] | None = None
+        self._offsets = array("q")  # start of each block's line
+        self._recent = InMemoryBlockStore()
+        self._loaded_stat: tuple[int, int] | None = None
         self._committed_bytes = 0
         self._pruned_below = 0
+
+    @property
+    def path(self) -> Path:
+        """The archive file."""
+        return self._path
 
     def _stat(self) -> tuple[int, int] | None:
         try:
@@ -132,78 +151,94 @@ class JsonlBlockStore:
             return None
         return (st.st_size, st.st_mtime_ns)
 
-    def _load(self) -> list[Block | None]:
+    def _refresh(self) -> None:
         current = self._stat()
-        if self._cache is None or current != self._cache_stat:
-            blocks: list[Block | None] = []
-            committed = 0
-            if current is not None:
-                with self._path.open("rb") as handle:
-                    for line_no, line in enumerate(handle, start=1):
-                        if not line.endswith(b"\n"):
-                            break  # a torn tail: never committed
-                        committed += len(line)
-                        if not line.strip():
-                            continue
-                        try:
-                            blocks.append(Block.from_dict(json.loads(line)))
-                        except (ValueError, KeyError, TypeError) as exc:
-                            raise ChainError(
-                                f"corrupt block at {self._path}:{line_no}: {exc}"
-                            ) from exc
-            # Re-apply the prune boundary after a reload: the file stays
-            # the full archive, memory stays O(recent).
-            for height in range(min(self._pruned_below, len(blocks))):
-                blocks[height] = None
-            self._cache = blocks
-            self._cache_stat = current
-            self._committed_bytes = committed
-        return self._cache
+        if current == self._loaded_stat:
+            return
+        self._offsets = array("q")
+        self._recent = InMemoryBlockStore()
+        self._committed_bytes = 0
+        if current is not None:
+            with self._path.open("rb") as handle:
+                for line_no, line in enumerate(handle, start=1):
+                    if not line.endswith(b"\n"):
+                        break  # a torn tail: never committed
+                    start = self._committed_bytes
+                    self._committed_bytes += len(line)
+                    if line.strip():
+                        where = f"{self._path}:{line_no}"
+                        self._admit(self._decode(line, where), start, where)
+        self._loaded_stat = current
+
+    def _decode(self, line: bytes, where: str) -> Block:
+        try:
+            return Block.from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ChainError(f"corrupt block at {where}: {exc}") from exc
+
+    def _admit(self, block: Block, offset: int, where: str) -> None:
+        try:
+            self._recent.put(block)
+        except ChainError as exc:
+            raise ChainError(f"corrupt block at {where}: {exc}") from exc
+        self._offsets.append(offset)
+        self._recent.prune(len(self._offsets) - self.CACHED_BODIES)
 
     def height(self) -> int:
         """Number of stored blocks (pruned positions included)."""
-        return len(self._load())
+        self._refresh()
+        return len(self._offsets)
 
     @property
     def pruned_below(self) -> int:
-        """Heights below this bound are evicted from the memory cache."""
+        """Heights below this bound are pruned: :meth:`get` refuses them."""
         return self._pruned_below
 
     def put(self, block: Block) -> None:
         """Append one block to the file and the cache."""
-        blocks = self._load()
-        if block.header.height != len(blocks):
+        self._refresh()
+        if block.header.height != len(self._offsets):
             raise ChainError(
-                f"block height {block.header.height} != next index {len(blocks)}"
+                f"block height {block.header.height} != next index {len(self._offsets)}"
             )
         line = (json.dumps(block.to_dict(), sort_keys=True) + "\n").encode()
         with self._path.open("ab") as handle:
             if handle.tell() != self._committed_bytes:
                 handle.truncate(self._committed_bytes)  # drop a torn tail
             handle.write(line)
-        blocks.append(block)
+        self._admit(block, self._committed_bytes, str(self._path))
         self._committed_bytes += len(line)
-        self._cache_stat = self._stat()
+        self._loaded_stat = self._stat()
 
     def get(self, height: int) -> Block:
-        """Fetch a stored block."""
-        blocks = self._load()
-        if not 0 <= height < len(blocks):
+        """Fetch a stored block, from the cache or from its line."""
+        self._refresh()
+        if not 0 <= height < len(self._offsets):
             raise ChainError(f"no block at height {height}")
-        block = blocks[height]
-        if block is None:
+        if height < self._pruned_below:
             raise PrunedBlockError(
                 f"block {height} is pruned from memory (archived in {self._path})"
             )
-        return block
+        if height >= self._recent.pruned_below:
+            return self._recent.get(height)
+        start = self._offsets[height]
+        end = (
+            self._offsets[height + 1]
+            if height + 1 < len(self._offsets)
+            else self._committed_bytes
+        )
+        with self._path.open("rb") as handle:
+            handle.seek(start)
+            line = handle.read(end - start)
+        return self._decode(line, f"{self._path} block {height}")
 
     def prune(self, below_height: int) -> int:
-        """Evict cached bodies below ``below_height``; the file keeps all."""
-        blocks = self._load()
-        dropped = 0
-        for height in range(min(below_height, len(blocks))):
-            if blocks[height] is not None:
-                blocks[height] = None
-                dropped += 1
+        """Refuse bodies below ``below_height``; the file keeps all.
+
+        Returns how many heights were newly pruned.
+        """
+        below_height = min(below_height, self.height())
+        dropped = max(0, below_height - self._pruned_below)
         self._pruned_below = max(self._pruned_below, below_height)
+        self._recent.prune(below_height)
         return dropped

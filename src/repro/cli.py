@@ -196,6 +196,7 @@ def run_serve(argv: list[str]) -> int:
         pass
     finally:
         runner.stop()
+        service.close()
     print("serve: clean shutdown")
     return 0
 

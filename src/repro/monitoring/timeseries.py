@@ -3,11 +3,13 @@
 Append-only (time, value) series with the query helpers experiments
 need: windowed means, resampling to fixed buckets, and alignment of two
 series for comparison (device sum vs aggregator measurement in Fig. 5).
+Samples are kept as flat ``array('d')`` pairs, 16 B each.
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 
 import numpy as np
 
@@ -27,8 +29,8 @@ class TimeSeries:
             raise ConfigError("series name must be non-empty")
         self._name = name
         self._unit = unit
-        self._times: list[float] = []
-        self._values: list[float] = []
+        self._times = array("d")
+        self._values = array("d")
 
     @property
     def name(self) -> str:
@@ -46,27 +48,26 @@ class TimeSeries:
     @property
     def times(self) -> list[float]:
         """Sample times (copy)."""
-        return list(self._times)
+        return self._times.tolist()
 
     @property
     def values(self) -> list[float]:
         """Sample values (copy)."""
-        return list(self._values)
+        return self._values.tolist()
 
     def append(self, time: float, value: float) -> None:
         """Add one sample; times must be non-decreasing."""
-        if self._times and time < self._times[-1]:
-            raise ConfigError(
-                f"series {self._name}: time {time} < last {self._times[-1]}"
-            )
-        self._times.append(float(time))
-        self._values.append(float(value))
+        times = self._times
+        if times and time < times[-1]:
+            raise ConfigError(f"series {self._name}: time {time} < last {times[-1]}")
+        times.append(time)
+        self._values.append(value)
 
     def window(self, start: float, end: float) -> tuple[list[float], list[float]]:
         """Samples with ``start <= time < end``."""
         lo = bisect.bisect_left(self._times, start)
         hi = bisect.bisect_left(self._times, end)
-        return self._times[lo:hi], self._values[lo:hi]
+        return self._times[lo:hi].tolist(), self._values[lo:hi].tolist()
 
     def mean(self, start: float | None = None, end: float | None = None) -> float:
         """Mean value, optionally over a window.  0.0 when empty."""

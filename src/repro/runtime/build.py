@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.aggregator.unit import AggregatorConfig, AggregatorUnit
 from repro.chain.ledger import Blockchain
+from repro.chain.store import BlockStore
 from repro.chain.sync import SyncPolicy
 from repro.device.stack import DeviceConfig, MeteringDevice
 from repro.errors import ConfigError
@@ -170,6 +171,7 @@ def build(
     device_config: DeviceConfig | None = None,
     aggregator_config: AggregatorConfig | None = None,
     segment: WireSegment | None = None,
+    store: BlockStore | None = None,
 ) -> Scenario:
     """Compile ``spec`` into a fully wired :class:`Scenario`.
 
@@ -180,6 +182,7 @@ def build(
             world shape).
         aggregator_config: Override every aggregator's config.
         segment: Override every network's default wire segment.
+        store: Block storage for the chain (default: in memory).
 
     Returns:
         The wired scenario, carrying the context, the originating spec
@@ -201,6 +204,7 @@ def build(
         else None
     )
     chain = Blockchain(
+        store,
         authorized=set(),
         counters=ctx.counters,
         checkpoint_interval=spec.ledger.checkpoint_interval_blocks or None,

@@ -21,17 +21,30 @@ wire bytes the service decodes and correlates.  Nothing in
 Batched ingestion follows the d3a ``batch_command`` idiom: one request
 carries many device reports, the service injects them all, advances one
 step, and returns one blocking response with a per-report verdict.
+
+A service runs for as long as its clients keep it, so what it holds
+grows per block, not per record: the chain lives in a
+:class:`~repro.chain.store.JsonlBlockStore` archive in a temporary
+directory the service owns (block bodies on disk, the newest few
+cached), and the alert stream is a bounded ring.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
+import tempfile
 import threading
 import time
+import weakref
+from collections import deque
+from itertools import islice
+from pathlib import Path
 from typing import Any
 
 from repro.chain.receipts import find_and_issue, receipt_to_dict
+from repro.chain.store import JsonlBlockStore
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId
 from repro.obs.metrics import render_prometheus, snapshot_metrics
@@ -47,8 +60,8 @@ from repro.runtime.build import build
 from repro.runtime.spec import ScenarioSpec
 
 # Alerts kept in the ring before the oldest are dropped; cursors stay
-# valid because they are absolute sequence numbers, not list indices.
-_MAX_ALERTS = 10_000
+# valid because they are absolute sequence numbers, not ring positions.
+_MAX_ALERTS = 1024
 
 
 class AggregatorService:
@@ -64,7 +77,9 @@ class AggregatorService:
             back to the first network).
 
     All public methods are safe to call from concurrent HTTP handler
-    threads; kernel access is serialized under one lock.
+    threads; kernel access is serialized under one lock.  The ledger
+    archive is deleted by :meth:`close`, or when the service is
+    garbage-collected.
     """
 
     def __init__(self, spec: ScenarioSpec, network: str | None = None) -> None:
@@ -72,7 +87,11 @@ class AggregatorService:
         spec = dataclasses.replace(spec, transport=transport)
         self._spec = spec
         self._serve = spec.serve
-        self._scenario = build(spec)
+        archive = tempfile.mkdtemp(prefix="repro-serve-")
+        self._delete_archive = weakref.finalize(
+            self, shutil.rmtree, archive, ignore_errors=True
+        )
+        self._scenario = build(spec, store=JsonlBlockStore(Path(archive) / "ledger.jsonl"))
         self._network = network or spec.serve.network or spec.networks[0].name
         self._unit = self._scenario.aggregator(self._network)
         self._lock = threading.RLock()
@@ -82,10 +101,12 @@ class AggregatorService:
         # downlink traffic is correlated into verdicts/inboxes (the
         # simulated fleet's Acks would otherwise accumulate forever).
         self._external: set[str] = set()
-        self._verdicts: dict[tuple[str, int], dict[str, Any]] = {}
+        # Reports an ingest request is waiting on, keyed (device,
+        # sequence); the downlink fills in their verdicts.
+        self._verdicts: dict[tuple[str, int], dict[str, Any] | None] = {}
         self._registrations: dict[str, dict[str, Any]] = {}
-        self._alerts: list[dict[str, Any]] = []
-        self._alerts_base = 0
+        self._alerts: deque[dict[str, Any]] = deque(maxlen=_MAX_ALERTS)
+        self._alerts_total = 0
         self._anomalies_seen = 0
         # Downlink tap: every aggregator's control-plane replies cross
         # the wire boundary; tap them all so alerts cover roaming too.
@@ -109,6 +130,10 @@ class AggregatorService:
         """Current simulated time."""
         with self._lock:
             return self._scenario.simulator.now
+
+    def close(self) -> None:
+        """Delete the ledger archive; the world's chain is unreadable after."""
+        self._delete_archive()
 
     def _count(self, name: str, by: int = 1) -> None:
         counters = self._scenario.counters
@@ -164,7 +189,7 @@ class AggregatorService:
         if device not in self._external:
             return
         if isinstance(message, Ack):
-            self._verdicts[(device, message.sequence)] = {"verdict": "ack"}
+            self._settle(device, message.sequence, {"verdict": "ack"})
         elif isinstance(message, Nack):
             if message.sequence is None:
                 self._registrations[device] = {
@@ -172,10 +197,11 @@ class AggregatorService:
                     "reason": message.reason.value,
                 }
             else:
-                self._verdicts[(device, message.sequence)] = {
-                    "verdict": "nack",
-                    "reason": message.reason.value,
-                }
+                self._settle(
+                    device,
+                    message.sequence,
+                    {"verdict": "nack", "reason": message.reason.value},
+                )
         elif isinstance(message, RegistrationResponse):
             self._registrations[device] = {
                 "status": "registered",
@@ -183,13 +209,16 @@ class AggregatorService:
                 "temporary": message.temporary,
             }
 
+    def _settle(self, device: str, sequence: int, verdict: dict[str, Any]) -> None:
+        # A verdict arriving after its request answered "pending" has no
+        # one waiting for it, and is dropped.
+        key = (device, sequence)
+        if key in self._verdicts:
+            self._verdicts[key] = verdict
+
     def _push_alert(self, alert: dict[str, Any]) -> None:
-        alert = {"seq": self._alerts_base + len(self._alerts), **alert}
-        self._alerts.append(alert)
-        if len(self._alerts) > _MAX_ALERTS:
-            drop = len(self._alerts) - _MAX_ALERTS
-            del self._alerts[:drop]
-            self._alerts_base += drop
+        self._alerts.append({"seq": self._alerts_total, **alert})
+        self._alerts_total += 1
         self._alert_cond.notify_all()
 
     # -- membership handshake -------------------------------------------
@@ -263,6 +292,7 @@ class AggregatorService:
             self._count("reports_ingested", len(reports))
             for _, report in reports:
                 self._external.add(report.device_id.name)
+                self._verdicts[(report.device_id.name, report.sequence)] = None
                 self._unit.endpoint.deliver(
                     f"meter/{report.device_id.name}/report", encode_message(report)
                 )
@@ -298,15 +328,14 @@ class AggregatorService:
             self._serve.poll_timeout_s if timeout_s is None else timeout_s
         )
         with self._alert_cond:
-            while self._alerts_base + len(self._alerts) <= since:
+            while self._alerts_total <= since:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._alert_cond.wait(remaining):
                     break
-            start = max(0, since - self._alerts_base)
-            batch = list(self._alerts[start:])
+            start = max(0, since - (self._alerts_total - len(self._alerts)))
             return {
-                "alerts": batch,
-                "next": self._alerts_base + len(self._alerts),
+                "alerts": list(islice(self._alerts, start, None)),
+                "next": self._alerts_total,
             }
 
     # -- ledger plane ----------------------------------------------------

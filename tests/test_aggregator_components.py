@@ -157,11 +157,16 @@ class TestReportAggregator:
         assert agg.latest_complete().start == pytest.approx(0.2)
 
     def test_history_eviction(self):
-        agg = ReportAggregator(window_s=0.1, keep_windows=3)
-        for i in range(6):
-            agg.add_feeder_sample(i * 0.1, 1.0)
-        assert agg.window_at(0.0) is None
-        assert agg.window_at(0.5) is not None
+        # In order, and backfilled: a late report can open a window
+        # older than those held, and the oldest is still evicted first.
+        for order in (range(6), (3, 4, 0, 5, 1, 2)):
+            agg = ReportAggregator(window_s=0.1, keep_windows=3)
+            for i in order:
+                agg.add_feeder_sample(i * 0.1, 1.0)
+            assert agg.window_at(0.0) is None
+            assert agg.window_at(0.5) is not None
+            held = [agg.window_at((i + 0.5) * 0.1) is not None for i in range(5)]
+            assert held == [False, False, True, True, True], order
 
     def test_complete_windows_sorted(self):
         agg = ReportAggregator(window_s=1.0)

@@ -14,6 +14,8 @@ from repro.chain import (
     audit_chain,
 )
 from repro.chain.hashing import GENESIS_HASH
+from repro.chain.receipts import find_and_issue, receipt_from_dict, receipt_to_dict
+from repro.chain.sync import HeaderChain
 from repro.errors import BlockValidationError, ChainError, ConsensusError
 
 
@@ -154,6 +156,34 @@ class TestStores:
         assert fresh.height == 4
         assert fresh.tip_hash == reopened.tip_hash
         assert audit_chain(fresh).clean
+
+    def test_jsonl_evicted_block_serves_the_same_receipt(self, tmp_path):
+        store = JsonlBlockStore(tmp_path / "chain.jsonl")
+        chain = Blockchain(store)
+        for i in range(3):
+            chain.append("agg1", float(i), [record(seq=3 * i + k) for k in range(3)])
+        assert store.get(1) is store.get(1)  # cached
+        cached = find_and_issue(chain, "d1d1", 4)
+        for i in range(3, 3 + JsonlBlockStore.CACHED_BODIES):
+            chain.append("agg1", float(i), [record(seq=3 * i + k) for k in range(3)])
+        assert store.get(1) is not store.get(1)  # read back from its line
+        evicted = find_and_issue(chain, "d1d1", 4)
+        assert evicted == cached
+        assert evicted.verify(chain)
+        light = HeaderChain()
+        light.extend(chain.headers(0, chain.height))
+        assert light.verify_receipt(receipt_from_dict(receipt_to_dict(evicted)))
+        chain.validate()
+        assert chain.records_for_device("d1d1") == [
+            r for b in range(chain.height) for r in store.get(b).records
+        ]
+
+    def test_jsonl_misplaced_block_raises_with_its_line(self, tmp_path):
+        path, _ = self.torn_chain(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([lines[1], lines[0], b""]))
+        with pytest.raises(ChainError, match=r"chain\.jsonl:1"):
+            JsonlBlockStore(path).height()
 
     def test_jsonl_garbage_complete_line_still_raises(self, tmp_path):
         path, _ = self.torn_chain(tmp_path)

@@ -17,9 +17,13 @@ from repro.chain import (
 from repro.chain.receipts import issue_receipt, receipt_from_dict, receipt_to_dict
 from repro.errors import ChainError, ConfigError, PrunedBlockError
 from repro.experiments.ledger_sync import validate_bench
-from repro.runtime import LedgerSpec, ObsSpec, ScenarioSpec, build
+from repro.ids import DeviceId
+from repro.protocol.codec import encode_message
+from repro.protocol.messages import RegistrationRequest
+from repro.runtime import LedgerSpec, ObsSpec, ScenarioSpec, ServeSpec, build
 from repro.runtime.spec import TransportSpec
-from repro.workloads.scenarios import scaled_spec
+from repro.serve import AggregatorService
+from repro.workloads.scenarios import paper_testbed_spec, scaled_spec
 
 
 def grow(chain, blocks, records_per_block=3, device="d1", uid="u1"):
@@ -245,6 +249,51 @@ class TestCheckpointPruning:
         assert len(records) == chain.retained_blocks * 3
         assert chain.records_total == 30 * 3
 
+    def test_pruning_trims_the_index_with_the_bodies(self):
+        chain = Blockchain(checkpoint_interval=10, pruning_depth=5)
+        for b in range(40):
+            chain.append("agg1", float(b), [
+                {"device_uid": "u1", "sequence": b},
+                {"device_uid": "u2", "sequence": str(b)},
+                *([{"device_uid": "early", "sequence": b}] if b < 10 else []),
+            ])
+        assert chain.pruned_below == 35
+        for uid, index in (("u1", 0), ("u2", 1)):
+            assert chain.records_for_device(uid) == [
+                chain.get(b).records[index] for b in range(35, 40)
+            ]
+            for b in range(40):
+                sequence = b if uid == "u1" else str(b)
+                expected = (b, index) if b >= 35 else None
+                assert chain.locate_record(uid, sequence) == expected
+        assert chain.records_for_device("early") == []
+        assert chain.locate_record("early", 0) is None
+
+    def test_irregular_sequences_are_listed_and_found(self):
+        # Sequences that are missing or not 64-bit ints; equality (and
+        # so chain order) decides a match, as for plain ints.
+        chain = Blockchain()
+        first = [{"device_uid": "u1", "sequence": s} for s in (None, "7", 3.5, True)]
+        second = [
+            {"device_uid": "u1", "sequence": 2**70},
+            {"device_uid": "u1", "sequence": -(2**63)},
+            {"device_uid": "u1"},
+            {"device_uid": "u1", "sequence": 1},
+            {"device_uid": "u1", "sequence": 7},
+        ]
+        chain.append("agg1", 0.0, first)
+        chain.append("agg1", 1.0, second)
+        assert chain.records_for_device("u1") == first + second
+        assert chain.locate_record("u1", None) == (0, 0)
+        assert chain.locate_record("u1", "7") == (0, 1)
+        assert chain.locate_record("u1", 3.5) == (0, 2)
+        assert chain.locate_record("u1", 1) == (0, 3)  # True == 1
+        assert chain.locate_record("u1", 2**70) == (1, 0)
+        assert chain.locate_record("u1", -(2**63)) == (1, 1)
+        assert chain.locate_record("u1", 7) == (1, 4)
+        assert chain.locate_record("u1", 7.0) == (1, 4)
+        assert chain.locate_record("u1", 8) is None
+
     def test_locate_record(self):
         chain = Blockchain()
         grow(chain, 4)
@@ -263,6 +312,32 @@ class TestJsonlRefresh:
         assert reader.height == 3
         reader.validate()
         assert audit_chain(reader).clean
+
+    def test_second_reader_on_a_served_archive(self):
+        service = AggregatorService(
+            dataclasses.replace(
+                paper_testbed_spec(enter_devices=False),
+                serve=ServeSpec(enabled=True, step_s=1.0),
+            )
+        )
+        service.register(encode_message(RegistrationRequest(DeviceId("ext-1"))))
+        for sequence in range(1, JsonlBlockStore.CACHED_BODIES + 4):
+            reply = service.ingest(json.dumps([{
+                "type": "consumption_report", "device": "ext-1", "master": "agg1/1",
+                "temporary": None, "sequence": sequence, "measured_at": 0.1 * sequence,
+                "interval_s": 0.1, "current_ma": 100.0, "voltage_v": 5.0,
+                "energy_mwh": 100.0 * 5.0 * 0.1 / 3600.0, "buffered": False,
+            }]))
+            assert reply["accepted"] == 1
+        service.advance()
+        served = service.scenario.chain
+        reader = Blockchain(JsonlBlockStore(served._store.path))
+        assert reader.height == served.height > JsonlBlockStore.CACHED_BODIES
+        assert reader.tip_hash == served.tip_hash
+        reader.validate()
+        uid = DeviceId("ext-1").uid
+        assert reader.records_for_device(uid) == served.records_for_device(uid)
+        assert reader.locate_record(uid, 1) == served.locate_record(uid, 1) == (0, 0)
 
     def test_reader_follows_continued_growth(self, tmp_path):
         path = tmp_path / "chain.jsonl"

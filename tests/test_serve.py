@@ -1,12 +1,18 @@
 """Serve mode: spec plumbing, the service facade, and HTTP end to end."""
 
 import dataclasses
+import gc
 import http.client
 import json
+import socket
+import statistics
+import time
+import tracemalloc
 
 import pytest
 
 from repro.chain.receipts import receipt_from_dict
+from repro.chain.store import JsonlBlockStore
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId, parse_address
 from repro.obs.artifacts import collect_scenario, write_artifacts
@@ -279,6 +285,83 @@ class TestAggregatorService:
         assert after["external_clients"] == 1
         assert after["sim_time_s"] > before["sim_time_s"]
 
+    def test_verdicts_answered_pending_are_not_kept(self):
+        # Steps too short for the processing latency answer every report
+        # "pending"; the Acks that arrive later have no request waiting
+        # for them and must not pile up.
+        service = AggregatorService(serve_spec(step_s=0.0001))
+        devices = [f"ext-{k}" for k in range(16)]
+        for name in devices:
+            service.register(encode_message(RegistrationRequest(DeviceId(name))))
+        service.advance(1.0)
+        master = {m.device_id.name: str(m.address) for m in service.unit.registry.members()}
+        for sequence in range(1, 51):
+            batch = [{**report_dict(name, sequence), "master": master[name]} for name in devices]
+            verdicts = service.ingest(json.dumps(batch))
+            assert {r["verdict"] for r in verdicts["results"]} == {"pending"}
+        service.advance(1.0)
+        assert service._verdicts == {}
+        chain = service.scenario.chain
+        assert len(chain.records_for_device(DeviceId("ext-0").uid)) == 50
+
+    def test_memory_grows_per_block_not_per_record(self, monkeypatch):
+        # The serve_mixed shape: 16 devices, one batch per 0.1 s step, a
+        # block per 10 steps.  Once the body cache and the window history
+        # are full, a record leaves only its index entry and its series
+        # samples behind.  A 2 s window history fills sooner than the
+        # default; the growth per record is the same.
+        monkeypatch.setattr("repro.aggregator.aggregation.HISTORY_S", 2.0)
+        service = AggregatorService(serve_spec(step_s=0.1))
+        devices = [f"ext-{k:02d}" for k in range(16)]
+        for name in devices:
+            service.register(encode_message(RegistrationRequest(DeviceId(name))))
+        master = {m.device_id.name: str(m.address) for m in service.unit.registry.members()}
+        sequences = iter(range(1, 10_000))
+
+        def ingest(steps):
+            for _ in range(steps):
+                sequence, at = next(sequences), service.sim_now
+                batch = [
+                    {**report_dict(name, sequence, measured_at=at, current_ma=20.0 + k),
+                     "master": master[name]}
+                    for k, name in enumerate(devices)
+                ]
+                assert service.ingest(json.dumps(batch))["accepted"] == len(devices)
+
+        # Traced from the start, so objects replaced in steady state
+        # count on both sides of the baseline.
+        tracemalloc.start()
+        try:
+            ingest(10 * (JsonlBlockStore.CACHED_BODIES + 1))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            measured = 300
+            ingest(measured)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_record = (after - before) / (measured * len(devices))
+        assert per_record <= 96, f"{per_record:.0f} B retained per ingested record"
+
+    def test_ledger_archive_lives_as_long_as_the_service(self):
+        def served():
+            service = AggregatorService(serve_spec(step_s=1.0))
+            service.register(encode_message(RegistrationRequest(DeviceId("ext-1"))))
+            service.ingest(json.dumps([report_dict("ext-1", 1)]))
+            service.advance()
+            path = service.scenario.chain._store.path
+            assert path.exists()
+            return service, path
+
+        service, path = served()
+        service.close()
+        assert not path.parent.exists()
+        service, path = served()
+        del service
+        gc.collect()
+        assert not path.parent.exists()
+
     def test_simulated_devices_share_the_served_world(self):
         # A served world with the simulated fleet enabled: both report
         # paths (kernel devices and external batches) land in one chain.
@@ -359,6 +442,29 @@ class TestServeHttp:
         assert status == 400
         status, body = self._json(server, "GET", "/ledger/headers?count=zap")
         assert status == 400
+
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, server):
+        # A response leaves in one write with TCP_NODELAY set; headers
+        # and body in two writes waited ~40 ms for the client's ACK.
+        def timed_request():
+            start = time.perf_counter()
+            server.request("GET", "/healthz")
+            response = server.getresponse()
+            response.read()
+            assert response.status == 200
+            return time.perf_counter() - start
+
+        for _ in range(3):
+            timed_request()
+        median_s = statistics.median(timed_request() for _ in range(20))
+        assert median_s < 0.010, f"median {median_s * 1000:.1f} ms"
+
+    def test_http09_request_gets_the_bare_body(self, service):
+        with ServeRunner(service) as runner:
+            with socket.create_connection(runner.address, timeout=30) as sock:
+                sock.sendall(b"GET /healthz\r\n\r\n")
+                reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert json.loads(reply)["status"] == "ok"
 
     def test_alerts_long_poll_times_out_empty(self, server):
         status, feed = self._json(server, "GET", "/alerts?since=0&timeout_s=0.05")
