@@ -66,11 +66,21 @@ class ReportAggregator:
         self._keep = keep_windows
         self._windows: dict[int, Window] = {}
         self._held: list[int] = []  # min-heap of the indices in _windows
+        self._evicted_through = float("-inf")
 
     @property
     def window_s(self) -> float:
         """Bucket width in seconds."""
         return self._window_s
+
+    @property
+    def evicted_through(self) -> float:
+        """Start of the newest evicted window (``-inf`` until one is).
+
+        Every held window starts after it, since the oldest is always
+        evicted first.
+        """
+        return self._evicted_through
 
     def _index(self, at_time: float) -> int:
         return int(at_time // self._window_s)
@@ -83,7 +93,11 @@ class ReportAggregator:
             self._windows[index] = window
             heapq.heappush(self._held, index)
             if len(self._windows) > self._keep:
-                del self._windows[heapq.heappop(self._held)]
+                oldest = heapq.heappop(self._held)
+                del self._windows[oldest]
+                self._evicted_through = max(
+                    self._evicted_through, oldest * self._window_s
+                )
         return window
 
     def add_report(self, device_id: DeviceId, at_time: float, current_ma: float) -> None:

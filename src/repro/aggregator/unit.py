@@ -747,6 +747,8 @@ class AggregatorUnit(Process):
         :class:`~repro.anomaly.attribution.DeviceAttributor`.  Call it
         after the network-level residual check has been flagging — it
         answers the follow-up question the paper leaves as future work.
+        Only the held windows are read: the newest
+        :data:`~repro.aggregator.aggregation.HISTORY_S` (40 s) of them.
         """
         from repro.anomaly.attribution import DeviceAttributor
 

@@ -62,10 +62,20 @@ def allocate_losses(
     the period contribute.  Negative per-window gaps (sensor noise can
     put the device sum above the feeder briefly) clamp to zero rather
     than crediting devices with negative loss.
+
+    Raises :class:`~repro.errors.BillingError` when a window the period
+    covers was evicted from the aggregator's history (see
+    :attr:`ReportAggregator.evicted_through`): a bill must not silently
+    cover only part of its period.
     """
     start, end = period
     if end < start:
         raise BillingError(f"empty allocation period [{start}, {end}]")
+    if start <= aggregation.evicted_through:
+        raise BillingError(
+            f"period starts at {start} s, but the window at "
+            f"{aggregation.evicted_through} s and older were evicted"
+        )
     allocation = LossAllocation(period=period)
     window_s = aggregation.window_s
     for window in aggregation.complete_windows():

@@ -160,13 +160,18 @@ class TestStores:
     def test_jsonl_evicted_block_serves_the_same_receipt(self, tmp_path):
         store = JsonlBlockStore(tmp_path / "chain.jsonl")
         chain = Blockchain(store)
-        for i in range(3):
+        for i in range(2):
             chain.append("agg1", float(i), [record(seq=3 * i + k) for k in range(3)])
-        assert store.get(1) is store.get(1)  # cached
+        newest = store.get(1)
+        assert newest is store.get(1)  # cached
         cached = find_and_issue(chain, "d1d1", 4)
-        for i in range(3, 3 + JsonlBlockStore.CACHED_BODIES):
+        for i in range(2, 2 + JsonlBlockStore.CACHED_BODIES):
             chain.append("agg1", float(i), [record(seq=3 * i + k) for k in range(3)])
-        assert store.get(1) is not store.get(1)  # read back from its line
+        archived = store.get(1)
+        assert archived is not newest  # read back from its line
+        assert archived is store.get(1)  # kept as the last block read
+        store.get(0)
+        assert store.get(1) is not archived  # read back again
         evicted = find_and_issue(chain, "d1d1", 4)
         assert evicted == cached
         assert evicted.verify(chain)

@@ -67,6 +67,20 @@ class TestAllocateLosses:
         with pytest.raises(BillingError):
             allocate_losses(aggregation, (5.0, 1.0))
 
+    def test_period_reaching_evicted_windows_raises(self):
+        aggregation = ReportAggregator(window_s=1.0, keep_windows=3)
+        for start in (0.0, 1.0, 2.0, 3.0, 4.0):  # windows 0 and 1 evicted
+            aggregation.add_report(DeviceId("a"), start + 0.5, 50.0)
+            aggregation.add_feeder_sample(start + 0.5, 55.0)
+        assert aggregation.evicted_through == 1.0
+        for start in (0.0, 1.0):
+            with pytest.raises(BillingError, match="evicted"):
+                allocate_losses(aggregation, (start, 10.0))
+        for start in (1.5, 2.0):
+            allocation = allocate_losses(aggregation, (start, 10.0))
+            assert allocation.windows_used == 3
+            assert allocation.total_loss_ma_s == pytest.approx(15.0)
+
     def test_allocation_from_real_run_matches_fig5_gap(self):
         scenario = build(paper_testbed_spec(seed=71))
         scenario.run_until(30.0)
