@@ -66,8 +66,7 @@ class TestAllocateLosses:
         aggregation = make_aggregation([(0.0, {"a": 1.0}, 1.0)])
         with pytest.raises(BillingError):
             allocate_losses(aggregation, (5.0, 1.0))
-
-    def test_period_reaching_evicted_windows_raises(self):
+        # A period reaching windows the bounded history evicted.
         aggregation = ReportAggregator(window_s=1.0, keep_windows=3)
         for start in (0.0, 1.0, 2.0, 3.0, 4.0):  # windows 0 and 1 evicted
             aggregation.add_report(DeviceId("a"), start + 0.5, 50.0)
