@@ -2,14 +2,15 @@
 
 Three trust models, three costs.  The trusted aggregator (the paper's
 design) appends for free; PoA buys decentralization among *honest*
-proposers for O(n^2) votes; PBFT additionally survives a *Byzantine*
-proposer for two phases of O(n^2) traffic.  This bench measures all
-three on the same mesh and proves the Byzantine case behaves.
+proposers for 2(n-1) mesh messages (A5's round); PBFT additionally
+survives a *Byzantine* proposer for two phases of O(n^2) traffic.  This
+bench measures all three on the same mesh and proves the Byzantine case
+behaves.
 """
 
 import pytest
 
-from repro.chain import Blockchain, NetworkedPoaConsensus, NetworkedValidator
+from benchmarks.bench_consensus import run_round as run_poa_round
 from repro.chain.pbft import PbftCluster, PbftReplica
 from repro.experiments.report import render_table
 from repro.ids import AggregatorId
@@ -20,11 +21,6 @@ RECORDS = [{"device": "d", "device_uid": "u", "sequence": 0,
             "measured_at": 0.0, "energy_mwh": 0.5}]
 FORGED = [{"device": "d", "device_uid": "u", "sequence": 0,
            "measured_at": 0.0, "energy_mwh": 0.0}]
-
-
-def full_mesh(sim, nodes):
-    mesh = BackhaulMesh(sim)
-    return mesh
 
 
 def build_pbft(n=4, seed=0):
@@ -39,27 +35,13 @@ def build_pbft(n=4, seed=0):
     return sim, mesh, PbftCluster(replicas)
 
 
-def build_poa(n=4, seed=0):
-    sim = Simulator(seed=seed)
-    mesh = BackhaulMesh(sim)
-    chain = Blockchain(authorized=set())
-    validators = [
-        NetworkedValidator(sim, AggregatorId(f"v{i}"), mesh) for i in range(n)
-    ]
-    for i, a in enumerate(validators):
-        for b in validators[i + 1:]:
-            mesh.connect(BackhaulLink(a.node_id, b.node_id, latency_s=0.001))
-    return sim, mesh, NetworkedPoaConsensus(sim, validators, chain), chain
-
-
 @pytest.mark.parametrize("n", [4, 7])
 def test_pbft_commit_cost_and_latency(once, n):
     def run():
         sim, mesh, cluster = build_pbft(n)
-        start = sim.now
         cluster.propose(RECORDS)
         sim.run()
-        return mesh.messages_sent, sim.now - start, cluster
+        return mesh.messages_sent, sim.now, cluster
 
     messages, latency, cluster = once(run)
     print(f"\nPBFT n={n}: {messages} messages, commit in {latency * 1000:.1f} ms")
@@ -72,18 +54,13 @@ def test_pbft_commit_cost_and_latency(once, n):
 def test_consensus_ladder_table(once):
     def ladder():
         rows = [["trusted aggregator (paper)", 0, 0.0, "crash-stop only"]]
-        sim, mesh, poa, chain = build_poa(4)
-        t0 = sim.now
-        done = []
-        poa.propose(RECORDS, lambda ok, lat: done.append(lat))
-        sim.run()
-        rows.append(["PoA 1-phase", mesh.messages_sent, done[0] * 1000, "honest proposer"])
+        _, latency, messages = run_poa_round(4)
+        rows.append(["PoA 1-phase", messages, latency * 1000, "honest proposer"])
         sim, mesh, cluster = build_pbft(4)
-        t0 = sim.now
         cluster.propose(RECORDS)
         sim.run()
         rows.append(
-            ["PBFT 2-phase", mesh.messages_sent, (sim.now - t0) * 1000,
+            ["PBFT 2-phase", mesh.messages_sent, sim.now * 1000,
              "Byzantine proposer (f=1)"]
         )
         return rows

@@ -10,8 +10,6 @@ backhaul.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.billing.invoice import Invoice, InvoiceLine, check_period
 from repro.billing.tariff import Tariff
 from repro.chain.ledger import Blockchain
@@ -76,15 +74,3 @@ class BillingEngine:
         if not include_lines:
             invoice.lines = []
         return invoice
-
-    def settlement_summary(self, period: tuple[float, float]) -> dict[str, Any]:
-        """Totals per device name over a half-open period ``[start, end)``."""
-        start, end = check_period(period, "billing")
-        totals: dict[str, float] = {}
-        for block in self._chain:
-            for record in block.records:
-                measured_at = float(record["measured_at"])
-                if start <= measured_at < end:
-                    name = record["device"]
-                    totals[name] = totals.get(name, 0.0) + float(record["energy_mwh"])
-        return {"period": [start, end], "energy_mwh_by_device": totals}

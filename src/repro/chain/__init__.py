@@ -15,13 +15,13 @@ Components:
 * :mod:`repro.chain.audit` — tamper detection over stored chains,
 * :mod:`repro.chain.sync` — lightweight-client header sync and
   checkpoints (Danzi et al.),
-* :mod:`repro.chain.consensus` — optional proof-of-authority rounds
-  (the paper's future-work "consensus among devices").
+* :mod:`repro.chain.consensus_net` — optional proof-of-authority rounds
+  over the mesh (the paper's future-work "consensus among devices"),
+* :mod:`repro.chain.pbft` — the Byzantine-tolerant two-phase variant.
 """
 
 from repro.chain.audit import AuditReport, audit_chain
 from repro.chain.block import Block, BlockHeader
-from repro.chain.consensus import PoaConsensus, Validator, Vote
 from repro.chain.consensus_net import NetworkedPoaConsensus, NetworkedValidator
 from repro.chain.hashing import canonical_bytes, sha256_hex
 from repro.chain.ledger import Blockchain
@@ -57,9 +57,6 @@ __all__ = [
     "SyncStats",
     "receipt_from_dict",
     "receipt_to_dict",
-    "PoaConsensus",
-    "Validator",
-    "Vote",
     "NetworkedPoaConsensus",
     "NetworkedValidator",
     "PbftCluster",

@@ -1,21 +1,31 @@
-"""Consensus over the simulated network — latency-aware PoA rounds.
+"""Proof-of-authority consensus over the mesh — the paper's future work.
 
-:mod:`repro.chain.consensus` prices consensus in *messages*; this module
-prices it in *time*.  Validators live on the backhaul mesh; a round is:
+"In a truly decentralized network, the aggregators' role could be
+performed by the devices themselves having a consensus among themselves"
+(§II-A), and §IV plans "addition of consensus among devices".  This is
+that extension: a known validator set on the backhaul mesh, a rotating
+proposer, and a round that runs as
 
-1. the proposer broadcasts the proposal (one mesh send per validator),
-2. each validator evaluates after a processing delay and broadcasts its
-   vote,
-3. the proposer commits once a strict 2/3 quorum of accepts arrived.
+1. the proposer sends the proposal to every other validator,
+2. each validator re-checks the records against its own acceptance
+   predicate after a processing delay and sends its vote to the
+   proposer (the proposer's own vote stays local),
+3. the proposer commits once accepts strictly exceed 2/3 of the
+   committee, or rejects once that is out of reach.
 
-The commit latency — proposal propagation + processing + vote
-propagation — is what a fully decentralized deployment would add to
-every block, compared to the trusted aggregator's zero.
+Every message is a mesh send, so :attr:`BackhaulMesh.messages_sent`
+prices a round at 2(n−1) messages, and the commit latency — proposal
+propagation + processing + vote propagation — is what a fully
+decentralized deployment adds to every block, against the trusted
+aggregator's zero.  A misbehaving proposer cannot commit fabricated
+data, and a vote counts only from a committee member, under the mesh
+source that delivered it, for the round's proposal hash, at the round's
+proposer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.chain.hashing import hash_value
@@ -45,6 +55,15 @@ class _NetVote:
     proposal_hash: str
     voter: AggregatorId
     accept: bool
+
+
+@dataclass
+class _Round:
+    proposal: _Proposal
+    on_commit: CommitCallback
+    voted: set[AggregatorId] = field(default_factory=set)
+    accepts: int = 0
+    rejects: int = 0
 
 
 class NetworkedValidator(Process):
@@ -110,7 +129,7 @@ class NetworkedValidator(Process):
             )
         elif isinstance(payload, _NetVote):
             if self._coordinator is not None:
-                self._coordinator.receive_vote(self._node_id, payload)
+                self._coordinator.receive_vote(self._node_id, source, payload)
         else:
             raise ConsensusError(
                 f"unexpected consensus payload {type(payload).__name__}"
@@ -123,7 +142,7 @@ class NetworkedValidator(Process):
         # Vote goes to the proposer (commit decision is the proposer's).
         if proposal.proposer == self._node_id:
             if self._coordinator is not None:
-                self._coordinator.receive_vote(self._node_id, vote)
+                self._coordinator.receive_vote(self._node_id, self._node_id, vote)
         else:
             self._mesh.send(self._node_id, proposal.proposer, vote)
 
@@ -133,7 +152,8 @@ class NetworkedPoaConsensus(Process):
 
     Args:
         simulator: The kernel.
-        validators: Validator set (order = proposer rotation).
+        validators: Validator set (order = proposer rotation); each
+            validator appears once.
         chain: Ledger committed blocks land in.
         quorum_ratio: Strict-greater-than accept fraction.
     """
@@ -148,13 +168,18 @@ class NetworkedPoaConsensus(Process):
         super().__init__(simulator, "networked-consensus")
         if not validators:
             raise ConsensusError("validator set must be non-empty")
+        members = {validator.node_id for validator in validators}
+        if len(members) != len(validators):
+            names = [validator.node_id.name for validator in validators]
+            raise ConsensusError(f"duplicate validators in {names}")
         if not 0.0 < quorum_ratio < 1.0:
             raise ConsensusError(f"quorum ratio must be in (0, 1), got {quorum_ratio}")
         self._validators = list(validators)
+        self._members = members
         self._chain = chain
         self._quorum_ratio = quorum_ratio
         self._round = 0
-        self._pending: dict[int, dict[str, Any]] = {}
+        self._pending: dict[int, _Round] = {}
         for validator in validators:
             validator.bind(self)
             chain.authorize(validator.node_id.name)
@@ -183,15 +208,7 @@ class NetworkedPoaConsensus(Process):
             timestamp=self.now,
             proposer=proposer.node_id,
         )
-        self._pending[round_id] = {
-            "proposal": proposal,
-            "accepts": 0,
-            "rejects": 0,
-            "voted": set(),
-            "started_at": self.now,
-            "callback": on_commit,
-            "decided": False,
-        }
+        self._pending[round_id] = _Round(proposal, on_commit)
         mesh = proposer.mesh
         for validator in self._validators:
             if validator.node_id != proposer.node_id:
@@ -204,31 +221,46 @@ class NetworkedPoaConsensus(Process):
         )
         return round_id
 
-    def receive_vote(self, receiver: AggregatorId, vote: _NetVote) -> None:
-        """Tally one vote (called by the proposer's message handler)."""
+    def receive_vote(
+        self, receiver: AggregatorId, source: AggregatorId, vote: _NetVote
+    ) -> None:
+        """Tally one vote the mesh delivered from ``source`` to ``receiver``.
+
+        Only the round's proposer tallies, and only a committee member's
+        first vote under its own mesh identity for the round's proposal
+        hash counts; anything else is ignored.
+        """
         state = self._pending.get(vote.round_id)
-        if state is None or state["decided"]:
+        if state is None:
             return
-        if vote.voter in state["voted"]:
+        proposal = state.proposal
+        if (
+            receiver != proposal.proposer
+            or source != vote.voter
+            or source not in self._members
+            or vote.proposal_hash != proposal.proposal_hash
+        ):
+            self.trace("consensus.vote_ignored", round=vote.round_id, source=source.name)
             return
-        state["voted"].add(vote.voter)
+        if source in state.voted:
+            return
+        state.voted.add(source)
         if vote.accept:
-            state["accepts"] += 1
+            state.accepts += 1
         else:
-            state["rejects"] += 1
+            state.rejects += 1
         total = len(self._validators)
         quorum = self._quorum_ratio * total
-        if state["accepts"] > quorum:
+        if state.accepts > quorum:
             self._decide(vote.round_id, committed=True)
-        elif total - state["rejects"] <= quorum:
+        elif total - state.rejects <= quorum:
             # Even unanimous remaining accepts cannot reach quorum.
             self._decide(vote.round_id, committed=False)
 
     def _decide(self, round_id: int, committed: bool) -> None:
         state = self._pending.pop(round_id)
-        state["decided"] = True
-        latency = self.now - state["started_at"]
-        proposal: _Proposal = state["proposal"]
+        proposal = state.proposal
+        latency = self.now - proposal.timestamp
         if committed:
             self._chain.append(
                 proposal.proposer.name, proposal.timestamp, list(proposal.records)
@@ -239,4 +271,4 @@ class NetworkedPoaConsensus(Process):
             committed=committed,
             latency_s=latency,
         )
-        state["callback"](committed, latency)
+        state.on_commit(committed, latency)

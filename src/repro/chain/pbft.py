@@ -112,6 +112,7 @@ class PbftReplica(Process):
         self.chain = Blockchain()  # this replica's ledger copy
         self._slots: dict[tuple[int, int], _SlotState] = {}
         self._quorum = 1  # set by the cluster once n is known
+        self._committee: tuple[AggregatorId, ...] = ()  # likewise
         self._executed_count = 0
         self._equivocations_detected = 0
         mesh.add_aggregator(node_id, self._on_message)
@@ -142,6 +143,14 @@ class PbftReplica(Process):
             raise ConsensusError(f"quorum must be >= 1, got {quorum}")
         self._quorum = quorum
 
+    def set_committee(self, members: list[AggregatorId]) -> None:
+        """Install the committee in primary-rotation order (done by the cluster)."""
+        self._committee = tuple(members)
+
+    def _primary_of(self, view: int) -> AggregatorId | None:
+        committee = self._committee
+        return committee[view % len(committee)] if committee else None
+
     def _slot(self, view: int, seq: int) -> _SlotState:
         return self._slots.setdefault((view, seq), _SlotState())
 
@@ -151,17 +160,26 @@ class PbftReplica(Process):
     # -- message handling ---------------------------------------------------
 
     def _on_message(self, source: AggregatorId, payload: Any) -> None:
+        # A phase message counts only under the mesh identity that sent
+        # it: a pre-prepare from the view's primary, a prepare or commit
+        # from a committee member.
         if isinstance(payload, PrePrepare):
+            bound = source == payload.primary == self._primary_of(payload.view)
+        elif isinstance(payload, (Prepare, Commit)):
+            bound = source == payload.replica and source in self._committee
+        else:
+            raise ConsensusError(f"unexpected PBFT payload {type(payload).__name__}")
+        if not bound:
+            self.trace("pbft.unbound_message", kind=type(payload).__name__, source=source.name)
+        elif isinstance(payload, PrePrepare):
             self.sim.call_later(
                 self._delay, lambda: self._on_preprepare(payload),
                 label=f"{self.name}:preprepare",
             )
         elif isinstance(payload, Prepare):
-            self._on_prepare(payload)
-        elif isinstance(payload, Commit):
-            self._on_commit(payload)
+            self._register_prepare(payload)
         else:
-            raise ConsensusError(f"unexpected PBFT payload {type(payload).__name__}")
+            self._register_commit(payload)
 
     def _on_preprepare(self, message: PrePrepare) -> None:
         slot = self._slot(message.view, message.seq)
@@ -184,9 +202,6 @@ class PbftReplica(Process):
         self._register_prepare(prepare)
         self._broadcast(prepare)
 
-    def _on_prepare(self, message: Prepare) -> None:
-        self._register_prepare(message)
-
     def _register_prepare(self, message: Prepare) -> None:
         slot = self._slot(message.view, message.seq)
         slot.prepares.setdefault(message.digest, set()).add(message.replica)
@@ -199,9 +214,6 @@ class PbftReplica(Process):
             commit = Commit(message.view, message.seq, message.digest, self._node_id)
             self._register_commit(commit)
             self._broadcast(commit)
-
-    def _on_commit(self, message: Commit) -> None:
-        self._register_commit(message)
 
     def _register_commit(self, message: Commit) -> None:
         slot = self._slot(message.view, message.seq)
@@ -240,6 +252,7 @@ class PbftCluster:
         self._view = 0
         for replica in replicas:
             replica.set_quorum(self.quorum)
+            replica.set_committee(names)
 
     @property
     def f(self) -> int:

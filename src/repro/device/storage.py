@@ -88,17 +88,3 @@ class LocalStore:
     def peek_oldest(self) -> ConsumptionReport | None:
         """The oldest buffered record without removing it."""
         return self._records[0] if self._records else None
-
-    def requeue_front(self, reports: list[ConsumptionReport]) -> None:
-        """Put drained records back at the front (failed flush).
-
-        The capacity bound still holds: if new records arrived while the
-        batch was in flight, requeueing evicts the oldest records overall
-        (the front of the requeued batch — same drop-oldest policy as
-        :meth:`store`) and counts them into :attr:`dropped_total`.
-        """
-        for report in reversed(reports):
-            self._records.appendleft(report)
-        while len(self._records) > self._capacity:
-            self._records.popleft()
-            self._dropped_total += 1

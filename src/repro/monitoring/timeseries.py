@@ -89,31 +89,6 @@ class TimeSeries:
             return 0.0
         return float(np.trapezoid(values, times))
 
-    def resample(self, bucket_s: float) -> "TimeSeries":
-        """Mean-per-bucket resampling onto a fixed grid."""
-        if bucket_s <= 0:
-            raise ConfigError(f"bucket must be positive, got {bucket_s}")
-        out = TimeSeries(f"{self._name}@{bucket_s}s", self._unit)
-        if not self._times:
-            return out
-        start = self._times[0]
-        end = self._times[-1]
-        # Edges are computed as start + i * bucket_s with an integer i:
-        # a running `edge += bucket_s` accumulates float error, so late
-        # samples drift into the wrong bucket and the final bucket can
-        # be dropped.  Adjacent buckets share the exact same edge value,
-        # so every sample lands in exactly one bucket.
-        i = 0
-        lo = start
-        while lo <= end:
-            hi = start + (i + 1) * bucket_s
-            _, values = self.window(lo, hi)
-            if values:
-                out.append(lo + bucket_s / 2.0, float(np.mean(values)))
-            i += 1
-            lo = start + i * bucket_s
-        return out
-
     def last_time(self) -> float | None:
         """The most recent sample time, or None when empty."""
         return self._times[-1] if self._times else None

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import BackhaulError
-from repro.faults.injectors import FaultAction, LinkFaultInjector
 from repro.ids import AggregatorId
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -74,7 +73,6 @@ class BackhaulMesh(Process):
         self._per_hop_cost_s = per_hop_cost_s
         self._partition: list[frozenset[AggregatorId]] | None = None
         self._down: set[AggregatorId] = set()
-        self._link_injectors: dict[frozenset[AggregatorId], LinkFaultInjector] = {}
 
     @property
     def messages_sent(self) -> int:
@@ -83,7 +81,7 @@ class BackhaulMesh(Process):
 
     @property
     def messages_dropped(self) -> int:
-        """Messages lost to partitions, downed nodes or link faults."""
+        """Messages lost to partitions or downed nodes."""
         return self.counted("messages_dropped")
 
     @property
@@ -127,25 +125,6 @@ class BackhaulMesh(Process):
             self._down.add(aggregator_id)
         else:
             self._down.discard(aggregator_id)
-
-    def install_link_injector(
-        self,
-        a: AggregatorId,
-        b: AggregatorId,
-        injector: LinkFaultInjector | None,
-    ) -> None:
-        """Attach a fault injector to the direct mesh link ``a — b``.
-
-        Every message whose best path crosses the link consults the
-        injector; ``None`` removes a previously installed one.
-        """
-        if b not in self._links.get(a, ()):
-            raise BackhaulError(f"no mesh link {a} -- {b}")
-        key = frozenset((a, b))
-        if injector is None:
-            self._link_injectors.pop(key, None)
-        else:
-            self._link_injectors[key] = injector
 
     def _severed(self, source: AggregatorId, destination: AggregatorId) -> bool:
         """Whether a partition or downed node makes delivery impossible."""
@@ -222,9 +201,7 @@ class BackhaulMesh(Process):
 
         Injected faults apply here: messages crossing a partition or
         touching a crashed node are lost (counted, not raised — a
-        partition is an operational condition, not a wiring error), and
-        each traversed link's injector may drop, corrupt, delay or
-        duplicate the message.
+        partition is an operational condition, not a wiring error).
         """
         handler = self._handlers.get(destination)
         if handler is None:
@@ -242,28 +219,10 @@ class BackhaulMesh(Process):
             if span is not None:
                 self._spans.finish(span, "dropped", reason="severed")
             return 0.0
-        latency, path = self.route(source, destination)
-        copies = 1
-        if self._link_injectors:
-            for a, b in zip(path, path[1:]):
-                injector = self._link_injectors.get(frozenset((a, b)))
-                if injector is None:
-                    continue
-                verdict = injector.message_verdict()
-                if verdict in (FaultAction.DROP, FaultAction.CORRUPT):
-                    self.count("messages_dropped")
-                    if span is not None:
-                        self._spans.finish(span, "dropped", reason=verdict.value)
-                    return latency
-                if verdict is FaultAction.DELAY:
-                    latency += injector.extra_delay_s
-                elif verdict is FaultAction.DUPLICATE:
-                    copies = 2
+        latency = self.route(source, destination)[0]
         self.count("messages_sent")
 
         def _arrive() -> None:
-            # finish() is idempotent, so a DUPLICATE fault's second copy
-            # leaves the span's outcome to whichever copy landed first.
             if destination in self._down:
                 # Crashed while the message was in flight.
                 self.count("messages_dropped")
@@ -274,8 +233,7 @@ class BackhaulMesh(Process):
                 self._spans.finish(span, "delivered")
             handler(source, payload)
 
-        for _ in range(copies):
-            self.sim.call_later(latency, _arrive, label=f"backhaul:{source}->{destination}")
+        self.sim.call_later(latency, _arrive, label=f"backhaul:{source}->{destination}")
         return latency
 
     def broadcast(self, source: AggregatorId, payload: Any) -> int:

@@ -1,4 +1,4 @@
-"""Unit conversion helpers and light-weight physical-quantity utilities.
+"""Unit helpers for the energy computation.
 
 The simulation works internally in SI-adjacent engineering units that
 match the paper's instrumentation:
@@ -10,49 +10,15 @@ match the paper's instrumentation:
 * energy in **milliwatt-hours**,
 * power in **milliwatts**.
 
-Keeping the units explicit in function names (``ma_to_a`` rather than an
-overloaded ``convert``) follows the explicit-code rule of the project's
-style guide and removes a whole class of unit bugs.
+Function names carry their units (``power_mw``, ``energy_mwh``), which
+removes a whole class of unit bugs.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ConfigError
 
 SECONDS_PER_HOUR = 3600.0
-MS_PER_SECOND = 1000.0
-
-
-def ms_to_s(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds / MS_PER_SECOND
-
-
-def s_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * MS_PER_SECOND
-
-
-def ma_to_a(milliamps: float) -> float:
-    """Convert milliamperes to amperes."""
-    return milliamps / 1000.0
-
-
-def a_to_ma(amps: float) -> float:
-    """Convert amperes to milliamperes."""
-    return amps * 1000.0
-
-
-def mw_to_w(milliwatts: float) -> float:
-    """Convert milliwatts to watts."""
-    return milliwatts / 1000.0
-
-
-def w_to_mw(watts: float) -> float:
-    """Convert watts to milliwatts."""
-    return watts * 1000.0
 
 
 def power_mw(current_ma: float, voltage_v: float) -> float:
@@ -73,53 +39,3 @@ def energy_mwh(current_ma: float, voltage_v: float, duration_s: float) -> float:
     if duration_s < 0:
         raise ConfigError(f"duration must be non-negative, got {duration_s}")
     return power_mw(current_ma, voltage_v) * duration_s / SECONDS_PER_HOUR
-
-
-def charge_mah(current_ma: float, duration_s: float) -> float:
-    """Charge in milliampere-hours delivered at a constant current."""
-    if duration_s < 0:
-        raise ConfigError(f"duration must be non-negative, got {duration_s}")
-    return current_ma * duration_s / SECONDS_PER_HOUR
-
-
-def dbm_to_mw(dbm: float) -> float:
-    """Convert a power level in dBm to milliwatts."""
-    return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(milliwatts: float) -> float:
-    """Convert a power level in milliwatts to dBm."""
-    if milliwatts <= 0:
-        raise ConfigError(f"power must be positive to express in dBm, got {milliwatts}")
-    return 10.0 * math.log10(milliwatts)
-
-
-def ppm_drift(seconds: float, ppm: float) -> float:
-    """Clock drift accumulated over ``seconds`` at ``ppm`` parts-per-million.
-
-    A DS3231 is accurate to about +/-2 ppm; over one hour that is 7.2 ms.
-    """
-    return seconds * ppm * 1e-6
-
-
-def relative_error(measured: float, truth: float) -> float:
-    """Signed relative error ``(measured - truth) / truth``.
-
-    Raises :class:`~repro.errors.ConfigError` when ``truth`` is zero since
-    the relative error is undefined there.
-    """
-    if truth == 0:
-        raise ConfigError("relative error undefined for zero ground truth")
-    return (measured - truth) / truth
-
-
-def percent(fraction: float) -> float:
-    """Express a fraction as a percentage."""
-    return fraction * 100.0
-
-
-def clamp(value: float, lower: float, upper: float) -> float:
-    """Clamp ``value`` into the inclusive range [lower, upper]."""
-    if lower > upper:
-        raise ConfigError(f"empty clamp range [{lower}, {upper}]")
-    return max(lower, min(upper, value))

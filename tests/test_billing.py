@@ -121,12 +121,6 @@ class TestBillingEngine:
         assert engine.invoice(d2, (0.0, 10.0)).total_cost == pytest.approx(50.0)
         assert engine.invoice(d1, (0.0, 10.0)).total_cost == pytest.approx(6.0)
 
-    def test_summary_across_devices(self):
-        chain, _, _ = self.make_chain()
-        engine = BillingEngine(chain, FlatTariff(1.0))
-        summary = engine.settlement_summary((0.0, 10.0))
-        assert summary["energy_mwh_by_device"] == {"d1": 6.0, "d2": 5.0}
-
     def test_include_lines_false(self):
         chain, d1, _ = self.make_chain()
         engine = BillingEngine(chain, FlatTariff(1.0))
@@ -139,13 +133,9 @@ class TestBillingEngine:
         engine = BillingEngine(chain, FlatTariff(1.0))
         with pytest.raises(BillingError):
             engine.invoice(d1, (5.0, 1.0))
-        # The summary checks its period like the invoice does, instead of
-        # returning empty totals for a caller's swapped or equal bounds.
         for period, message in (((10.0, 5.0), "inverted"), ((5.0, 5.0), "empty")):
             with pytest.raises(BillingError, match=message):
                 engine.invoice(d1, period)
-            with pytest.raises(BillingError, match=message):
-                engine.settlement_summary(period)
 
     def test_unknown_device_gets_empty_invoice(self):
         chain, _, _ = self.make_chain()

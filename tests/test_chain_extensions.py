@@ -98,6 +98,14 @@ class TestNetworkedConsensus:
         with pytest.raises(ConsensusError):
             NetworkedPoaConsensus(sim, [], Blockchain())
 
+    def test_invalid_configs_rejected(self):
+        sim = Simulator()
+        validator = NetworkedValidator(sim, AggregatorId("a"), BackhaulMesh(sim))
+        with pytest.raises(ConsensusError, match="duplicate validators"):
+            NetworkedPoaConsensus(sim, [validator, validator], Blockchain())
+        with pytest.raises(ConsensusError, match="quorum ratio"):
+            NetworkedPoaConsensus(sim, [validator], Blockchain(), quorum_ratio=1.5)
+
 
 class TestInclusionReceipts:
     def build_chain(self):

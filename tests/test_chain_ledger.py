@@ -1,4 +1,4 @@
-"""Tests for the ledger, stores, audit and consensus."""
+"""Tests for the ledger, stores and audit."""
 
 import json
 
@@ -9,14 +9,12 @@ from repro.chain import (
     Blockchain,
     InMemoryBlockStore,
     JsonlBlockStore,
-    PoaConsensus,
-    Validator,
     audit_chain,
 )
 from repro.chain.hashing import GENESIS_HASH
 from repro.chain.receipts import find_and_issue, receipt_from_dict, receipt_to_dict
 from repro.chain.sync import HeaderChain
-from repro.errors import BlockValidationError, ChainError, ConsensusError
+from repro.errors import BlockValidationError, ChainError
 
 
 def record(device="d1", energy=1.0, seq=0):
@@ -264,73 +262,3 @@ class TestAudit:
             )
         report = audit_chain(chain)
         assert set(report.invalid_blocks) == {2, 5}
-
-
-class TestConsensus:
-    def test_quorum_commits(self):
-        chain = Blockchain()
-        validators = [Validator(f"v{i}") for i in range(4)]
-        consensus = PoaConsensus(validators, chain)
-        committed, votes = consensus.propose(1.0, [record()])
-        assert committed
-        assert chain.height == 1
-        assert all(v.accept for v in votes)
-
-    def test_rejection_below_quorum(self):
-        chain = Blockchain()
-        validators = [
-            Validator("v0"),
-            Validator("v1", check=lambda r: False),
-            Validator("v2", check=lambda r: False),
-        ]
-        consensus = PoaConsensus(validators, chain)
-        committed, votes = consensus.propose(1.0, [record()])
-        assert not committed
-        assert chain.height == 0
-
-    def test_exact_two_thirds_insufficient(self):
-        # Strictly-greater-than quorum: 2 of 3 accepts is not > 2/3.
-        chain = Blockchain()
-        validators = [
-            Validator("v0"),
-            Validator("v1"),
-            Validator("v2", check=lambda r: False),
-        ]
-        committed, _ = PoaConsensus(validators, chain).propose(1.0, [])
-        assert not committed
-
-    def test_proposer_rotates(self):
-        chain = Blockchain()
-        validators = [Validator(f"v{i}") for i in range(3)]
-        consensus = PoaConsensus(validators, chain)
-        assert consensus.proposer_for_round(0).name == "v0"
-        assert consensus.proposer_for_round(4).name == "v1"
-        consensus.propose(1.0, [])
-        consensus.propose(2.0, [])
-        assert [b.header.aggregator for b in chain] == ["v0", "v1"]
-
-    def test_message_accounting(self):
-        chain = Blockchain()
-        validators = [Validator(f"v{i}") for i in range(4)]
-        consensus = PoaConsensus(validators, chain)
-        consensus.propose(1.0, [])
-        # 3 proposal messages + 4*3 vote messages.
-        assert consensus.messages_exchanged == 15
-
-    def test_validator_checks_data(self):
-        chain = Blockchain()
-        validators = [
-            Validator(f"v{i}", check=lambda rs: all(r["energy_mwh"] < 10 for r in rs))
-            for i in range(4)
-        ]
-        consensus = PoaConsensus(validators, chain)
-        committed, _ = consensus.propose(1.0, [record(energy=100.0)])
-        assert not committed
-
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ConsensusError):
-            PoaConsensus([], Blockchain())
-        with pytest.raises(ConsensusError):
-            PoaConsensus([Validator("a"), Validator("a")], Blockchain())
-        with pytest.raises(ConsensusError):
-            PoaConsensus([Validator("a")], Blockchain(), quorum_ratio=1.5)

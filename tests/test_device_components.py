@@ -82,29 +82,6 @@ class TestLocalStore:
         assert store.stored_total == 4
         assert store.pending == 2
 
-    def test_requeue_front(self):
-        store = LocalStore()
-        for i in range(4):
-            store.store(make_report(i))
-        batch = store.drain(2)
-        store.requeue_front(batch)
-        assert [r.sequence for r in store.drain()] == [0, 1, 2, 3]
-
-    def test_requeue_front_enforces_capacity(self):
-        # Regression: requeueing used to grow the store past its bound,
-        # silently defeating the memory-cap the capacity models.
-        store = LocalStore(capacity=3)
-        for i in range(3):
-            store.store(make_report(i))
-        batch = store.drain(2)  # sequences 0, 1
-        store.store(make_report(3))
-        store.store(make_report(4))  # store now holds 2, 3, 4 (full)
-        store.requeue_front(batch)
-        assert store.pending == 3
-        # Oldest overall are evicted: the requeued 0 and 1 go first.
-        assert [r.sequence for r in store.drain()] == [2, 3, 4]
-        assert store.dropped_total == 2
-
     def test_peek_oldest(self):
         store = LocalStore()
         assert store.peek_oldest() is None

@@ -276,17 +276,6 @@ class TestBackhaulFaults:
         sim.run()
         assert inbox["agg2"] == ["after"]
 
-    def test_link_injector_drops_on_edge(self):
-        sim, mesh, inbox = self.make_mesh()
-        injector = LinkFaultInjector(
-            "edge", np.random.default_rng(0), spec=LinkFaultSpec(drop_p=1.0)
-        )
-        mesh.install_link_injector(AGG1, AGG2, injector)
-        mesh.send(AGG1, AGG2, "doomed")
-        sim.run()
-        assert inbox["agg2"] == []
-        assert injector.counters.get("edge.drops") == 1
-
 
 class TestVerifyRetry:
     def make_pair(self, retry=None):

@@ -51,34 +51,15 @@ class TestTimeSeries:
             series.append(float(t), 2.0)
         assert series.integrate(0.0, 4.5) == pytest.approx(8.0)
 
-    def test_resample_buckets(self):
-        series = filled_series(10, step=0.5)  # t in [0, 4.5]
-        resampled = series.resample(1.0)
-        assert len(resampled) == 5
-        assert resampled.values[0] == pytest.approx(0.5)
-
     def test_last_value(self):
         assert filled_series(3).last_value() == 2.0
         assert TimeSeries("x").last_value() is None
         assert filled_series(3, step=0.5).last_time() == 1.0
         assert TimeSeries("x").last_time() is None
 
-    def test_resample_edges_do_not_drift(self):
-        # Pre-fix the loop accumulated `edge += bucket_s`, so with a
-        # 0.1 s bucket over 50 samples float error pushed samples into
-        # neighbouring buckets and dropped the final one entirely.
-        series = TimeSeries("drift")
-        for i in range(50):
-            series.append(i * 0.1, float(i))
-        resampled = series.resample(0.1)
-        assert len(resampled) == 50
-        assert resampled.values == [float(i) for i in range(50)]
-
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
             TimeSeries("")
-        with pytest.raises(ConfigError):
-            filled_series().resample(0.0)
 
 
 class TestSeriesBank:

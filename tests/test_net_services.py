@@ -3,11 +3,10 @@
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BackhaulError, ConfigError, SlotAllocationError
-from repro.faults.injectors import LinkFaultInjector, LinkFaultSpec
 from repro.hw import Ds3231Rtc
 from repro.ids import AggregatorId, DeviceId
 from repro.net import BackhaulLink, BackhaulMesh, TdmaSchedule, TimeSyncService
@@ -305,37 +304,3 @@ class TestRouteTable:
         mesh.connect(BackhaulLink(a, b, 1 / 2048))
         assert mesh.latency_s(a, b) == 1 / 2048 < before
         assert mesh.route(b, a) == (1 / 2048, (b, a))
-
-    @settings(max_examples=60, deadline=None)
-    @given(connected_meshes(), st.data())
-    def test_injector_consulted_only_on_the_routed_path(self, mesh_shape, data):
-        names, links = mesh_shape
-        sim, mesh, _, inboxes = self.build(names, links)
-        source, destination = data.draw(st.permutations(names))[:2]
-        path = mesh.route(AggregatorId(source), AggregatorId(destination))[1]
-        on_path = {frozenset(hop) for hop in zip(path, path[1:])}
-        off_path = [
-            (AggregatorId(a), AggregatorId(b))
-            for a, b, _ in links
-            if frozenset((AggregatorId(a), AggregatorId(b))) not in on_path
-        ]
-        assume(off_path)
-
-        def dropper(name):
-            return LinkFaultInjector(
-                name, np.random.default_rng(0), spec=LinkFaultSpec(drop_p=1.0)
-            )
-
-        off = dropper("off")
-        mesh.install_link_injector(*data.draw(st.sampled_from(off_path)), off)
-        mesh.send(AggregatorId(source), AggregatorId(destination), "through")
-        sim.run()
-        assert inboxes[destination] == ["through"]
-        assert off.counters.get("off.drops") == 0
-
-        on = dropper("on")
-        mesh.install_link_injector(*data.draw(st.sampled_from(list(zip(path, path[1:])))), on)
-        mesh.send(AggregatorId(source), AggregatorId(destination), "doomed")
-        sim.run()
-        assert inboxes[destination] == ["through"]
-        assert on.counters.get("on.drops") == 1

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.chain.pbft import PbftCluster, PbftReplica
+from repro.chain.hashing import hash_value
+from repro.chain.pbft import Commit, PbftCluster, PbftReplica, Prepare, PrePrepare
 from repro.errors import ConsensusError
 from repro.ids import AggregatorId
 from repro.net import BackhaulLink, BackhaulMesh
@@ -92,6 +93,48 @@ class TestByzantinePrimary:
         sim.run()
         # No execution is the hard guarantee; detection is best-effort.
         assert all(r.executed_count == 0 for r in cluster.replicas)
+
+    @pytest.mark.parametrize("forgers", ["impersonators", "outsiders"])
+    def test_forged_prepares_and_commits_never_execute(self, forgers):
+        # The primary equivocates, then r1 gets two more prepares and
+        # commits for its digest: from the primary under the other
+        # replicas' ids, or from two outside mesh nodes under their own.
+        # A phase message counts only from a committee member, under
+        # the mesh identity that sent it, so r1 stays unprepared and
+        # the ledgers cannot diverge.
+        sim, cluster = build_cluster(4)
+        primary, target, *others = cluster.replicas
+        mesh = primary.mesh
+        if forgers == "impersonators":
+            senders = [(primary.node_id, other.node_id) for other in others]
+        else:
+            outsiders = [AggregatorId(f"o{i}") for i in range(2)]
+            senders = [(outsider, outsider) for outsider in outsiders]
+            for outsider in outsiders:
+                mesh.add_aggregator(outsider, lambda source, payload: None)
+                mesh.connect(BackhaulLink(outsider, target.node_id, latency_s=0.001))
+        cluster.propose_equivocating(RECORDS_A, RECORDS_B)
+        digest = hash_value(RECORDS_A)
+        for source, claimed in senders:
+            for message in (Prepare(0, 0, digest, claimed), Commit(0, 0, digest, claimed)):
+                mesh.send(source, target.node_id, message)
+        sim.run()
+        assert all(r.executed_count == 0 for r in cluster.replicas)
+        assert cluster.converged_tip() is not None
+
+    def test_preprepare_counts_only_from_the_primary(self):
+        # A backup races the primary with a forged pre-prepare in its
+        # name; only the view's primary may propose, so every replica
+        # still executes the honest block.
+        sim, cluster = build_cluster(4)
+        primary, *backups = cluster.replicas
+        forged = PrePrepare(0, 0, hash_value(RECORDS_B), tuple(RECORDS_B), primary.node_id)
+        for backup in backups[:-1]:
+            primary.mesh.send(backups[-1].node_id, backup.node_id, forged)
+        cluster.propose(RECORDS_A)
+        sim.run()
+        assert all(r.executed_count == 1 for r in cluster.replicas)
+        assert cluster.converged_tip() is not None
 
     def test_honest_round_after_byzantine_round(self):
         sim, cluster = build_cluster(4)

@@ -1,73 +1,63 @@
-"""Property-based safety tests for both consensus implementations."""
+"""Safety tests for the proof-of-authority rounds on the mesh."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.chain import (
-    Blockchain,
-    NetworkedPoaConsensus,
-    NetworkedValidator,
-    PoaConsensus,
-    Validator,
-)
+from repro.chain import Blockchain, NetworkedPoaConsensus, NetworkedValidator
+from repro.chain.consensus_net import _NetVote
+from repro.chain.hashing import hash_value
 from repro.ids import AggregatorId
 from repro.net import BackhaulLink, BackhaulMesh
 from repro.sim import Simulator
 
 RECORDS = [{"device": "d", "device_uid": "u", "sequence": 0,
             "measured_at": 0.0, "energy_mwh": 0.1}]
+MEMBERS = [AggregatorId(f"v{i}") for i in range(4)]  # v0 proposes round 0
+PROPOSER, OTHERS = MEMBERS[0], MEMBERS[1:]
+NEXT = OTHERS[1:] + OTHERS[:1]  # v2, v3, v1
+OUTSIDERS = [AggregatorId(f"outsider{i}") for i in range(3)]
+# Three accept votes as (mesh source, destination, claimed voter, the
+# round's hash?); only the members' own votes to the proposer count.
+SENDERS = {
+    "members": [(v, PROPOSER, v, True) for v in OTHERS],
+    "ghosts": [(OUTSIDERS[0], PROPOSER, AggregatorId(f"ghost{i}"), False) for i in range(3)],
+    "impersonators": [(OUTSIDERS[0], PROPOSER, v, True) for v in OTHERS],
+    "swapped_ids": [(v, PROPOSER, n, True) for v, n in zip(OTHERS, NEXT)],
+    "outsiders": [(o, PROPOSER, o, True) for o in OUTSIDERS],
+    "another_proposal": [(v, PROPOSER, v, False) for v in OTHERS],
+    "not_to_the_proposer": [(v, n, v, True) for v, n in zip(OTHERS, NEXT)],
+}
 
 
-class TestSynchronousConsensusSafety:
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=12))
-    def test_commit_iff_strict_quorum(self, votes):
-        """For any validator honesty pattern, a block commits exactly
-        when accepts strictly exceed 2/3 of the committee."""
-        validators = [
-            Validator(f"v{i}", check=(lambda accept: (lambda r: accept))(accept))
-            for i, accept in enumerate(votes)
-        ]
-        chain = Blockchain()
-        consensus = PoaConsensus(validators, chain)
-        committed, cast = consensus.propose(0.0, RECORDS)
-        accepts = sum(v.accept for v in cast)
-        assert accepts == sum(votes)
-        assert committed == (accepts > (2.0 / 3.0) * len(votes))
-        assert chain.height == (1 if committed else 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=20))
-    def test_chain_height_equals_committed_rounds(self, n_validators, n_rounds):
-        validators = [Validator(f"v{i}") for i in range(n_validators)]
-        chain = Blockchain()
-        consensus = PoaConsensus(validators, chain)
-        committed_count = 0
-        for r in range(n_rounds):
-            committed, _ = consensus.propose(float(r), RECORDS)
-            committed_count += committed
-        assert chain.height == committed_count
-        chain.validate()
+def committee(checks):
+    """A fully meshed committee with one validator per acceptance check."""
+    sim = Simulator(seed=0)
+    mesh = BackhaulMesh(sim)
+    chain = Blockchain(authorized=set())
+    validators = [
+        NetworkedValidator(sim, AggregatorId(f"v{i}"), mesh, check=check)
+        for i, check in enumerate(checks)
+    ]
+    for i, a in enumerate(validators):
+        for b in validators[i + 1:]:
+            mesh.connect(BackhaulLink(a.node_id, b.node_id, latency_s=0.001))
+    return sim, mesh, chain, NetworkedPoaConsensus(sim, validators, chain)
 
 
 class TestNetworkedConsensusSafety:
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.booleans(), min_size=2, max_size=7))
+    @given(st.lists(st.booleans(), min_size=1, max_size=12))
+    @example([True, False, False])  # below quorum
+    @example([True, True, False])  # exactly 2/3 is not a quorum
+    @example([True] * 6 + [False] * 3)
     def test_networked_commit_iff_quorum(self, votes):
-        sim = Simulator(seed=0)
-        mesh = BackhaulMesh(sim)
-        chain = Blockchain(authorized=set())
-        validators = [
-            NetworkedValidator(
-                sim, AggregatorId(f"v{i}"), mesh,
-                check=(lambda accept: (lambda r: accept))(accept),
-            )
-            for i, accept in enumerate(votes)
-        ]
-        for i, a in enumerate(validators):
-            for b in validators[i + 1:]:
-                mesh.connect(BackhaulLink(a.node_id, b.node_id, latency_s=0.001))
-        consensus = NetworkedPoaConsensus(sim, validators, chain)
+        """For any validator honesty pattern, a block commits exactly
+        when accepts strictly exceed 2/3 of the committee, and the round
+        costs 2(n-1) mesh messages: the proposal out, the votes back."""
+        sim, mesh, chain, consensus = committee(
+            (lambda accept: (lambda r: accept))(accept) for accept in votes
+        )
         outcomes = []
         consensus.propose(RECORDS, lambda ok, lat: outcomes.append(ok))
         sim.run()
@@ -75,3 +65,51 @@ class TestNetworkedConsensusSafety:
         expected = accepts > (2.0 / 3.0) * len(votes)
         assert outcomes == [expected]
         assert chain.height == (1 if expected else 0)
+        assert mesh.messages_sent == 2 * (len(votes) - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=10), st.data())
+    def test_height_equals_committed_rounds(self, n_validators, data):
+        """Rounds run back to back, each with its own honesty pattern
+        (carried in the batch): the chain holds exactly the committed
+        rounds, each made by that round's rotating proposer."""
+        patterns = data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n_validators, max_size=n_validators),
+            max_size=20,
+        ))
+        sim, _, chain, consensus = committee(
+            (lambda i: (lambda records: records[0]["votes"][i]))(i)
+            for i in range(n_validators)
+        )
+        committed = []
+        for round_id, pattern in enumerate(patterns):
+            outcomes = []
+            consensus.propose([{"votes": pattern}], lambda ok, lat: outcomes.append(ok))
+            sim.run()
+            assert outcomes == [sum(pattern) > (2.0 / 3.0) * n_validators]
+            if outcomes[0]:
+                committed.append(f"v{round_id % n_validators}")
+        assert chain.height == len(committed)
+        assert [block.header.aggregator for block in chain] == committed
+        chain.validate()
+
+    @pytest.mark.parametrize("senders", SENDERS)
+    def test_forged_votes_are_not_counted(self, senders):
+        """Every validator rejects the batch, and three accept votes race
+        the honest rejects to the mesh. A vote counts only from a
+        committee member, under the mesh source that delivered it, for
+        the round's proposal hash, at the round's proposer: so only the
+        members' own early accepts (the control) commit the batch."""
+        sim, mesh, chain, consensus = committee([lambda r: False] * 4)
+        for outsider in OUTSIDERS:
+            mesh.add_aggregator(outsider, lambda source, payload: None)
+            mesh.connect(BackhaulLink(outsider, PROPOSER, latency_s=0.001))
+        outcomes = []
+        consensus.propose(RECORDS, lambda ok, lat: outcomes.append(ok))
+        round_hash = hash_value({"round": 0, "records": RECORDS})
+        for source, destination, voter, right_hash in SENDERS[senders]:
+            vote = _NetVote(0, round_hash if right_hash else "0" * 64, voter, True)
+            mesh.send(source, destination, vote)
+        sim.run()
+        assert outcomes == [senders == "members"]
+        assert chain.height == (1 if senders == "members" else 0)

@@ -132,46 +132,23 @@ class TestStorageProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=30),
-        st.integers(min_value=1, max_value=15),
-    )
-    def test_drain_requeue_roundtrip_preserves_order(self, batch_sizes, capacity):
-        # drain(k) followed by requeue_front of the batch is an identity
-        # on order (capacity permitting), and every drained record comes
-        # back marked buffered.
-        store = LocalStore(capacity=capacity)
-        for seq in range(capacity):
-            store.store(self._report(seq))
-        before = [r.sequence for r in store.drain()]
-        store.requeue_front([self._report(s) for s in before])
-        for k in batch_sizes:
-            batch = store.drain(k)
-            assert all(r.buffered for r in batch)
-            store.requeue_front(batch)
-            assert store.pending <= store.capacity
-        assert [r.sequence for r in store.drain()] == before
-
-    @settings(max_examples=60, deadline=None)
-    @given(
         st.lists(
             st.one_of(
                 st.tuples(st.just("store"), st.integers(0, 3)),
                 st.tuples(st.just("drain"), st.integers(1, 6)),
-                st.tuples(st.just("requeue"), st.just(0)),
             ),
             max_size=40,
         ),
         st.integers(min_value=1, max_value=8),
     )
     def test_matches_reference_model_under_interleavings(self, ops, capacity):
-        # Random store/drain/requeue interleavings against a reference
-        # deque model: same contents, same drop count, bound respected.
+        # Random store/drain interleavings against a reference deque
+        # model: same contents, same drop count, bound respected.
         from collections import deque
 
         store = LocalStore(capacity=capacity)
         model: deque[int] = deque()
         model_dropped = 0
-        held: list = []  # last drained batch, not yet requeued
         next_seq = 0
         for op, arg in ops:
             if op == "store":
@@ -182,21 +159,14 @@ class TestStorageProperties:
                     if len(model) > capacity:
                         model.popleft()
                         model_dropped += 1
-            elif op == "drain":
+            else:
                 if store.is_empty:
                     continue
-                held = store.drain(arg)
-                assert all(r.buffered for r in held)
-                assert [r.sequence for r in held] == [
+                drained = store.drain(arg)
+                assert all(r.buffered for r in drained)
+                assert [r.sequence for r in drained] == [
                     model.popleft() for _ in range(min(arg, len(model)))
                 ]
-            else:  # requeue the held batch back
-                store.requeue_front(held)
-                model.extendleft(r.sequence for r in reversed(held))
-                while len(model) > capacity:
-                    model.popleft()
-                    model_dropped += 1
-                held = []
             assert store.pending <= store.capacity
             assert store.pending == len(model)
         assert [r.sequence for r in store.drain()] == list(model)

@@ -16,6 +16,7 @@ Covers the seam four ways:
 
 import ast
 import gc
+import json
 import os
 import statistics
 import subprocess
@@ -155,21 +156,36 @@ def _messaging_wall_clock(kind, n_hubs=50, devices_per_hub=20, messages=10):
     return wall
 
 
+def _wire_path_ratios():
+    """mqtt-over-direct burst wall-clock ratios, five pairs.
+
+    The host's speed drifts between bursts of tens of milliseconds, so
+    each mqtt burst is paired with the direct burst right after it,
+    which runs at about the same speed, after one warm-up burst per
+    backend.
+    """
+    for kind in BACKENDS:
+        _messaging_wall_clock(kind)
+    return [
+        _messaging_wall_clock("mqtt") / _messaging_wall_clock("direct")
+        for _ in range(5)
+    ]
+
+
 class TestWirePathCost:
     def test_direct_transport_beats_mqtt_at_1k_devices(self):
         """The lightweight backend's reason to exist: >= 3x on the wire path.
 
-        The host's speed drifts between bursts of tens of milliseconds,
-        so each mqtt burst is paired with the direct burst right after
-        it, which runs at about the same speed, and the ratio is the
-        median over five pairs, after one warm-up burst per backend.
+        The bursts run in a fresh interpreter (this module run as a
+        script), so the heap that earlier tests left behind is in
+        neither burst; the ratio is the median over the five pairs.
         """
-        for kind in BACKENDS:
-            _messaging_wall_clock(kind)
-        ratios = [
-            _messaging_wall_clock("mqtt") / _messaging_wall_clock("direct")
-            for _ in range(5)
-        ]
+        env = {**os.environ, "PYTHONPATH": str(SRC_ROOT.parent)}
+        result = subprocess.run(
+            [sys.executable, __file__], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        ratios = json.loads(result.stdout)
         assert statistics.median(ratios) >= 3.0, ratios
 
 
@@ -463,3 +479,7 @@ class TestTransportSpec:
         assert isinstance(direct, DirectTransport)
         assert direct.latency_s == 0.001
         del sim
+
+
+if __name__ == "__main__":
+    print(json.dumps(_wire_path_ratios()))

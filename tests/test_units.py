@@ -5,39 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigError
-from repro.units import (
-    a_to_ma,
-    charge_mah,
-    clamp,
-    dbm_to_mw,
-    energy_mwh,
-    ma_to_a,
-    ms_to_s,
-    mw_to_dbm,
-    mw_to_w,
-    percent,
-    power_mw,
-    ppm_drift,
-    relative_error,
-    s_to_ms,
-    w_to_mw,
-)
-
-
-class TestConversions:
-    def test_ms_seconds_roundtrip(self):
-        assert s_to_ms(ms_to_s(1234.5)) == pytest.approx(1234.5)
-
-    def test_ma_amp_roundtrip(self):
-        assert a_to_ma(ma_to_a(250.0)) == pytest.approx(250.0)
-
-    def test_mw_watt_roundtrip(self):
-        assert w_to_mw(mw_to_w(3300.0)) == pytest.approx(3300.0)
-
-    def test_known_values(self):
-        assert ms_to_s(100.0) == pytest.approx(0.1)
-        assert ma_to_a(1000.0) == pytest.approx(1.0)
-        assert mw_to_w(500.0) == pytest.approx(0.5)
+from repro.units import energy_mwh, power_mw
 
 
 class TestPowerEnergy:
@@ -61,50 +29,7 @@ class TestPowerEnergy:
         with pytest.raises(ConfigError):
             energy_mwh(100.0, 5.0, -1.0)
 
-    def test_charge_one_hour(self):
-        assert charge_mah(150.0, 3600.0) == pytest.approx(150.0)
-
-    def test_charge_negative_duration_rejected(self):
-        with pytest.raises(ConfigError):
-            charge_mah(100.0, -0.1)
-
-
-class TestDbm:
-    def test_zero_dbm_is_one_mw(self):
-        assert dbm_to_mw(0.0) == pytest.approx(1.0)
-
-    def test_roundtrip(self):
-        assert mw_to_dbm(dbm_to_mw(-70.0)) == pytest.approx(-70.0)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ConfigError):
-            mw_to_dbm(0.0)
-
 
 class TestMisc:
-    def test_ppm_drift_ds3231_hour(self):
-        # 2 ppm over an hour is 7.2 ms.
-        assert ppm_drift(3600.0, 2.0) == pytest.approx(0.0072)
-
-    def test_relative_error_signs(self):
-        assert relative_error(110.0, 100.0) == pytest.approx(0.1)
-        assert relative_error(90.0, 100.0) == pytest.approx(-0.1)
-
-    def test_relative_error_zero_truth_rejected(self):
-        with pytest.raises(ConfigError):
-            relative_error(1.0, 0.0)
-
-    def test_percent(self):
-        assert percent(0.082) == pytest.approx(8.2)
-
-    def test_clamp_inside_and_outside(self):
-        assert clamp(5.0, 0.0, 10.0) == 5.0
-        assert clamp(-1.0, 0.0, 10.0) == 0.0
-        assert clamp(11.0, 0.0, 10.0) == 10.0
-
-    def test_clamp_empty_range_rejected(self):
-        with pytest.raises(ConfigError):
-            clamp(1.0, 10.0, 0.0)
-
     def test_energy_is_finite_for_normal_inputs(self):
         assert math.isfinite(energy_mwh(400.0, 5.0, 86400.0))
