@@ -1,4 +1,4 @@
-"""Tests for the ledger, stores and audit."""
+"""Tests for the ledger, stores, audit and consensus."""
 
 import json
 
@@ -9,16 +9,57 @@ from repro.chain import (
     Blockchain,
     InMemoryBlockStore,
     JsonlBlockStore,
+    NetworkedPoaConsensus,
+    NetworkedValidator,
     audit_chain,
 )
 from repro.chain.hashing import GENESIS_HASH
 from repro.chain.receipts import find_and_issue, receipt_from_dict, receipt_to_dict
 from repro.chain.sync import HeaderChain
 from repro.errors import BlockValidationError, ChainError
+from repro.ids import AggregatorId
+from repro.net import BackhaulLink, BackhaulMesh
+from repro.sim import Simulator
 
 
 def record(device="d1", energy=1.0, seq=0):
     return {"device": device, "device_uid": device * 2, "energy_mwh": energy, "sequence": seq}
+
+
+def accept(records):
+    return True
+
+
+def reject(records):
+    return False
+
+
+def plausible(records):
+    return all(r["energy_mwh"] < 10 for r in records)
+
+
+def poa_committee(checks, spans=False):
+    """A fully meshed committee ``v0, v1, ...``, one per acceptance check."""
+    sim = Simulator(seed=0, spans=spans)
+    mesh = BackhaulMesh(sim)
+    validators = [
+        NetworkedValidator(sim, AggregatorId(f"v{i}"), mesh, check=check)
+        for i, check in enumerate(checks)
+    ]
+    for i, a in enumerate(validators):
+        for b in validators[i + 1:]:
+            mesh.connect(BackhaulLink(a.node_id, b.node_id, latency_s=0.001))
+    chain = Blockchain()
+    return sim, mesh, chain, NetworkedPoaConsensus(sim, validators, chain)
+
+
+def run_round(sim, consensus, records):
+    """Run one round on ``records`` to its end; True if it committed."""
+    outcomes = []
+    consensus.propose(records, lambda committed, latency: outcomes.append(committed))
+    sim.run()
+    (committed,) = outcomes
+    return committed
 
 
 class TestBlockchain:
@@ -262,3 +303,49 @@ class TestAudit:
             )
         report = audit_chain(chain)
         assert set(report.invalid_blocks) == {2, 5}
+
+
+class TestConsensus:
+    def test_quorum_commits(self):
+        sim, _, chain, consensus = poa_committee([accept] * 4, spans=True)
+        assert run_round(sim, consensus, [record()])
+        assert chain.height == 1
+        assert chain.get(0).records == (record(),)
+        votes = sorted(
+            (span.actor, span.tags["accept"]) for span in sim.spans.by_name("consensus.vote")
+        )
+        assert votes == [(f"validator:v{i}", True) for i in range(4)]
+
+    def test_rejection_below_quorum(self):
+        sim, _, chain, consensus = poa_committee([accept, reject, reject])
+        assert not run_round(sim, consensus, [record()])
+        assert chain.height == 0
+
+    def test_exact_two_thirds_insufficient(self):
+        # Strictly-greater-than quorum: 2 of 3 accepts is not > 2/3.
+        sim, _, chain, consensus = poa_committee([accept, accept, reject])
+        assert not run_round(sim, consensus, [])
+        assert chain.height == 0
+
+    def test_proposer_rotates(self):
+        # Round r is proposed by validator r mod n, so round 4 of 3 is v1's.
+        sim, _, chain, consensus = poa_committee([accept] * 3)
+        for _ in range(5):
+            assert run_round(sim, consensus, [])
+        assert [b.header.aggregator for b in chain] == ["v0", "v1", "v2", "v0", "v1"]
+
+    def test_message_accounting(self):
+        # The proposal to the 3 others and their 3 votes back to the
+        # proposer: 6 mesh sends a round, committed or not.
+        sim, mesh, _, consensus = poa_committee([plausible] * 4)
+        assert run_round(sim, consensus, [record()])
+        assert mesh.messages_sent == 6
+        assert not run_round(sim, consensus, [record(energy=100.0)])
+        assert mesh.messages_sent == 12
+
+    def test_validator_checks_data(self):
+        # Every validator re-checks the records of the batch it votes on.
+        sim, _, chain, consensus = poa_committee([plausible] * 4)
+        assert not run_round(sim, consensus, [record(energy=100.0)])
+        assert run_round(sim, consensus, [record(energy=1.0)])
+        assert [b.records for b in chain] == [(record(energy=1.0),)]

@@ -30,42 +30,75 @@ SENDERS = {
 }
 
 
-def committee(checks):
-    """A fully meshed committee with one validator per acceptance check."""
-    sim = Simulator(seed=0)
+def committee(checks, latencies=(), spans=False):
+    """A fully meshed committee with one validator per acceptance check.
+
+    ``latencies`` gives the links' latencies in wiring order; a link
+    past its end takes 1 ms.
+    """
+    sim = Simulator(seed=0, spans=spans)
     mesh = BackhaulMesh(sim)
     chain = Blockchain(authorized=set())
     validators = [
         NetworkedValidator(sim, AggregatorId(f"v{i}"), mesh, check=check)
         for i, check in enumerate(checks)
     ]
+    latencies = iter(latencies)
     for i, a in enumerate(validators):
         for b in validators[i + 1:]:
-            mesh.connect(BackhaulLink(a.node_id, b.node_id, latency_s=0.001))
+            latency_s = next(latencies, 0.001)
+            mesh.connect(BackhaulLink(a.node_id, b.node_id, latency_s=latency_s))
     return sim, mesh, chain, NetworkedPoaConsensus(sim, validators, chain)
+
+
+def honest_as(votes):
+    """One acceptance check per entry of ``votes``, answering it."""
+    return [(lambda accept: (lambda records: accept))(accept) for accept in votes]
+
+
+class TestSynchronousConsensusSafety:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=12))
+    @example([True] * 6 + [False] * 3)  # exactly 2/3 is not a quorum
+    def test_commit_iff_strict_quorum(self, votes):
+        """Every link takes 1 ms, so the votes reach the proposer in
+        lock step. For any validator honesty pattern, each validator
+        votes once, as its check says; a block commits exactly when
+        accepts strictly exceed 2/3 of the committee; and the round
+        costs 2(n-1) mesh messages: the proposal out, the votes back."""
+        sim, mesh, chain, consensus = committee(honest_as(votes), spans=True)
+        outcomes = []
+        consensus.propose(RECORDS, lambda ok, lat: outcomes.append(ok))
+        sim.run()
+        cast = sorted(
+            (span.actor, span.tags["accept"]) for span in sim.spans.by_name("consensus.vote")
+        )
+        assert cast == sorted((f"validator:v{i}", accept) for i, accept in enumerate(votes))
+        expected = sum(votes) > (2.0 / 3.0) * len(votes)
+        assert outcomes == [expected]
+        assert chain.height == (1 if expected else 0)
+        assert mesh.messages_sent == 2 * (len(votes) - 1)
 
 
 class TestNetworkedConsensusSafety:
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=12))
-    @example([True, False, False])  # below quorum
-    @example([True, True, False])  # exactly 2/3 is not a quorum
-    @example([True] * 6 + [False] * 3)
-    def test_networked_commit_iff_quorum(self, votes):
-        """For any validator honesty pattern, a block commits exactly
-        when accepts strictly exceed 2/3 of the committee, and the round
-        costs 2(n-1) mesh messages: the proposal out, the votes back."""
-        sim, mesh, chain, consensus = committee(
-            (lambda accept: (lambda r: accept))(accept) for accept in votes
-        )
+    @given(st.lists(st.booleans(), min_size=2, max_size=7), st.data())
+    def test_networked_commit_iff_quorum(self, votes, data):
+        """With each link's latency drawn, the votes reach the proposer
+        in any order, and it may decide before the last one arrives; the
+        block still commits exactly when accepts strictly exceed 2/3 of
+        the committee."""
+        links = len(votes) * (len(votes) - 1) // 2
+        latencies = data.draw(st.lists(
+            st.floats(min_value=0.0005, max_value=0.05), min_size=links, max_size=links
+        ))
+        sim, _, chain, consensus = committee(honest_as(votes), latencies)
         outcomes = []
         consensus.propose(RECORDS, lambda ok, lat: outcomes.append(ok))
         sim.run()
-        accepts = sum(votes)
-        expected = accepts > (2.0 / 3.0) * len(votes)
+        expected = sum(votes) > (2.0 / 3.0) * len(votes)
         assert outcomes == [expected]
         assert chain.height == (1 if expected else 0)
-        assert mesh.messages_sent == 2 * (len(votes) - 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=10), st.data())

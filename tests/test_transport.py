@@ -119,12 +119,13 @@ class TestLayering:
 # -- wire-path cost --------------------------------------------------------
 
 
-def _messaging_wall_clock(kind, n_hubs=50, devices_per_hub=20, messages=10):
-    """Wall-clock of one publish burst across a 1k-link fleet's uplinks.
+def _uplink_fleet(kind, n_hubs=50, devices_per_hub=20):
+    """A connected 1k-link fleet as ``(sim, links, delivered)``.
 
     The subscription tables mirror a real aggregator's: four wildcard
-    uplink filters plus one exact control topic per device.  Only the
-    burst is timed, not building the fleet.
+    uplink filters plus one exact control topic per device.  ``links``
+    pairs each uplink with its report topic, formatted here so that a
+    burst times the publishes, not the string formatting.
     """
     sim = Simulator(seed=11)
     transport = make_transport(kind, sim)
@@ -141,35 +142,44 @@ def _messaging_wall_clock(kind, n_hubs=50, devices_per_hub=20, messages=10):
             hub.subscribe(f"device/agg{h}-d{d}/ctrl", lambda t, p: None)
             link = transport.make_link(sim, f"agg{h}-d{d}")
             link.connect(hub, -50.0)
-            links.append((link, h, d))
+            links.append((link, f"meter/agg{h}-d{d}/report"))
     sim.run()
-    # Earlier fleets are cyclic garbage, and building this one brings a
-    # full collection near: run it now, so it is not timed as the burst.
-    gc.collect()
-    start = time.perf_counter()
-    for link, h, d in links:
-        for i in range(messages):
-            link.publish(f"meter/agg{h}-d{d}/report", i, qos=QoS.AT_LEAST_ONCE)
-    sim.run()
-    wall = time.perf_counter() - start
-    assert delivered[0] == len(links) * messages
-    return wall
+    return sim, links, delivered
 
 
-def _wire_path_ratios():
-    """mqtt-over-direct burst wall-clock ratios, five pairs.
+def _burst_cpu_s(fleet, messages=10):
+    """CPU seconds of one publish burst across the fleet's uplinks.
 
-    The host's speed drifts between bursts of tens of milliseconds, so
-    each mqtt burst is paired with the direct burst right after it,
-    which runs at about the same speed, after one warm-up burst per
-    backend.
+    CPU time, not wall-clock: the time this process waits for a CPU
+    while other processes run is no cost of the wire path.
     """
-    for kind in BACKENDS:
-        _messaging_wall_clock(kind)
-    return [
-        _messaging_wall_clock("mqtt") / _messaging_wall_clock("direct")
-        for _ in range(5)
-    ]
+    sim, links, delivered = fleet
+    start = time.process_time()
+    for link, topic in links:
+        for i in range(messages):
+            link.publish(topic, i, qos=QoS.AT_LEAST_ONCE)
+    sim.run()
+    spent = time.process_time() - start
+    assert delivered[0] == len(links) * messages
+    return spent
+
+
+def _wire_path_ratios(pairs=15):
+    """mqtt-over-direct burst CPU-time ratios, one per pair.
+
+    The host's speed drifts, so a pair builds both fleets first and then
+    runs the mqtt burst and the direct burst back to back, at about the
+    same speed.  Earlier fleets are cyclic garbage, and building two
+    brings a full collection near: it runs before the bursts, so it is
+    timed as neither.  The first pair only warms up.
+    """
+    ratios = []
+    for _ in range(pairs + 1):
+        fleets = [_uplink_fleet(kind) for kind in ("mqtt", "direct")]
+        gc.collect()
+        mqtt, direct = (_burst_cpu_s(fleet) for fleet in fleets)
+        ratios.append(mqtt / direct)
+    return ratios[1:]
 
 
 class TestWirePathCost:
@@ -178,11 +188,12 @@ class TestWirePathCost:
 
         The bursts run in a fresh interpreter (this module run as a
         script), so the heap that earlier tests left behind is in
-        neither burst; the ratio is the median over the five pairs.
+        neither burst; the ratio is the median over the pairs.
         """
         env = {**os.environ, "PYTHONPATH": str(SRC_ROOT.parent)}
         result = subprocess.run(
-            [sys.executable, __file__], env=env, capture_output=True, text=True
+            [sys.executable, __file__],
+            env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stderr
         ratios = json.loads(result.stdout)
