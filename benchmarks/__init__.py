@@ -1,8 +1,8 @@
-"""Paper-figure and ablation benches, and the end-to-end benchmark.
+"""The ledger-sync artifact script and the end-to-end benchmark.
 
-The ``bench_*.py`` files are pytest-benchmark cases
-(``pytest benchmarks/bench_fig5.py``); ``bench_ledger.py`` also runs
-standalone.  ``benchmarks/e2e`` is the benchmark ``BENCHMARK.json``
-declares and every performance change is measured against; its
-``run.py`` imports it as the ``benchmarks.e2e`` package.
+``bench_ledger.py`` runs standalone and writes ``BENCH_ledger.json``.
+``benchmarks/e2e`` is the benchmark ``BENCHMARK.json`` declares and
+every performance change is measured against; its ``run.py`` imports it
+as the ``benchmarks.e2e`` package.  The paper's claims are checked by
+``repro-experiments validate`` and tier-1, not here.
 """

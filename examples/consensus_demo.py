@@ -73,7 +73,7 @@ def main() -> None:
           "architecture needs 0 consensus messages per block; full "
           "decentralization sends the proposal out and the votes back, "
           "2(n-1) mesh messages per round "
-          "(benchmarks/bench_consensus.py measures n = 2..16).")
+          "(repro-experiments validate, entry A5, measures n = 2..16).")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Round structure (period ``round_interval_s``):
 
 1. **Gossip** — every device broadcasts the records it measured since
-   the last round to every peer over the device mesh.
+   the last round to every peer over the device mesh.  A device counts
+   gossip only from a committee member's mesh identity, and only records
+   carrying that member's own device uid.
 2. **Settle** — a short wait (a few link latencies) lets views converge.
 3. **Propose** — the round's proposer (rotating) batches *its own view*
    (its records plus everything gossiped to it) and starts a consensus
@@ -83,6 +85,8 @@ class DecentralizedDevice(NetworkedValidator):
         self._round_records: dict[int, list[dict[str, Any]]] = {}
         self._current_round = 0
         self._rejections = 0
+        # Committee member mesh identity -> that member's device uid.
+        self._committee: dict[AggregatorId, str] = {}
 
     @property
     def device_id(self) -> DeviceId:
@@ -152,8 +156,20 @@ class DecentralizedDevice(NetworkedValidator):
         """Advance the validator's round clock (set by the coordinator)."""
         self._current_round = round_index
 
+    def set_committee(self, members: dict[AggregatorId, str]) -> None:
+        """Install the committee: member mesh identity -> its device uid."""
+        self._committee = dict(members)
+
     def _on_message(self, source: AggregatorId, payload: Any) -> None:
         if isinstance(payload, _Gossip):
+            uid = self._committee.get(source)
+            if uid is None or any(r.get("device_uid") != uid for r in payload.records):
+                self.trace(
+                    "decentral.gossip_ignored",
+                    round=payload.round_index,
+                    source=source.name,
+                )
+                return
             self._remember(payload.round_index, list(payload.records))
             return
         super()._on_message(source, payload)
@@ -208,6 +224,9 @@ class DecentralizedNetwork:
         self._chain = chain
         self._round_interval_s = round_interval_s
         self._gossip_settle_s = gossip_settle_s
+        members = {device.node_id: device.device_id.uid for device in devices}
+        for device in devices:
+            device.set_committee(members)
         # Fully mesh the committee.
         for i, a in enumerate(devices):
             for b in devices[i + 1:]:

@@ -6,11 +6,12 @@ One module per paper artifact (see DESIGN.md §4):
   metering accuracy,
 * :mod:`repro.experiments.fig6` — E2/E3, the mobility timeline and the
   ``T_handshake`` distribution,
-* :mod:`repro.experiments.ablations` — A1 (error attribution), A2
-  (handshake stages), A3 (storage), A6 (anomaly detection),
+* :mod:`repro.experiments.ablations` — the ablations' runs,
 * :mod:`repro.experiments.faults` — chaos runs (blackout, crash,
   fault-intensity sweep) scoring delivery ratio and billing error,
-* :mod:`repro.experiments.report` — text rendering of all results.
+* :mod:`repro.experiments.report` — text rendering of all results,
+* :mod:`repro.experiments.validate` — the claims table that bounds
+  them (imported on demand, not by this package).
 """
 
 from repro.experiments.ablations import (

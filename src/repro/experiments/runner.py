@@ -12,7 +12,9 @@ from typing import Callable
 
 from repro.errors import ExperimentError
 from repro.experiments.ablations import (
+    hotspot_instance,
     run_anomaly_ablation,
+    run_attribution,
     run_handshake_stage_ablation,
     run_sensor_ablation,
     run_storage_ablation,
@@ -85,50 +87,23 @@ def _run_anomaly_ablation() -> str:
 
 
 def _run_attribution() -> str:
-    from repro.anomaly import ScalingAttack
-    from repro.runtime import build
-    from repro.workloads.scenarios import paper_testbed_spec
-
-    rows = []
-    for factor in (1.0, 0.5):
-        scenario = build(paper_testbed_spec(seed=8))
-        if factor != 1.0:
-            scenario.device("device1").tamper_attack = ScalingAttack(factor)
-        scenario.run_until(35.0)
-        result = scenario.aggregator("agg1").attribute_anomaly()
-        rows.append(
-            [factor, result.alphas["device1"], result.alphas["device2"],
-             ",".join(result.suspects) or "-"]
-        )
+    rows = [
+        [factor, result.alphas["device1"], result.alphas["device2"],
+         ",".join(result.suspects) or "-"]
+        for factor, result in run_attribution().items()
+    ]
     return render_table(["report_scale", "alpha_d1", "alpha_d2", "suspects"], rows)
 
 
 def _run_loadbalance() -> str:
-    import numpy as np
-
-    from repro.planning import (
-        BalanceProblem,
-        balance_min_max_utilisation,
-        greedy_rssi_assignment,
-    )
+    from repro.planning import balance_min_max_utilisation, greedy_rssi_assignment
 
     rows = []
     for seed in range(3):
-        rng = np.random.default_rng(seed)
-        reachable = {}
-        for d in range(24):
-            candidates = {"agg0": -45.0 - float(rng.uniform(0, 5))}
-            for other in ("agg1", "agg2", "agg3"):
-                if rng.random() < 0.7:
-                    candidates[other] = -60.0 - float(rng.uniform(0, 15))
-            reachable[f"dev{d}"] = candidates
-        problem = BalanceProblem(
-            capacities={f"agg{i}": 12 for i in range(4)}, reachable=reachable
-        )
-        greedy = greedy_rssi_assignment(problem)
+        problem = hotspot_instance(seed=seed)
         balanced = balance_min_max_utilisation(problem)
         rows.append(
-            [seed, greedy.max_utilisation(problem),
+            [seed, greedy_rssi_assignment(problem).max_utilisation(problem),
              balanced.max_utilisation(problem), len(balanced.unassigned)]
         )
     return render_table(

@@ -52,6 +52,33 @@ class TestCli:
         assert args.experiments == []
         assert not args.list
 
+    def test_validate_exits_1_when_any_claim_fails(self, capsys, monkeypatch):
+        from repro.experiments import validate
+
+        def crash():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(validate, "CHECKS", {
+            "ok": lambda: validate.CheckResult("ok", True, "held"),
+            "bad": lambda: validate.CheckResult("bad", False, "missed: x < 1"),
+            "crash": crash,
+        })
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert "[PASS] ok: held" in out
+        assert "[FAIL] bad: missed: x < 1" in out
+        assert "[FAIL] crash: crashed: RuntimeError('boom')" in out
+        assert "1/3 claims hold" in out
+
+    def test_validate_exits_0_when_every_claim_holds(self, capsys, monkeypatch):
+        from repro.experiments import validate
+
+        monkeypatch.setattr(validate, "CHECKS", {
+            "ok": lambda: validate.CheckResult("ok", True, "held"),
+        })
+        assert main(["validate"]) == 0
+        assert "1/1 claims hold" in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", ["lots", "-3"])
     def test_bad_workers_value_exits_cleanly(self, value):
         # A usage error, not an ExperimentError traceback from run_all.

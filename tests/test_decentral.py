@@ -4,9 +4,10 @@ import pytest
 
 from repro.chain import Blockchain, audit_chain
 from repro.decentral import DecentralizedDevice, DecentralizedNetwork
+from repro.decentral.network import _Gossip
 from repro.errors import ConsensusError
-from repro.ids import DeviceId
-from repro.net.backhaul import BackhaulMesh
+from repro.ids import AggregatorId, DeviceId
+from repro.net.backhaul import BackhaulLink, BackhaulMesh
 from repro.sim import Simulator
 from repro.workloads.profiles import SinusoidProfile
 
@@ -132,6 +133,45 @@ class TestByzantineProposer:
         sim.run_until(sim.now + 0.5)
         assert outcomes == [False]
         assert devices[2].rejections > 0
+
+
+class TestForgedGossip:
+    """Gossip counts only from a committee member, about its own records."""
+
+    FORGED_SEQUENCE = 10**6
+
+    def run_forged_round(self, uid, sender_index=None):
+        """Gossip round 1's proposer (node1) a 1e6 mWh reading of ``uid``
+        at t = 1.01 s, from committee member ``sender_index`` or else from
+        an outside mesh node; run two rounds; return ``uid``'s records."""
+        sim, chain, devices, network = build_committee()
+        proposer = devices[1]
+        mesh = proposer.mesh
+        if sender_index is None:
+            sender = AggregatorId("outsider")
+            mesh.add_aggregator(sender, lambda source, payload: None)
+            mesh.connect(BackhaulLink(sender, proposer.node_id, latency_s=0.001))
+        else:
+            sender = devices[sender_index].node_id
+        record = {"device": "forged", "device_uid": uid,
+                  "sequence": self.FORGED_SEQUENCE, "measured_at": 1.0,
+                  "energy_mwh": 1e6}
+        network.start()
+        sim.call_later(
+            1.01,
+            lambda: mesh.send(sender, proposer.node_id, _Gossip(1, "forged", (record,))),
+        )
+        sim.run_until(3.0)
+        assert network.commits == 2 and network.failures == 0
+        return chain.records_for_device(uid)
+
+    def test_outsider_gossip_is_ignored(self):
+        assert self.run_forged_round("ghost") == []
+
+    def test_member_gossip_about_another_member_is_ignored(self):
+        records = self.run_forged_round(DeviceId("node3").uid, sender_index=2)
+        assert records  # node3's own gossip still counts
+        assert all(r["sequence"] != self.FORGED_SEQUENCE for r in records)
 
 
 class TestCommitteeValidation:

@@ -2,7 +2,7 @@
 
 from repro.chain import Blockchain, JsonlBlockStore
 from repro.device.stack import DeviceConfig
-from repro.experiments.validate import run_validation
+from repro.experiments.validate import CHECKS
 from repro.runtime import build
 from repro.workloads.scenarios import paper_testbed_spec
 
@@ -107,7 +107,6 @@ class TestDeterminism:
 
 
 class TestValidationHarness:
-    def test_all_self_checks_pass(self):
-        results = run_validation()
-        failing = [r for r in results if not r.passed]
+    def test_all_self_checks_pass(self, claim):
+        failing = [claim(name) for name in CHECKS if not claim(name).passed]
         assert not failing, failing
