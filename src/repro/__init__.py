@@ -18,11 +18,6 @@ from repro.aggregator import AggregatorConfig, AggregatorUnit
 from repro.billing import BillingEngine, FlatTariff, TimeOfUseTariff
 from repro.chain import Blockchain, audit_chain
 from repro.device import DeviceConfig, MeteringDevice
-from repro.experiments import (
-    run_fig5,
-    run_fig6,
-    run_handshake_distribution,
-)
 from repro.ids import AggregatorId, DeviceId, NetworkAddress
 from repro.runtime import ScenarioSpec, SimContext, build
 from repro.sim import Simulator
@@ -45,9 +40,6 @@ __all__ = [
     "audit_chain",
     "DeviceConfig",
     "MeteringDevice",
-    "run_fig5",
-    "run_fig6",
-    "run_handshake_distribution",
     "AggregatorId",
     "DeviceId",
     "NetworkAddress",

@@ -10,10 +10,11 @@ Round structure (period ``round_interval_s``):
 3. **Propose** — the round's proposer (rotating) batches *its own view*
    (its records plus everything gossiped to it) and starts a consensus
    round.
-4. **Validate** — every device accepts only if each record it knows
-   (its own or gossiped) appears in the batch **unaltered**; a proposer
-   that drops or rewrites anything is voted down by everyone who saw
-   the original.
+4. **Validate** — for every member whose records a device holds for
+   the round (its own, or that member's gossip), the batch must carry
+   exactly those records **unaltered**; a proposer that drops, rewrites
+   or adds a record under such a member's uid is voted down by everyone
+   who holds that member's records.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class _Gossip:
     round_index: int
     origin: str
     records: tuple[dict[str, Any], ...]
-
-
-def _record_key(record: dict[str, Any]) -> tuple[str, int]:
-    return (str(record.get("device_uid")), int(record.get("sequence", -1)))
 
 
 class DecentralizedDevice(NetworkedValidator):
@@ -80,8 +77,9 @@ class DecentralizedDevice(NetworkedValidator):
         self._firmware = Firmware(simulator, self._meter, self._on_measurement, t_measure_s)
         self._sequence = 0
         self._staged: list[dict[str, Any]] = []
-        # What I know about each round: record key -> record hash.
-        self._view: dict[int, dict[tuple[str, int], str]] = {}
+        # What I know about each round: member device uid -> the hashes
+        # of its records, for every member whose records I hold.
+        self._view: dict[int, dict[str, set[str]]] = {}
         self._round_records: dict[int, list[dict[str, Any]]] = {}
         self._current_round = 0
         self._rejections = 0
@@ -131,17 +129,20 @@ class DecentralizedDevice(NetworkedValidator):
         """Gossip staged records to every peer; returns what was sent."""
         records = self._staged
         self._staged = []
-        self._remember(round_index, records)
+        self._remember(round_index, self._device_id.uid, records)
         gossip = _Gossip(round_index, self._device_id.name, tuple(records))
         self._mesh.broadcast(self.node_id, gossip)
         self.trace("decentral.gossip", round=round_index, records=len(records))
         return records
 
-    def _remember(self, round_index: int, records: list[dict[str, Any]]) -> None:
+    def _remember(
+        self, round_index: int, uid: str, records: list[dict[str, Any]]
+    ) -> None:
+        """Keep member ``uid``'s records for a round (its own or its gossip)."""
         view = self._view.setdefault(round_index, {})
         bucket = self._round_records.setdefault(round_index, [])
         for record in records:
-            view[_record_key(record)] = hash_value(record)
+            view.setdefault(uid, set()).add(hash_value(record))
             bucket.append(record)
         # Bound memory: forget rounds older than a few.
         for old in [r for r in self._view if r < round_index - 4]:
@@ -170,7 +171,7 @@ class DecentralizedDevice(NetworkedValidator):
                     source=source.name,
                 )
                 return
-            self._remember(payload.round_index, list(payload.records))
+            self._remember(payload.round_index, uid, list(payload.records))
             return
         super()._on_message(source, payload)
 
@@ -179,18 +180,22 @@ class DecentralizedDevice(NetworkedValidator):
     def _validate_batch(self, records: list[dict[str, Any]]) -> bool:
         """Accept only batches consistent with my gossip view.
 
-        Every record I know for the current round must be present and
-        byte-identical; any batch record claiming a (device, sequence) I
-        know but with different content is a rewrite.  Records I never
-        saw are tolerated (gossip to me may have raced the proposal).
+        For every member whose records I hold this round (mine, or its
+        gossip), the batch's records under that member's uid must be
+        exactly those, byte-identical: a missing record is a drop, a
+        different one a rewrite, an extra one a forgery.  Records of a
+        member I have not heard from yet are tolerated (its gossip to me
+        may have raced the proposal).
         """
         view = self._view.get(self._current_round, {})
-        batch_by_key = {_record_key(r): hash_value(r) for r in records}
-        for key, digest in view.items():
-            proposed = batch_by_key.get(key)
-            if proposed is None or proposed != digest:
-                self._rejections += 1
-                return False
+        proposed: dict[str, set[str]] = {uid: set() for uid in view}
+        for record in records:
+            filed = proposed.get(str(record.get("device_uid")))
+            if filed is not None:
+                filed.add(hash_value(record))
+        if proposed != view:
+            self._rejections += 1
+            return False
         return True
 
 

@@ -9,14 +9,15 @@ advances the kernel one :attr:`~repro.runtime.spec.ServeSpec.step_s`
 window per ingestion step, so the world is always quiescent between
 requests and every request observes a consistent state.
 
-The wire boundary is the PR-3 transport seam: the world is built on the
+The trust boundary is the HTTP body.  The world is built on the
 ``serve`` transport backend (the :mod:`repro.transport.direct` router
-with ``wire_bytes=True``), whose endpoints carry encoded wire bytes.
-An HTTP body is validated by the codec, re-encoded, and *delivered into
-the aggregator's own endpoint* — the exact path a radio frame takes —
-and the aggregator's downlink replies come back out of the endpoint as
-wire bytes the service decodes and correlates.  Nothing in
-:mod:`repro.aggregator` knows it is being served.
+with ``wire_bytes=True``).  The codec validates each body once, and the
+service *delivers the decoded message into the aggregator's own
+endpoint*, the topic a radio frame arrives on; the aggregator's receive
+handlers take it as they take any in-process message.  Only the
+aggregator's downlink replies (which the service decodes and correlates)
+and the traffic of simulated devices cross the endpoint as wire bytes.
+Nothing in :mod:`repro.aggregator` knows it is being served.
 
 Batched ingestion follows the d3a ``batch_command`` idiom: one request
 carries many device reports, the service injects them all, advances one
@@ -48,7 +49,7 @@ from repro.chain.store import JsonlBlockStore
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId
 from repro.obs.metrics import render_prometheus, snapshot_metrics
-from repro.protocol.codec import as_message, encode_message, message_from_dict
+from repro.protocol.codec import as_message, message_from_dict
 from repro.protocol.messages import (
     Ack,
     ConsumptionReport,
@@ -71,7 +72,8 @@ class AggregatorService:
         spec: The world to serve.  The transport is forced to the
             ``serve`` backend (wire bytes through the endpoint) — any
             simulated devices in the spec keep running inside the world
-            and cross the same codec boundary as external clients.
+            and send their frames as wire bytes; external clients' bodies
+            are decoded once, at the front.
         network: Name of the served aggregator; overrides
             ``spec.serve.network`` (None: the spec's choice, falling
             back to the first network).
@@ -227,8 +229,8 @@ class AggregatorService:
         """Run the Fig. 3 membership handshake for one wire payload.
 
         ``payload`` is the HTTP body: an encoded
-        ``registration_request``.  The request is validated by the
-        codec, delivered into the aggregator's endpoint, and the kernel
+        ``registration_request``.  The request is decoded by the codec,
+        the message delivered into the aggregator's endpoint, and the kernel
         advanced one step so the handshake (processing latency,
         registry, downlink response) completes before this returns.
         """
@@ -242,9 +244,7 @@ class AggregatorService:
             self._count("register_requests")
             self._external.add(device)
             self._registrations.pop(device, None)
-            self._unit.endpoint.deliver(
-                f"meter/{device}/register", encode_message(message)
-            )
+            self._unit.endpoint.deliver(f"meter/{device}/register", message)
             self.advance()
             outcome = self._registrations.pop(device, None)
         if outcome is None:
@@ -257,11 +257,13 @@ class AggregatorService:
         """Ingest one batch of consumption reports (d3a batch idiom).
 
         ``payload`` is the HTTP body: either a JSON array of
-        ``consumption_report`` objects or ``{"reports": [...]}``.  All
-        reports are injected into the endpoint, the kernel advances one
-        step, and the response carries one verdict per report in order:
-        ``ack``, ``nack`` (with the aggregator's reason), ``error``
-        (the entry never reached the wire), or ``pending``.
+        ``consumption_report`` objects or ``{"reports": [...]}``.  The
+        codec checks each entry once; the valid reports are delivered
+        into the endpoint as messages, the kernel advances one step, and
+        the response carries one verdict per report in order: ``ack``,
+        ``nack`` (with the aggregator's reason), ``error`` (the entry
+        failed the codec and never reached the aggregator), or
+        ``pending``.
         """
         if isinstance(payload, (bytes, bytearray)):
             payload = bytes(payload).decode("utf-8", errors="replace")
@@ -293,9 +295,7 @@ class AggregatorService:
             for _, report in reports:
                 self._external.add(report.device_id.name)
                 self._verdicts[(report.device_id.name, report.sequence)] = None
-                self._unit.endpoint.deliver(
-                    f"meter/{report.device_id.name}/report", encode_message(report)
-                )
+                self._unit.endpoint.deliver(f"meter/{report.device_id.name}/report", report)
             self.advance()
             for i, report in reports:
                 verdict = self._verdicts.pop(

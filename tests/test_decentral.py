@@ -174,6 +174,27 @@ class TestForgedGossip:
         assert all(r["sequence"] != self.FORGED_SEQUENCE for r in records)
 
 
+class TestForgedProposal:
+    """A proposer cannot file records under another member's uid."""
+
+    def test_member_cannot_bill_another_member_through_its_proposal(self):
+        # node3 proposes round 3 (t = 4.05 s); its view gains a 1e6 mWh
+        # record under node1's uid that node1 never measured or gossiped.
+        sim, chain, devices, network = build_committee()
+        proposer, victim = devices[3], devices[1]
+        honest_view = proposer.round_view
+        forged = {"device": "node1", "device_uid": victim.device_id.uid,
+                  "sequence": 10**6, "measured_at": 3.0, "energy_mwh": 1e6}
+        proposer.round_view = lambda round_index: [*honest_view(round_index), forged]
+        network.start()
+        sim.run_until(4.5)
+        assert (network.commits, network.failures) == (3, 1)
+        assert victim.rejections == 1
+        records = chain.records_for_device(victim.device_id.uid)
+        assert all(r["sequence"] != 10**6 for r in records)
+        assert chain.total_energy_mwh(victim.device_id.uid) < 1.0
+
+
 class TestCommitteeValidation:
     def test_too_small_committee_rejected(self):
         sim = Simulator()

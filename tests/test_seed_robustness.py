@@ -1,33 +1,36 @@
 """Seed robustness: the reproduced shapes hold across seeds.
 
 Each headline claim is re-checked over several master seeds — results
-must not be an artifact of one lucky seed.  Kept to a handful of seeds
-so the suite stays fast; the benches sweep further.
+must not be an artifact of one lucky seed.  The Fig. 5 gap and the
+handshake band are claims-table bounds, so their per-seed runs are part
+of entries E1 and E2 (:mod:`repro.experiments.validate`); the named
+tests below are views of those entries.
 """
 
 import pytest
 
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.validate import ROBUSTNESS_SEEDS
 from repro.hw.esp32 import McuState
 from repro.runtime import build
 from repro.workloads.scenarios import paper_testbed_spec
 
-SEEDS = (3, 17, 202)
+SEEDS = ROBUSTNESS_SEEDS
+
+
+def holds_on_seed(result, seed):
+    """The claims-table entry ran ``seed`` and held every bound."""
+    assert f"seed {seed} " in result.detail, result.detail
+    assert result.passed, f"{result.name}: {result.detail}"
 
 
 class TestSeedRobustness:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fig5_gap_positive_and_single_digit(self, seed):
-        result = run_fig5(seed=seed, duration_s=30.0, warmup_s=12.0)
-        assert result.mean_gap_pct > 0.5
-        assert result.max_gap_pct < 12.0
+    def test_fig5_gap_positive_and_single_digit(self, claim, seed):
+        holds_on_seed(claim("E1"), seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_handshake_in_band(self, seed):
-        result = run_fig6(seed=seed, phase1_s=12.0, idle_s=4.0, phase2_s=14.0)
-        assert 5.0 < result.handshake_s < 7.0
-        assert result.buffered_records > 0
+    def test_handshake_in_band(self, claim, seed):
+        holds_on_seed(claim("E2"), seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_honest_run_quiet_and_valid(self, seed):

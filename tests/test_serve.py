@@ -5,8 +5,10 @@ import gc
 import http.client
 import json
 import statistics
+import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -15,8 +17,9 @@ from repro.chain.store import JsonlBlockStore
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId, parse_address
 from repro.obs.artifacts import collect_scenario, write_artifacts
+from repro.protocol import codec
 from repro.protocol.codec import encode_message
-from repro.protocol.messages import RegistrationRequest
+from repro.protocol.messages import ConsumptionReport, RegistrationRequest
 from repro.runtime import ScenarioSpec, ServeSpec, TransportSpec, build
 from repro.serve import AggregatorService, ServeRunner
 from repro.transport.direct import DirectHub, DirectLink, DirectTransport
@@ -44,6 +47,22 @@ def report_dict(device, sequence, measured_at=None, current_ma=120.0):
         "energy_mwh": current_ma * 5.0 * 0.1 / 3600.0,
         "buffered": False,
     }
+
+
+def register_fleet(service, count=16):
+    """Register ``ext-00``.. ``ext-<count-1>``; returns each one's master address."""
+    for k in range(count):
+        service.register(encode_message(RegistrationRequest(DeviceId(f"ext-{k:02d}"))))
+    return {m.device_id.name: str(m.address) for m in service.unit.registry.members()}
+
+
+def fleet_batch(master, sequence, at):
+    """One report per registered device, device ``k`` drawing 20 + k mA."""
+    return [
+        {**report_dict(name, sequence, measured_at=at, current_ma=20.0 + k),
+         "master": address}
+        for k, (name, address) in enumerate(master.items())
+    ]
 
 
 class TestServeSpec:
@@ -311,21 +330,13 @@ class TestAggregatorService:
         # default; the growth per record is the same.
         monkeypatch.setattr("repro.aggregator.aggregation.HISTORY_S", 2.0)
         service = AggregatorService(serve_spec(step_s=0.1))
-        devices = [f"ext-{k:02d}" for k in range(16)]
-        for name in devices:
-            service.register(encode_message(RegistrationRequest(DeviceId(name))))
-        master = {m.device_id.name: str(m.address) for m in service.unit.registry.members()}
+        master = register_fleet(service)
         sequences = iter(range(1, 10_000))
 
         def ingest(steps):
             for _ in range(steps):
-                sequence, at = next(sequences), service.sim_now
-                batch = [
-                    {**report_dict(name, sequence, measured_at=at, current_ma=20.0 + k),
-                     "master": master[name]}
-                    for k, name in enumerate(devices)
-                ]
-                assert service.ingest(json.dumps(batch))["accepted"] == len(devices)
+                batch = fleet_batch(master, next(sequences), service.sim_now)
+                assert service.ingest(json.dumps(batch))["accepted"] == len(master)
 
         # Traced from the start, so objects replaced in steady state
         # count on both sides of the baseline.
@@ -340,7 +351,7 @@ class TestAggregatorService:
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        per_record = (after - before) / (measured * len(devices))
+        per_record = (after - before) / (measured * len(master))
         assert per_record <= 96, f"{per_record:.0f} B retained per ingested record"
 
     def test_ledger_archive_lives_as_long_as_the_service(self):
@@ -370,6 +381,72 @@ class TestAggregatorService:
         assert service.scenario.chain.height > 0
         assert service.unit.registry.member_count >= 2
         service.scenario.chain.validate()
+
+
+class TestFrontDecodesOnce:
+    """The HTTP body is the trust boundary: the front decodes it once and
+    hands the message to the aggregator's endpoint, never re-encoding it."""
+
+    @staticmethod
+    def count_codec(monkeypatch):
+        """Record ``(function, message type)`` for every encode, decode and
+        dict check, wrapping each function in every module bound to it."""
+        calls = []
+        for name in ("encode_message", "decode_message", "message_from_dict"):
+            original = getattr(codec, name)
+
+            def counted(arg, _name=name, _original=original):
+                result = _original(arg)
+                message = arg if _name == "encode_message" else result
+                calls.append((_name, type(message).__name__))
+                return result
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("repro") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_each_report_is_decoded_once_and_never_encoded(self, monkeypatch):
+        service = AggregatorService(serve_spec(step_s=1.0))
+        delivered = []
+        endpoint = service.unit.endpoint
+        for topic in ("meter/+/register", "meter/+/report"):
+            endpoint.subscribe(topic, lambda _topic, payload: delivered.append(payload))
+        reports = 24
+        registration = encode_message(RegistrationRequest(DeviceId("ext-1")))
+        batch = json.dumps([report_dict("ext-1", s) for s in range(1, reports + 1)])
+        calls = self.count_codec(monkeypatch)
+
+        assert service.register(registration)["status"] == "registered"
+        assert service.ingest(batch)["accepted"] == reports
+
+        uplink = Counter(c for c in calls if c[1] in ("RegistrationRequest", "ConsumptionReport"))
+        # decode_message checks the dict it parsed with message_from_dict.
+        assert uplink == {
+            ("decode_message", "RegistrationRequest"): 1,
+            ("message_from_dict", "RegistrationRequest"): 1,
+            ("message_from_dict", "ConsumptionReport"): reports,
+        }
+        assert [type(p) for p in delivered] == (
+            [RegistrationRequest] + [ConsumptionReport] * reports
+        )
+
+    def test_seed_7_script_ends_on_pinned_tip(self):
+        # 16 registrations, then 60 batches of 16 reports, one per 0.1 s
+        # step, and a second for the last block.  The hash was taken when
+        # the front still re-encoded every body into wire bytes for the
+        # endpoint; handing over the decoded message must not move it.
+        service = AggregatorService(serve_spec(seed=7, step_s=0.1))
+        master = register_fleet(service)
+        for sequence in range(1, 61):
+            batch = fleet_batch(master, sequence, service.sim_now)
+            assert service.ingest(json.dumps({"reports": batch}))["accepted"] == 16
+        service.advance(1.0)
+        chain = service.scenario.chain
+        assert chain.height == 7
+        assert chain.tip_hash == (
+            "b45282e7b7381b4b28688c15f31375bbc0181dd55a6d7917a32fed967ac63815"
+        )
 
 
 class TestServeHttp:

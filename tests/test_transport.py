@@ -115,6 +115,15 @@ class TestLayering:
         )
         assert result.stdout.split() == ["False"]
 
+    def test_import_repro_leaves_experiments_unloaded(self):
+        """The package re-exports no experiment; importing it loads none."""
+        code = "import sys\nimport repro\nprint('repro.experiments' in sys.modules)\n"
+        env = {**os.environ, "PYTHONPATH": str(SRC_ROOT.parent)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.split() == ["False"]
+
 
 # -- wire-path cost --------------------------------------------------------
 
