@@ -17,6 +17,7 @@ from repro.aggregator.membership import MembershipKind, MembershipRegistry
 from repro.aggregator.roaming import RoamingLiaison
 from repro.aggregator.verification import ReportVerifier, VerificationPolicy
 from repro.chain.ledger import Blockchain
+from repro.chain.sync import header_batch
 from repro.errors import ChainError, ConfigError, ProtocolError, SlotAllocationError
 from repro.faults.retry import RetryPolicy
 from repro.grid.meter import FeederMeter
@@ -52,10 +53,6 @@ from repro.transport.base import Endpoint, Mesh, Transport
 
 if TYPE_CHECKING:
     from repro.runtime.context import SimContext
-
-# Upper bound on headers served per batch regardless of what a client
-# asks for — bounds response size on constrained downlinks.
-_MAX_HEADER_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -595,19 +592,9 @@ class AggregatorUnit(Process):
         )
 
     def _process_header_request(self, request: HeaderBatchRequest) -> None:
-        count = min(request.max_count, _MAX_HEADER_BATCH)
-        start = request.from_height
-        checkpoint: dict[str, Any] | None = None
-        if start == 0:
-            # A fresh client syncing from genesis fast-forwards to the
-            # latest committed checkpoint instead of replaying the whole
-            # chain header by header (Danzi et al.: bootstrap cost must
-            # not grow with ledger age).
-            latest = self._chain.latest_checkpoint
-            if latest is not None and latest.height > count:
-                checkpoint = latest.to_dict()
-                start = latest.height
-        headers = tuple(hr.to_dict() for hr in self._chain.headers(start, count))
+        start, headers, checkpoint = header_batch(
+            self._chain, request.from_height, request.max_count
+        )
         self.trace(
             "agg.headers_served",
             device=request.device_id.name,
@@ -618,7 +605,11 @@ class AggregatorUnit(Process):
         self._send_to_device(
             request.device_id,
             HeaderBatchResponse(
-                request.device_id, start, self._chain.height, headers, checkpoint
+                request.device_id,
+                start,
+                self._chain.height,
+                tuple(hr.to_dict() for hr in headers),
+                None if checkpoint is None else checkpoint.to_dict(),
             ),
         )
 
@@ -720,7 +711,9 @@ class AggregatorUnit(Process):
 
         The membership registry, TDMA grants, aggregation windows and
         pending verifications live in RAM and are lost; the blockchain
-        is durable storage and survives.  Devices recover through the
+        is durable storage and survives, and so do the verifier's counts,
+        as every :class:`~repro.monitoring.counters.CounterBank` count
+        does (its detectors start over).  Devices recover through the
         normal protocol: their next report draws ``Nack(NOT_A_MEMBER)``
         and the Fig. 3 registration sequence re-runs, with the outage
         window covered by their local store-and-forward buffers.
@@ -728,7 +721,9 @@ class AggregatorUnit(Process):
         self._tdma = TdmaSchedule(self._config.t_measure_s, self._config.slot_count)
         self._registry = MembershipRegistry(self._aggregator_id, self._tdma)
         self._aggregation = ReportAggregator(self._config.t_measure_s)
+        stats = self._verifier.stats
         self._verifier = ReportVerifier(self._config.verification)
+        self._verifier.stats = stats
         self._residual_window.clear()
         self._last_checked_window_start = self.now
         self._note_membership_change()

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chain.hashing import GENESIS_HASH
 from repro.chain.ledger import Blockchain
-from repro.errors import BlockValidationError
 
 
 @dataclass(frozen=True)
@@ -22,7 +20,9 @@ class AuditReport:
     Attributes:
         height: Chain length at audit time.
         clean: True when every check passed.
-        broken_links: Heights whose previous-hash link does not match.
+        broken_links: Heights whose header is out of place or whose
+            previous-hash link does not match; ``height`` itself when the
+            newest stored block is not the chain's tip.
         invalid_blocks: Heights whose internal structure is inconsistent
             (Merkle root, record count, or stored hash).
         first_bad_height: Earliest problem, or None when clean.
@@ -49,35 +49,16 @@ class AuditReport:
 def audit_chain(chain: Blockchain) -> AuditReport:
     """Re-verify every block and link of ``chain``.
 
-    Unlike :meth:`Blockchain.validate`, which raises at the first
-    problem, the audit walks the whole chain and reports everything it
-    finds — an auditor wants the full damage picture, not the first
-    symptom.
-
-    Over a pruned prefix only the retained headers can be checked (hash
-    linkage; the bodies are gone and the committed checkpoints vouch for
-    them); retained blocks get the full structural re-derivation.
+    The audit takes the same single walk as :meth:`Blockchain.validate`
+    (:meth:`Blockchain.problems`), but where ``validate`` raises at the
+    first problem, the audit reports everything it finds — an auditor
+    wants the full damage picture, not the first symptom.
     """
-    broken_links: list[int] = []
-    invalid_blocks: list[int] = []
-    previous_hash = GENESIS_HASH
-    pruned_below = getattr(chain, "pruned_below", 0)
-    for height in range(pruned_below):
-        held = chain.header_at(height)
-        if held.header.previous_hash != previous_hash or held.header.height != height:
-            broken_links.append(height)
-        previous_hash = held.block_hash
-    for height in range(pruned_below, chain.height):
-        block = chain.get(height)
-        try:
-            block.validate_structure()
-        except BlockValidationError:
-            invalid_blocks.append(height)
-        if block.header.previous_hash != previous_hash or block.header.height != height:
-            broken_links.append(height)
-        previous_hash = block.block_hash
+    found: dict[str, list[int]] = {"link": [], "block": []}
+    for kind, height, _ in chain.problems():
+        found[kind].append(height)
     return AuditReport(
         height=chain.height,
-        broken_links=tuple(broken_links),
-        invalid_blocks=tuple(invalid_blocks),
+        broken_links=tuple(found["link"]),
+        invalid_blocks=tuple(found["block"]),
     )

@@ -47,6 +47,9 @@ class _Proposal:
     records: tuple[dict[str, Any], ...]
     timestamp: float
     proposer: AggregatorId
+    # The caller's round the batch was built for (a decentralized
+    # committee's gossip round), for validators that check against it.
+    view_round: int | None = None
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,10 @@ class NetworkedValidator(Process):
         """Evaluate a proposal and emit the vote (public entry point)."""
         self._vote(proposal)
 
+    def accepts(self, proposal: "_Proposal") -> bool:
+        """This validator's verdict: its ``check`` over the records."""
+        return bool(self._check(list(proposal.records)))
+
     def bind(self, coordinator: "NetworkedPoaConsensus") -> None:
         """Attach the round coordinator (done by the consensus object)."""
         self._coordinator = coordinator
@@ -136,7 +143,7 @@ class NetworkedValidator(Process):
             )
 
     def _vote(self, proposal: _Proposal) -> None:
-        accept = bool(self._check(list(proposal.records)))
+        accept = self.accepts(proposal)
         vote = _NetVote(proposal.round_id, proposal.proposal_hash, self._node_id, accept)
         self.trace("consensus.vote", round=proposal.round_id, accept=accept)
         # Vote goes to the proposer (commit decision is the proposer's).
@@ -193,10 +200,12 @@ class NetworkedPoaConsensus(Process):
         self,
         records: list[dict[str, Any]],
         on_commit: CommitCallback,
+        view_round: int | None = None,
     ) -> int:
         """Start a round; ``on_commit(committed, latency_s)`` fires once.
 
-        Returns the round id.
+        ``view_round`` travels with the proposal: the caller's round the
+        batch was built for.  Returns the round id.
         """
         round_id = self._round
         self._round += 1
@@ -207,6 +216,7 @@ class NetworkedPoaConsensus(Process):
             records=tuple(records),
             timestamp=self.now,
             proposer=proposer.node_id,
+            view_round=view_round,
         )
         self._pending[round_id] = _Round(proposal, on_commit)
         mesh = proposer.mesh

@@ -23,9 +23,12 @@ Beyond raw storage the chain maintains three derived structures:
   from the store, bounding memory to O(recent) while headers and
   checkpoints keep the full history verifiable.
 
-All derived state is re-synced lazily from the store, so a second
-:class:`Blockchain` reading a shared (e.g. JSONL) store sees blocks
-appended by other writers.
+A chain is the only reader and writer of its store.  It reads every
+stored block once, when it is built (one decode per line of a JSONL
+archive), and from then on :meth:`Blockchain.append` alone keeps the
+derived state current.  Checking the stored chain is one walk,
+:meth:`Blockchain.problems`, behind both :meth:`Blockchain.validate`
+and :func:`~repro.chain.audit.audit_chain`.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ class Blockchain:
     """Append-only chain of validated consumption blocks.
 
     Args:
-        store: Storage backend; defaults to in-memory.
+        store: Storage backend; defaults to in-memory.  The chain reads
+            every block in it once, now, and is its only writer after.
         authorized: Optional set of aggregator names allowed to append
             (the "permissioned" part).  ``None`` allows any appender.
         counters: Optional shared counter bank; appends are recorded as
@@ -137,27 +141,11 @@ class Blockchain:
         self._records_total = 0
         self._pruned_below = 0
         self._device_index: dict[str, _DeviceIndex] = {}
-        self._indexed_height = 0
-        self._sync_with_store()
+        for block in self._store.load():
+            self._admit(block)
 
     # ------------------------------------------------------------------
     # derived-state maintenance
-
-    def _sync_with_store(self) -> None:
-        """Index any blocks the store gained since we last looked.
-
-        Keeps a chain instance attached to a shared store (several
-        readers over one JSONL file) consistent with the file's current
-        contents.
-        """
-        store_height = self._store.height()
-        if store_height < self._indexed_height:
-            raise ChainError(
-                f"store shrank: holds {store_height} blocks, "
-                f"{self._indexed_height} already indexed"
-            )
-        while self._indexed_height < store_height:
-            self._admit(self._store.get(self._indexed_height))
 
     def _admit(self, block: Block) -> None:
         header = block.header
@@ -178,27 +166,28 @@ class Blockchain:
                     entry.add_irregular(sequence)
             place += 1
         self._records_total += len(block.records)
-        self._indexed_height += 1
         self._tip_hash = block.block_hash
-        if (
-            self._checkpoint_interval is not None
-            and self._indexed_height % self._checkpoint_interval == 0
-        ):
-            self._checkpoints.append(
-                Checkpoint(
-                    height=self._indexed_height,
-                    tip_hash=self._tip_hash,
-                    record_count=self._records_total,
-                    timestamp=header.timestamp,
-                )
+        height = len(self._headers)
+        if self._checkpoint_interval is None or height % self._checkpoint_interval:
+            return
+        self._checkpoints.append(
+            Checkpoint(
+                height=height,
+                tip_hash=self._tip_hash,
+                record_count=self._records_total,
+                timestamp=header.timestamp,
             )
-            if self._pruning_depth is not None:
-                boundary = min(
-                    self._indexed_height - self._pruning_depth,
-                    self._checkpoints[-1].height,
-                )
-                if boundary > self._pruned_below:
-                    self._prune_to(boundary)
+        )
+        # Prune at the checkpoint just committed, so never past it.
+        boundary = 0 if self._pruning_depth is None else height - self._pruning_depth
+        if boundary > self._pruned_below:
+            self._store.prune(boundary)
+            self._pruned_below = boundary
+            for uid in list(self._device_index):
+                entry = self._device_index[uid]
+                entry.drop_below(boundary)
+                if not entry.places:
+                    del self._device_index[uid]
 
     # ------------------------------------------------------------------
     # core chain API
@@ -206,12 +195,11 @@ class Blockchain:
     @property
     def height(self) -> int:
         """Number of blocks in the chain (pruned positions included)."""
-        return self._store.height()
+        return len(self._headers)
 
     @property
     def tip_hash(self) -> str:
         """Hash of the newest block (genesis sentinel when empty)."""
-        self._sync_with_store()
         return self._tip_hash
 
     def is_authorized(self, aggregator: str) -> bool:
@@ -238,9 +226,8 @@ class Blockchain:
         """
         if not self.is_authorized(aggregator):
             raise ChainError(f"aggregator {aggregator!r} is not authorized to append")
-        self._sync_with_store()
         block = Block.create(
-            height=self._indexed_height,
+            height=len(self._headers),
             previous_hash=self._tip_hash,
             aggregator=aggregator,
             timestamp=timestamp,
@@ -264,7 +251,6 @@ class Blockchain:
 
     def __iter__(self) -> Iterator[Block]:
         """Iterate the *retained* blocks (pruned bodies are gone)."""
-        self._sync_with_store()
         for height in range(self._pruned_below, self.height):
             yield self._store.get(height)
 
@@ -272,55 +258,53 @@ class Blockchain:
         return self.height
 
     def validate(self) -> None:
-        """Walk the whole chain, checking structure and linkage.
+        """Raise :class:`~repro.errors.BlockValidationError` at the first
+        problem :meth:`problems` finds."""
+        for _, _, detail in self.problems():
+            raise BlockValidationError(detail)
 
-        Over the pruned prefix only header linkage can be checked (the
-        bodies are gone — the committed checkpoints vouch for them);
-        retained blocks get the full structural validation.  Raises
-        :class:`~repro.errors.BlockValidationError` at the first broken
-        block.
+    def problems(self) -> Iterator[tuple[str, int, str]]:
+        """Walk the whole chain once, yielding ``(kind, height, detail)``
+        for every problem, in chain order.
+
+        ``kind`` is ``"link"`` for a header that claims another height or
+        does not link to the block below it, and for a newest stored
+        block that is not the chain's tip (reported at :attr:`height`);
+        it is ``"block"`` for a retained body inconsistent with its
+        header (Merkle root, record count or stored hash).  Over the
+        pruned prefix only the retained headers' linkage can be checked:
+        the bodies are gone, and the committed checkpoints vouch for them.
         """
-        self._sync_with_store()
         previous_hash = GENESIS_HASH
-        for height in range(self._pruned_below):
-            held = self._headers[height]
-            if held.header.height != height:
-                raise BlockValidationError(
-                    f"header at position {height} claims height {held.header.height}"
-                )
-            if held.header.previous_hash != previous_hash:
-                raise BlockValidationError(
-                    f"block {height}: previous-hash link broken"
-                )
-            previous_hash = held.block_hash
-        for height in range(self._pruned_below, self.height):
-            block = self._store.get(height)
-            if block.header.height != height:
-                raise BlockValidationError(
-                    f"block at position {height} claims height {block.header.height}"
-                )
-            if block.header.previous_hash != previous_hash:
-                raise BlockValidationError(
-                    f"block {height}: previous-hash link broken"
-                )
-            block.validate_structure()
-            previous_hash = block.block_hash
-        if self.height > 0 and previous_hash != self._tip_hash:
-            raise BlockValidationError("tip hash does not match last block")
+        for height in range(self.height):
+            if height < self._pruned_below:
+                held = self._headers[height]
+                header, block_hash, block = held.header, held.block_hash, None
+            else:
+                block = self._store.get(height)
+                header, block_hash = block.header, block.block_hash
+            if header.height != height or header.previous_hash != previous_hash:
+                yield "link", height, f"block {height}: out of place or previous-hash link broken"
+            if block is not None:
+                try:
+                    block.validate_structure()
+                except BlockValidationError as exc:
+                    yield "block", height, str(exc)
+            previous_hash = block_hash
+        if previous_hash != self._tip_hash:
+            yield "link", self.height, "tip hash does not match last block"
 
     # ------------------------------------------------------------------
     # lightweight-client view
 
     def header_at(self, height: int) -> HeaderRecord:
         """Header + block hash for ``height`` (retained even when pruned)."""
-        self._sync_with_store()
-        if not 0 <= height < self._indexed_height:
+        if not 0 <= height < len(self._headers):
             raise ChainError(f"no header at height {height}")
         return self._headers[height]
 
     def headers(self, start: int, max_count: int) -> list[HeaderRecord]:
         """Up to ``max_count`` header records from ``start`` upward."""
-        self._sync_with_store()
         if start < 0 or max_count < 0:
             raise ChainError(
                 f"invalid header range start={start} max_count={max_count}"
@@ -330,19 +314,16 @@ class Blockchain:
     @property
     def checkpoints(self) -> tuple[Checkpoint, ...]:
         """All committed checkpoints, oldest first."""
-        self._sync_with_store()
         return tuple(self._checkpoints)
 
     @property
     def latest_checkpoint(self) -> Checkpoint | None:
         """The newest committed checkpoint, if any."""
-        self._sync_with_store()
         return self._checkpoints[-1] if self._checkpoints else None
 
     @property
     def records_total(self) -> int:
         """Records ever appended, including ones in pruned blocks."""
-        self._sync_with_store()
         return self._records_total
 
     # ------------------------------------------------------------------
@@ -358,43 +339,6 @@ class Blockchain:
         """Block bodies currently held in the store."""
         return self.height - self._pruned_below
 
-    def prune(self, below_height: int) -> int:
-        """Drop block bodies below ``below_height``; returns count dropped.
-
-        Only checkpoint-covered history may be pruned — a committed
-        checkpoint at or above the boundary is what lets receipts and
-        audits over the pruned region still anchor to verified state.
-        """
-        self._sync_with_store()
-        return self._prune_to(below_height)
-
-    def _prune_to(self, below_height: int) -> int:
-        if below_height <= self._pruned_below:
-            return 0
-        if below_height > self._indexed_height:
-            raise ChainError(
-                f"cannot prune below {below_height}: chain height is "
-                f"{self._indexed_height}"
-            )
-        if not any(cp.height >= below_height for cp in self._checkpoints):
-            raise ChainError(
-                f"cannot prune below {below_height}: no checkpoint commits "
-                "to that prefix"
-            )
-        pruner = getattr(self._store, "prune", None)
-        if pruner is None:
-            raise ChainError(
-                f"{type(self._store).__name__} does not support pruning"
-            )
-        dropped = pruner(below_height)
-        self._pruned_below = below_height
-        for uid in list(self._device_index):
-            entry = self._device_index[uid]
-            entry.drop_below(below_height)
-            if not entry.places:
-                del self._device_index[uid]
-        return dropped
-
     # ------------------------------------------------------------------
     # record queries (index-backed)
 
@@ -404,7 +348,6 @@ class Blockchain:
         Only retained records are findable — the index is trimmed along
         with pruning.
         """
-        self._sync_with_store()
         entry = self._device_index.get(device_uid)
         found = entry.find(sequence) if entry is not None else None
         return None if found is None else divmod(entry.places[found], _SLOTS)
@@ -418,7 +361,6 @@ class Blockchain:
         what the tamper experiments simulate) reads exactly as stored,
         never as indexed.
         """
-        self._sync_with_store()
         found: list[dict[str, Any]] = []
         entry = self._device_index.get(device_uid)
         if entry is None:

@@ -20,6 +20,7 @@ from typing import Any
 
 from repro.chain.ledger import Blockchain
 from repro.chain.merkle import MerkleTree
+from repro.chain.sync import HeaderRecord
 from repro.errors import ChainError, PrunedBlockError
 
 
@@ -54,37 +55,31 @@ class InclusionReceipt:
         referencing a forged or re-written block fails.  Blocks whose
         bodies were pruned are checked against the retained header.
         """
-        if not MerkleTree.verify_proof(
-            self.record, list(self.proof), self.merkle_root, leaf_count=self.leaf_count
-        ):
-            return False
         if chain is not None:
             if not 0 <= self.block_height < chain.height:
                 return False
             try:
                 # Retained blocks are checked against the *stored* bytes,
-                # not the header cache: the cache is an acceleration
-                # structure and must not mask a rewritten store.
+                # not the chain's header list: that list is derived state
+                # and must not mask a rewritten store.
                 block = chain.get(self.block_height)
+                held = HeaderRecord(block.header, block.block_hash)
             except PrunedBlockError:
-                header_at = getattr(chain, "header_at", None)
-                if header_at is None:
-                    return False
-                held = header_at(self.block_height)
-                if held.block_hash != self.block_hash:
-                    return False
-                if held.header.merkle_root != self.merkle_root:
-                    return False
-                if held.header.record_count != self.leaf_count:
-                    return False
-            else:
-                if block.block_hash != self.block_hash:
-                    return False
-                if block.header.merkle_root != self.merkle_root:
-                    return False
-                if block.header.record_count != self.leaf_count:
-                    return False
-        return True
+                held = chain.header_at(self.block_height)
+            if not self.matches(held):
+                return False
+        return MerkleTree.verify_proof(
+            self.record, list(self.proof), self.merkle_root, leaf_count=self.leaf_count
+        )
+
+    def matches(self, held: HeaderRecord) -> bool:
+        """Whether ``held`` is this receipt's block: the same block hash,
+        Merkle root and leaf count."""
+        return (
+            held.block_hash == self.block_hash
+            and held.header.merkle_root == self.merkle_root
+            and held.header.record_count == self.leaf_count
+        )
 
 
 def receipt_to_dict(receipt: InclusionReceipt) -> dict[str, Any]:
@@ -169,27 +164,12 @@ def find_and_issue(
 ) -> InclusionReceipt:
     """Locate a device's record by sequence and issue its receipt.
 
-    Uses the chain's per-device index when available (O(records of one
-    device) instead of O(chain)); falls back to a full scan for bare
-    chain-likes.
+    The chain's per-device index finds it in O(records of one device).
     """
-    locate = getattr(chain, "locate_record", None)
-    if locate is not None:
-        found = locate(device_uid, sequence)
-        if found is None:
-            raise ChainError(
-                f"no record for device {device_uid} sequence {sequence} "
-                "in the retained chain"
-            )
-        return issue_receipt(chain, *found)
-    for height in range(chain.height):
-        block = chain.get(height)
-        for index, record in enumerate(block.records):
-            if (
-                record.get("device_uid") == device_uid
-                and record.get("sequence") == sequence
-            ):
-                return issue_receipt(chain, height, index)
-    raise ChainError(
-        f"no record for device {device_uid} sequence {sequence} in the chain"
-    )
+    found = chain.locate_record(device_uid, sequence)
+    if found is None:
+        raise ChainError(
+            f"no record for device {device_uid} sequence {sequence} "
+            "in the retained chain"
+        )
+    return issue_receipt(chain, *found)

@@ -1,11 +1,18 @@
 """Block storage backends.
 
-The ledger only needs ``put`` / ``get`` / ``height``.  Two backends:
+The ledger needs ``load`` / ``put`` / ``get`` / ``height`` / ``prune``.
+Two backends:
 
 * :class:`InMemoryBlockStore` — the default for simulations,
 * :class:`JsonlBlockStore` — one JSON document per line on disk, so a
   ledger survives the process and external tools can inspect it; only
   line offsets, the newest body and the last body read stay in memory.
+
+A store has one reader and writer: the :class:`~repro.chain.ledger.
+Blockchain` built on it.  The chain reads every stored block once, in
+one ``load`` pass when it is built, and from then on learns of blocks
+only through its own ``put``.  A JSONL archive therefore reads as the
+file was when it was opened, plus the store's own appends.
 
 Stores are *dumb on purpose*: they keep whatever bytes they are given.
 Detecting that stored data was mutated is the auditor's job
@@ -25,7 +32,7 @@ from __future__ import annotations
 import json
 from array import array
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from repro.chain.block import Block
 from repro.errors import ChainError, PrunedBlockError
@@ -33,6 +40,10 @@ from repro.errors import ChainError, PrunedBlockError
 
 class BlockStore(Protocol):
     """Minimal storage interface the ledger depends on."""
+
+    def load(self) -> Iterator[Block]:
+        """Every stored block once, oldest first (the chain's open pass)."""
+        ...
 
     def height(self) -> int:
         """Number of stored blocks."""
@@ -46,6 +57,10 @@ class BlockStore(Protocol):
         """Fetch the block stored at ``height``."""
         ...
 
+    def prune(self, below_height: int) -> None:
+        """Drop the bodies below ``below_height``; ``get`` refuses them."""
+        ...
+
 
 class InMemoryBlockStore:
     """List-backed store; the default for simulation runs."""
@@ -54,14 +69,13 @@ class InMemoryBlockStore:
         self._blocks: list[Block | None] = []
         self._pruned_below = 0
 
+    def load(self) -> Iterator[Block]:
+        """Every stored block, oldest first (a pruned one raises)."""
+        return map(self.get, range(len(self._blocks)))
+
     def height(self) -> int:
         """Number of stored blocks (pruned positions included)."""
         return len(self._blocks)
-
-    @property
-    def pruned_below(self) -> int:
-        """Heights below this bound have had their bodies dropped."""
-        return self._pruned_below
 
     def put(self, block: Block) -> None:
         """Append one block at the next height."""
@@ -75,22 +89,17 @@ class InMemoryBlockStore:
         """Fetch a stored block."""
         if not 0 <= height < len(self._blocks):
             raise ChainError(f"no block at height {height}")
-        block = self._blocks[height]
-        if block is None:
+        if height < self._pruned_below:
             raise PrunedBlockError(
                 f"block {height} is pruned (bodies below {self._pruned_below} dropped)"
             )
-        return block
+        return self._blocks[height]
 
-    def prune(self, below_height: int) -> int:
-        """Drop block bodies below ``below_height``; returns count dropped."""
-        dropped = 0
+    def prune(self, below_height: int) -> None:
+        """Drop block bodies below ``below_height``."""
         for height in range(self._pruned_below, min(below_height, len(self._blocks))):
-            if self._blocks[height] is not None:
-                self._blocks[height] = None
-                dropped += 1
+            self._blocks[height] = None
         self._pruned_below = max(self._pruned_below, below_height)
-        return dropped
 
     def tamper(self, height: int, block: Block) -> None:
         """Overwrite a stored block *without* any validation.
@@ -103,28 +112,27 @@ class InMemoryBlockStore:
         self._blocks[height] = block
 
 
-class JsonlBlockStore:
+class JsonlBlockStore(InMemoryBlockStore):
     """Append-only JSON-lines file store with a bounded body cache.
 
-    Memory holds each committed line's byte offset, the newest
-    :attr:`CACHED_BODIES` block bodies (an :class:`InMemoryBlockStore`
-    pruned as it slides) and the last older body :meth:`get` read back
-    from its line, so a receipt issued and then verified against an
-    archived block decodes the line once.  A long-running ledger
-    therefore costs memory per block, not per record, and every block
-    stays readable.
+    An :class:`InMemoryBlockStore` that writes every block to its file
+    and keeps only the newest :attr:`CACHED_BODIES` bodies in memory,
+    plus the last older body :meth:`get` read back from its line, so a
+    receipt issued and then verified against an archived block decodes
+    the line once.  An evicted body reads as ``None`` in the list, and
+    each committed line's byte offset says where to find it.  A
+    long-running ledger therefore costs memory per block, not per
+    record, and every block stays readable.
 
-    The offsets are keyed on the file's (size, mtime) stat: when another
-    writer appends to the same file, the next read notices the stat
-    change and re-loads, so a second reader is never stuck on its first
-    snapshot.
+    The file is read once, when the store is opened: by its chain's
+    :meth:`load`, or else by the first :meth:`height`, :meth:`put` or
+    :meth:`get`.  Opening decodes each committed line once.
 
     A block is committed by its line's newline.  An unterminated final
     line is an append cut off mid-write (the process died): it is not a
     block, and the next append truncates it away before writing.  A
     complete line that does not decode, or whose block claims another
-    height than its position, is corruption and raises.  Loading decodes
-    every committed line.
+    height than its position, is corruption and raises.
 
     Args:
         path: File to store blocks in; created on first append.
@@ -138,45 +146,45 @@ class JsonlBlockStore:
     CACHED_BODIES = 1
 
     def __init__(self, path: str | Path) -> None:
+        super().__init__()
         self._path = Path(path)
-        self._offsets = array("q")  # start of each block's line
-        self._recent = InMemoryBlockStore()
+        self._offsets: array | None = None  # start of each block's line, once opened
         self._last_read: Block | None = None
-        self._loaded_stat: tuple[int, int] | None = None
         self._committed_bytes = 0
-        self._pruned_below = 0
 
     @property
     def path(self) -> Path:
         """The archive file."""
         return self._path
 
-    def _stat(self) -> tuple[int, int] | None:
-        try:
-            st = self._path.stat()
-        except FileNotFoundError:
-            return None
-        return (st.st_size, st.st_mtime_ns)
-
-    def _refresh(self) -> None:
-        current = self._stat()
-        if current == self._loaded_stat:
-            return
-        self._offsets = array("q")
-        self._recent = InMemoryBlockStore()
+    def load(self) -> Iterator[Block]:
+        """Open the archive: yield each committed block, oldest first."""
+        self._blocks, self._offsets = [], array("q")
+        self._pruned_below = self._committed_bytes = 0
         self._last_read = None
-        self._committed_bytes = 0
-        if current is not None:
-            with self._path.open("rb") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    if not line.endswith(b"\n"):
-                        break  # a torn tail: never committed
-                    start = self._committed_bytes
-                    self._committed_bytes += len(line)
-                    if line.strip():
-                        where = f"{self._path}:{line_no}"
-                        self._admit(self._decode(line, where), start, where)
-        self._loaded_stat = current
+        if not self._path.exists():
+            return
+        with self._path.open("rb") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.endswith(b"\n"):
+                    break  # a torn tail: never committed
+                start = self._committed_bytes
+                self._committed_bytes += len(line)
+                if line.strip():
+                    where = f"{self._path}:{line_no}"
+                    block = self._decode(line, where)
+                    try:
+                        self._keep(block)
+                    except ChainError as exc:
+                        raise ChainError(f"corrupt block at {where}: {exc}") from exc
+                    self._offsets.append(start)
+                    yield block
+
+    def _opened(self) -> array:
+        if self._offsets is None:
+            for _ in self.load():
+                pass
+        return self._offsets
 
     def _decode(self, line: bytes, where: str) -> Block:
         try:
@@ -184,75 +192,42 @@ class JsonlBlockStore:
         except (ValueError, KeyError, TypeError) as exc:
             raise ChainError(f"corrupt block at {where}: {exc}") from exc
 
-    def _admit(self, block: Block, offset: int, where: str) -> None:
-        try:
-            self._recent.put(block)
-        except ChainError as exc:
-            raise ChainError(f"corrupt block at {where}: {exc}") from exc
-        self._offsets.append(offset)
-        self._recent.prune(len(self._offsets) - self.CACHED_BODIES)
+    def _keep(self, block: Block) -> None:
+        super().put(block)
+        evicted = len(self._blocks) - 1 - self.CACHED_BODIES
+        if evicted >= 0:
+            self._blocks[evicted] = None
 
     def height(self) -> int:
         """Number of stored blocks (pruned positions included)."""
-        self._refresh()
-        return len(self._offsets)
-
-    @property
-    def pruned_below(self) -> int:
-        """Heights below this bound are pruned: :meth:`get` refuses them."""
-        return self._pruned_below
+        return len(self._opened())
 
     def put(self, block: Block) -> None:
         """Append one block to the file and the cache."""
-        self._refresh()
-        if block.header.height != len(self._offsets):
-            raise ChainError(
-                f"block height {block.header.height} != next index {len(self._offsets)}"
-            )
-        line = (json.dumps(block.to_dict(), sort_keys=True) + "\n").encode()
-        with self._path.open("ab") as handle:
-            if handle.tell() != self._committed_bytes:
-                handle.truncate(self._committed_bytes)  # drop a torn tail
-            handle.write(line)
-        self._admit(block, self._committed_bytes, str(self._path))
-        self._committed_bytes += len(line)
-        self._loaded_stat = self._stat()
+        offsets = self._opened()
+        # A block out of place is refused by the in-memory put below,
+        # before it reaches the file.
+        if block.header.height == len(offsets):
+            line = (json.dumps(block.to_dict(), sort_keys=True) + "\n").encode()
+            with self._path.open("ab") as handle:
+                if handle.tell() != self._committed_bytes:
+                    handle.truncate(self._committed_bytes)  # drop a torn tail
+                handle.write(line)
+            offsets.append(self._committed_bytes)
+            self._committed_bytes += len(line)
+        self._keep(block)
 
     def get(self, height: int) -> Block:
         """Fetch a stored block, from the cache or from its line."""
-        self._refresh()
-        if not 0 <= height < len(self._offsets):
-            raise ChainError(f"no block at height {height}")
-        if height < self._pruned_below:
-            raise PrunedBlockError(
-                f"block {height} is pruned from memory (archived in {self._path})"
-            )
-        if height >= self._recent.pruned_below:
-            return self._recent.get(height)
-        block = self._last_read
-        if block is not None and block.header.height == height:
+        offsets = self._opened()
+        block = super().get(height)
+        if block is not None:
             return block
-        start = self._offsets[height]
-        end = (
-            self._offsets[height + 1]
-            if height + 1 < len(self._offsets)
-            else self._committed_bytes
-        )
-        with self._path.open("rb") as handle:
-            handle.seek(start)
-            line = handle.read(end - start)
-        self._last_read = self._decode(line, f"{self._path} block {height}")
-        return self._last_read
-
-    def prune(self, below_height: int) -> int:
-        """Refuse bodies below ``below_height``; the file keeps all.
-
-        Returns how many heights were newly pruned.
-        """
-        below_height = min(below_height, self.height())
-        dropped = max(0, below_height - self._pruned_below)
-        self._pruned_below = max(self._pruned_below, below_height)
-        self._recent.prune(below_height)
-        if self._last_read is not None and self._last_read.header.height < below_height:
-            self._last_read = None
-        return dropped
+        block = self._last_read
+        if block is None or block.header.height != height:
+            end = offsets[height + 1] if height + 1 < len(offsets) else self._committed_bytes
+            with self._path.open("rb") as handle:
+                handle.seek(offsets[height])
+                line = handle.read(end - offsets[height])
+            block = self._last_read = self._decode(line, f"{self._path} block {height}")
+        return block

@@ -30,12 +30,20 @@ against the retained headers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.chain.block import BlockHeader
 from repro.chain.hashing import GENESIS_HASH
 from repro.chain.merkle import MerkleTree
 from repro.errors import ChainError, ConfigError
+
+if TYPE_CHECKING:
+    from repro.chain.ledger import Blockchain
+    from repro.chain.receipts import InclusionReceipt
+
+# Upper bound on headers served per batch regardless of what a client
+# asks for — bounds response size on constrained downlinks.
+MAX_HEADER_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -196,28 +204,41 @@ class HeaderChain:
             applied += 1
         return applied
 
-    def verify_receipt(self, receipt: Any) -> bool:
+    def verify_receipt(self, receipt: "InclusionReceipt") -> bool:
         """Fully verify an inclusion receipt offline.
 
         Checks the receipt's block coordinates against the held header
-        (hash, Merkle root, record count) and then the Merkle proof with
+        (:meth:`InclusionReceipt.matches`) and then the Merkle proof with
         the header's ``record_count`` bound — no aggregator involved.
         """
         if not self.covers(receipt.block_height):
             return False
         held = self.header_at(receipt.block_height)
-        if held.block_hash != receipt.block_hash:
-            return False
-        if held.header.merkle_root != receipt.merkle_root:
-            return False
-        if held.header.record_count != receipt.leaf_count:
-            return False
-        return MerkleTree.verify_proof(
+        return receipt.matches(held) and MerkleTree.verify_proof(
             receipt.record,
             list(receipt.proof),
             held.header.merkle_root,
             leaf_count=held.header.record_count,
         )
+
+
+def header_batch(
+    chain: "Blockchain", from_height: int, max_count: int
+) -> tuple[int, list[HeaderRecord], Checkpoint | None]:
+    """A ledger's answer to a header request: ``(start, headers, checkpoint)``.
+
+    At most :data:`MAX_HEADER_BATCH` headers, from ``start`` upward.  A
+    fresh client asking from genesis against a chain whose newest
+    checkpoint lies beyond one batch fast-forwards instead of replaying
+    the whole chain header by header: ``start`` is the checkpoint's
+    height, and the checkpoint comes along to anchor at (Danzi et al.:
+    bootstrap cost must not grow with ledger age).
+    """
+    count = min(max_count, MAX_HEADER_BATCH)
+    latest = chain.latest_checkpoint
+    if from_height == 0 and latest is not None and latest.height > count:
+        return latest.height, chain.headers(latest.height, count), latest
+    return from_height, chain.headers(from_height, count), None
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ Round structure (period ``round_interval_s``):
 2. **Settle** — a short wait (a few link latencies) lets views converge.
 3. **Propose** — the round's proposer (rotating) batches *its own view*
    (its records plus everything gossiped to it) and starts a consensus
-   round.
+   round; the proposal names the gossip round it was built for.
 4. **Validate** — for every member whose records a device holds for
-   the round (its own, or that member's gossip), the batch must carry
+   that round (its own, or that member's gossip), the batch must carry
    exactly those records **unaltered**; a proposer that drops, rewrites
    or adds a record under such a member's uid is voted down by everyone
    who holds that member's records.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.chain.consensus_net import NetworkedPoaConsensus, NetworkedValidator
+from repro.chain.consensus_net import NetworkedPoaConsensus, NetworkedValidator, _Proposal
 from repro.chain.hashing import hash_value
 from repro.chain.ledger import Blockchain
 from repro.device.firmware import Firmware
@@ -69,7 +69,7 @@ class DecentralizedDevice(NetworkedValidator):
         voltage_v: float = 3.3,
     ) -> None:
         node_id = AggregatorId(f"node-{device_id.name}")
-        super().__init__(simulator, node_id, mesh, check=self._validate_batch)
+        super().__init__(simulator, node_id, mesh)
         self._device_id = device_id
         self._mesh = mesh
         sensor = Ina219(Ina219Config(), self.rng("sensor"))
@@ -154,7 +154,8 @@ class DecentralizedDevice(NetworkedValidator):
         return list(self._round_records.get(round_index, []))
 
     def enter_round(self, round_index: int) -> None:
-        """Advance the validator's round clock (set by the coordinator)."""
+        """Advance the validator's round clock (set by the coordinator):
+        the round a proposal that names none is checked against."""
         self._current_round = round_index
 
     def set_committee(self, members: dict[AggregatorId, str]) -> None:
@@ -177,19 +178,21 @@ class DecentralizedDevice(NetworkedValidator):
 
     # -- validation -------------------------------------------------------
 
-    def _validate_batch(self, records: list[dict[str, Any]]) -> bool:
-        """Accept only batches consistent with my gossip view.
+    def accepts(self, proposal: _Proposal) -> bool:
+        """Accept only batches consistent with my view of their round.
 
-        For every member whose records I hold this round (mine, or its
-        gossip), the batch's records under that member's uid must be
-        exactly those, byte-identical: a missing record is a drop, a
-        different one a rewrite, an extra one a forgery.  Records of a
-        member I have not heard from yet are tolerated (its gossip to me
-        may have raced the proposal).
+        The round is the one the proposal was built for.  For every
+        member whose records I hold that round (mine, or its gossip),
+        the batch's records under that member's uid must be exactly
+        those, byte-identical: a missing record is a drop, a different
+        one a rewrite, an extra one a forgery.  Records of a member I
+        have not heard from yet are tolerated (its gossip to me may have
+        raced the proposal).
         """
-        view = self._view.get(self._current_round, {})
+        round_index = self._current_round if proposal.view_round is None else proposal.view_round
+        view = self._view.get(round_index, {})
         proposed: dict[str, set[str]] = {uid: set() for uid in view}
-        for record in records:
+        for record in proposal.records:
             filed = proposed.get(str(record.get("device_uid")))
             if filed is not None:
                 filed.add(hash_value(record))
@@ -298,7 +301,7 @@ class DecentralizedNetwork:
             batch = proposer.round_view(round_index)
             if not batch:
                 return
-            self._consensus.propose(batch, self._on_decided)
+            self._consensus.propose(batch, self._on_decided, view_round=round_index)
 
         self._sim.call_later(self._gossip_settle_s, _propose, label="decentral:propose")
 

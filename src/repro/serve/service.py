@@ -46,6 +46,7 @@ from typing import Any
 
 from repro.chain.receipts import find_and_issue, receipt_to_dict
 from repro.chain.store import JsonlBlockStore
+from repro.chain.sync import header_batch
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId
 from repro.obs.metrics import render_prometheus, snapshot_metrics
@@ -341,11 +342,12 @@ class AggregatorService:
     # -- ledger plane ----------------------------------------------------
 
     def ledger_headers(self, from_height: int = 0, count: int = 64) -> dict[str, Any]:
-        """Header-chain batch, with checkpoint fast-forward at genesis.
+        """Header-chain batch: the in-band ``meter/+/chainsync`` answer.
 
-        Mirrors the in-band ``meter/+/chainsync`` answer: a fresh client
-        asking from height 0 against a long chain is anchored at the
-        latest committed checkpoint instead of replaying from genesis.
+        Both answer through :func:`~repro.chain.sync.header_batch`: at
+        most ``MAX_HEADER_BATCH`` (256) headers, and a fresh client asking
+        from height 0 against a long chain is anchored at the latest
+        committed checkpoint instead of replaying from genesis.
         """
         if from_height < 0 or count < 1:
             raise ConfigError(
@@ -353,19 +355,12 @@ class AggregatorService:
             )
         with self._lock:
             chain = self._scenario.chain
-            start = from_height
-            checkpoint: dict[str, Any] | None = None
-            if start == 0:
-                latest = chain.latest_checkpoint
-                if latest is not None and latest.height > count:
-                    checkpoint = latest.to_dict()
-                    start = latest.height
-            headers = [hr.to_dict() for hr in chain.headers(start, count)]
+            start, headers, checkpoint = header_batch(chain, from_height, count)
             return {
                 "from_height": start,
                 "tip_height": chain.height,
-                "headers": headers,
-                "checkpoint": checkpoint,
+                "headers": [hr.to_dict() for hr in headers],
+                "checkpoint": None if checkpoint is None else checkpoint.to_dict(),
             }
 
     def proof(self, device: str, sequence: int) -> dict[str, Any]:

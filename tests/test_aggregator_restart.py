@@ -1,7 +1,10 @@
 """Failure injection: aggregator crash/restart and protocol recovery."""
 
+import copy
+
 import pytest
 
+from repro.anomaly import ScalingAttack
 from repro.ids import DeviceId
 from repro.protocol.device_fsm import DevicePhase
 from repro.runtime import build
@@ -77,3 +80,20 @@ class TestAggregatorRestart:
         scenario.run_until(18.0)
         assert agg1.registry.member_count == 2
         scenario.chain.validate()
+
+    def test_verifier_counts_survive_a_restart(self):
+        # The detectors start over; their counts do not, or the snapshot
+        # and the served alert stream (which only reads growth) would
+        # lose every anomaly flagged before the crash.
+        scenario = build(paper_testbed_spec(seed=3))
+        scenario.devices["device1"].tamper_attack = ScalingAttack(0.4)
+        scenario.run_until(20.0)
+        agg1 = scenario.aggregator("agg1")
+        before = copy.deepcopy(agg1.verifier.stats)
+        assert before.network_anomalies > 0
+        agg1.simulate_crash_restart()
+        assert agg1.verifier.stats == before
+        scenario.run_until(25.0)
+        after = agg1.verifier.stats.network_anomalies
+        assert after > before.network_anomalies
+        assert scenario.summary()["aggregators"]["agg1"]["network_anomalies"] == after

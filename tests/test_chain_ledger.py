@@ -159,6 +159,22 @@ class TestStores:
         with pytest.raises(ChainError):
             JsonlBlockStore(path).height()
 
+    def test_jsonl_reopen_decodes_each_line_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "chain.jsonl"
+        chain = Blockchain(JsonlBlockStore(path))
+        for i in range(50):
+            chain.append("agg1", float(i), [record(seq=i), record(device="d2", seq=i)])
+        decoded = []
+        from_dict = Block.from_dict
+        monkeypatch.setattr(
+            Block, "from_dict", staticmethod(lambda data: decoded.append(1) or from_dict(data))
+        )
+        reopened = Blockchain(JsonlBlockStore(path))
+        assert len(decoded) == 50
+        assert reopened.tip_hash == chain.tip_hash
+        assert reopened.headers(0, 50) == chain.headers(0, 50)
+        assert reopened.locate_record("d2d2", 49) == (49, 1)
+
     def test_jsonl_empty_file_ok(self, tmp_path):
         path = tmp_path / "chain.jsonl"
         path.write_text("\n")

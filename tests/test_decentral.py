@@ -194,6 +194,27 @@ class TestForgedProposal:
         assert all(r["sequence"] != 10**6 for r in records)
         assert chain.total_energy_mwh(victim.device_id.uid) < 1.0
 
+    def test_proposal_is_checked_against_its_own_round(self):
+        # drain() at 10.0 s, the instant of round 9 (A9's timing), starts
+        # round 10 before node1's round-9 proposal (t = 10.05 s) is
+        # decided; that proposal forges a 1e6 mWh record under node2's uid.
+        sim, chain, devices, network = build_committee()
+        proposer, victim = devices[1], devices[2]
+        honest_view = proposer.round_view
+        forged = {"device": "node2", "device_uid": victim.device_id.uid,
+                  "sequence": 10**6, "measured_at": 9.0, "energy_mwh": 1e6}
+        proposer.round_view = lambda round_index: (
+            [*honest_view(round_index), forged] if round_index == 9
+            else honest_view(round_index)
+        )
+        network.start()
+        sim.run_until(10.0)
+        network.drain()
+        sim.run_until(12.0)
+        assert (network.commits, network.failures) == (9, 1)
+        assert victim.rejections == 1
+        assert chain.total_energy_mwh(victim.device_id.uid) < 1.0
+
 
 class TestCommitteeValidation:
     def test_too_small_committee_rejected(self):

@@ -303,16 +303,6 @@ class TestCheckpointPruning:
 
 
 class TestJsonlRefresh:
-    def test_second_reader_sees_appends(self, tmp_path):
-        path = tmp_path / "chain.jsonl"
-        writer = Blockchain(JsonlBlockStore(path))
-        reader = Blockchain(JsonlBlockStore(path))
-        grow(writer, 3)
-        # The reader's store refreshes from the file on access.
-        assert reader.height == 3
-        reader.validate()
-        assert audit_chain(reader).clean
-
     def test_second_reader_on_a_served_archive(self):
         service = AggregatorService(
             dataclasses.replace(
@@ -338,16 +328,6 @@ class TestJsonlRefresh:
         uid = DeviceId("ext-1").uid
         assert reader.records_for_device(uid) == served.records_for_device(uid)
         assert reader.locate_record(uid, 1) == served.locate_record(uid, 1) == (0, 0)
-
-    def test_reader_follows_continued_growth(self, tmp_path):
-        path = tmp_path / "chain.jsonl"
-        writer = Blockchain(JsonlBlockStore(path))
-        grow(writer, 2)
-        reader = Blockchain(JsonlBlockStore(path))
-        assert reader.height == 2
-        grow(writer, 3)
-        assert reader.height == 5
-        assert reader.tip_hash == writer.tip_hash
 
 
 class TestLedgerSpec:

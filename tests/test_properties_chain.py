@@ -1,10 +1,23 @@
 """Property-based tests for the blockchain substrate."""
 
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain import Block, Blockchain, InMemoryBlockStore, MerkleTree, audit_chain
+from repro.chain import (
+    Block,
+    Blockchain,
+    InMemoryBlockStore,
+    JsonlBlockStore,
+    MerkleTree,
+    audit_chain,
+)
 from repro.chain.hashing import canonical_bytes, hash_value
+from repro.errors import BlockValidationError
 
 # JSON-compatible scalars that serialise canonically (no NaN/inf).
 scalars = st.one_of(
@@ -165,3 +178,77 @@ class TestChainProperties:
         assert not report.clean
         # The next block's previous-hash no longer matches.
         assert height + 1 in report.broken_links
+
+
+def forge(block, kind):
+    """``block`` as an attacker with storage access rewrites it."""
+    header, records = block.header, list(block.records)
+    if kind == "record":
+        records = [*records[:-1], {**(records[-1] if records else {}), "__forged__": True}]
+        return Block(header, tuple(records), block.block_hash)
+    if kind == "drop":
+        return Block(header, tuple(records[1:]), block.block_hash)
+    if kind == "header":
+        return Block(replace(header, timestamp=header.timestamp + 1.0), block.records,
+                     block.block_hash)
+    if kind == "hash":
+        return Block(header, block.records, "f" * 64)
+    # "rehash": a consistent block over forged records, whose hash the
+    # next block's link (or the chain's tip) no longer matches.
+    return Block.create(header.height, header.previous_hash, header.aggregator,
+                        header.timestamp, [*records, {"__forged__": True}])
+
+
+class TestOneWalk:
+    """``validate()`` raises exactly when ``audit_chain`` is not clean:
+    both take the one walk of :meth:`Blockchain.problems`."""
+
+    tampering = st.sampled_from(["none", "record", "drop", "header", "hash", "rehash"])
+
+    @staticmethod
+    def raises(chain):
+        try:
+            chain.validate()
+        except BlockValidationError:
+            return True
+        return False
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(records, min_size=1, max_size=5), tampering, st.data())
+    def test_in_memory_chain(self, blocks, kind, data):
+        store = InMemoryBlockStore()
+        chain = Blockchain(store)
+        for i, batch in enumerate(blocks):
+            chain.append("agg1", float(i), batch)
+        height = data.draw(st.integers(min_value=0, max_value=chain.height - 1))
+        if kind != "none":
+            store.tamper(height, forge(store.get(height), kind))
+        report = audit_chain(chain)
+        assert self.raises(chain) == (not report.clean)
+        # In memory the chain keeps its own tip, so every rewrite shows;
+        # only dropping a record from an empty block changes nothing.
+        assert report.clean == (kind == "none" or (kind == "drop" and not blocks[height]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(records, min_size=1, max_size=5), tampering, st.data())
+    def test_reopened_jsonl_archive(self, blocks, kind, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "chain.jsonl"
+            chain = Blockchain(JsonlBlockStore(path))
+            for i, batch in enumerate(blocks):
+                chain.append("agg1", float(i), batch)
+            height = data.draw(st.integers(min_value=0, max_value=chain.height - 1))
+            if kind != "none":
+                lines = path.read_bytes().splitlines(keepends=True)
+                forged = forge(chain.get(height), kind)
+                lines[height] = (json.dumps(forged.to_dict(), sort_keys=True) + "\n").encode()
+                path.write_bytes(b"".join(lines))
+            reopened = Blockchain(JsonlBlockStore(path))
+            report = audit_chain(reopened)
+            assert self.raises(reopened) == (not report.clean)
+            # A reopened archive takes its tip from its newest line, so a
+            # consistent rewrite of that block is the one that passes.
+            unseen = (kind == "rehash" and height == chain.height - 1) or (
+                kind == "drop" and not blocks[height]
+            )
+            assert report.clean == (kind == "none" or unseen)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.chain.receipts import receipt_from_dict
 from repro.chain.store import JsonlBlockStore
+from repro.chain.sync import MAX_HEADER_BATCH
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId, parse_address
 from repro.obs.artifacts import collect_scenario, write_artifacts
@@ -281,6 +282,16 @@ class TestAggregatorService:
             service.ledger_headers(from_height=-1)
         with pytest.raises(ConfigError):
             service.ledger_headers(count=0)
+
+    def test_header_batch_is_capped_like_the_in_band_answer(self):
+        service = AggregatorService(serve_spec(step_s=1.0))
+        service.register(encode_message(RegistrationRequest(DeviceId("ext-1"))))
+        for sequence in range(1, MAX_HEADER_BATCH + 10):  # a block per step
+            service.ingest(json.dumps([report_dict("ext-1", sequence)]))
+        assert service.scenario.chain.height > MAX_HEADER_BATCH + 1
+        batch = service.ledger_headers(1, 10**6)
+        assert len(batch["headers"]) == MAX_HEADER_BATCH
+        assert batch["from_height"] == batch["headers"][0]["header"]["height"] == 1
 
     def test_metrics_exposition(self, tmp_path):
         service = AggregatorService(serve_spec())
