@@ -190,6 +190,11 @@ class AggregatorUnit(Process):
         self._ctrl_topics: dict[DeviceId, str] = {}
         self._received_keys: dict[DeviceId, str] = {}
         self._report_label = f"{self.name}:report"
+        # Reports awaiting processing, by due time.  Each has its own
+        # kernel event at that time, whose callback (bound once, not a
+        # closure per report) takes the oldest report due now.
+        self._arriving: dict[float, list[tuple[ConsumptionReport, Any]]] = {}
+        self._process_due = self._process_arrived
         self._reg_label = f"{self.name}:reg"
 
     # -- introspection ---------------------------------------------------
@@ -468,10 +473,23 @@ class AggregatorUnit(Process):
                 device=message.device_id.name,
                 sequence=message.sequence,
             )
-        delay = self._host.processing_latency_s()
-        self.sim.call_later(
-            delay, lambda: self._process_report(message, span), label=self._report_label
-        )
+        self._queue_report(self.now + self._host.processing_latency_s(), message, span)
+
+    def _queue_report(self, due: float, report: ConsumptionReport, span: Any) -> None:
+        """Process ``report`` at simulated time ``due``."""
+        arriving = self._arriving.get(due)
+        if arriving is None:
+            self._arriving[due] = arriving = []
+        arriving.append((report, span))
+        self.sim.schedule(due, self._process_due, label=self._report_label)
+
+    def _process_arrived(self) -> None:
+        now = self.now
+        arriving = self._arriving[now]
+        report, span = arriving.pop(0)
+        if not arriving:
+            del self._arriving[now]
+        self._process_report(report, span)
 
     def _process_report(self, report: ConsumptionReport, span: Any = None) -> None:
         device_id = report.device_id

@@ -26,7 +26,10 @@ Beyond raw storage the chain maintains three derived structures:
 A chain is the only reader and writer of its store.  It reads every
 stored block once, when it is built (one decode per line of a JSONL
 archive), and from then on :meth:`Blockchain.append` alone keeps the
-derived state current.  Checking the stored chain is one walk,
+derived state current, from the records it was given: blocks keep
+their records as canonical bytes (:mod:`repro.chain.block`), and
+nothing on the append path decodes them.  A reader decodes each block
+it reads at most once per call.  Checking the stored chain is one walk,
 :meth:`Blockchain.problems`, behind both :meth:`Blockchain.validate`
 and :func:`~repro.chain.audit.audit_chain`.
 """
@@ -35,7 +38,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Iterator
+from itertools import groupby
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.chain.block import Block
 from repro.chain.hashing import GENESIS_HASH
@@ -141,18 +145,19 @@ class Blockchain:
         self._records_total = 0
         self._pruned_below = 0
         self._device_index: dict[str, _DeviceIndex] = {}
-        for block in self._store.load():
-            self._admit(block)
+        for block, records in self._store.load():
+            self._admit(block, records)
 
     # ------------------------------------------------------------------
     # derived-state maintenance
 
-    def _admit(self, block: Block) -> None:
+    def _admit(self, block: Block, records: Iterable[dict[str, Any]]) -> None:
+        """Index ``block``, whose records (decoded) are ``records``."""
         header = block.header
         self._headers.append(HeaderRecord(header=header, block_hash=block.block_hash))
         place = header.height * _SLOTS
         device_index = self._device_index
-        for record in block.records:
+        for record in records:
             uid = record.get("device_uid")
             if uid is not None:
                 entry = device_index.get(uid)
@@ -165,7 +170,7 @@ class Blockchain:
                 except (TypeError, OverflowError):
                     entry.add_irregular(sequence)
             place += 1
-        self._records_total += len(block.records)
+        self._records_total += len(block.leaves)
         self._tip_hash = block.block_hash
         height = len(self._headers)
         if self._checkpoint_interval is None or height % self._checkpoint_interval:
@@ -234,7 +239,7 @@ class Blockchain:
             records=records,
         )
         self._store.put(block)
-        self._admit(block)
+        self._admit(block, records)
         if self._counters is not None:
             self._counters.increment("chain.blocks_appended")
             if records:
@@ -359,21 +364,21 @@ class Blockchain:
         second source of truth: each hit is re-checked against the
         stored bytes, so a tampered store (records removed or moved —
         what the tamper experiments simulate) reads exactly as stored,
-        never as indexed.
+        never as indexed.  Each block is read and decoded once per call,
+        and only the device's own records in it are decoded.
         """
         found: list[dict[str, Any]] = []
         entry = self._device_index.get(device_uid)
         if entry is None:
             return found
-        block: Block | None = None
-        for place in entry.places:
-            height, index = divmod(place, _SLOTS)
-            if block is None or block.header.height != height:
-                block = self._store.get(height)
-            if index < len(block.records):
-                record = block.records[index]
-                if record.get("device_uid") == device_uid:
-                    found.append(record)
+        for height, places in groupby(entry.places, lambda place: place // _SLOTS):
+            block = self._store.get(height)
+            held = len(block.leaves)
+            indexes = [index for index in (place % _SLOTS for place in places) if index < held]
+            found.extend(
+                record for record in block.records_at(indexes)
+                if record.get("device_uid") == device_uid
+            )
         return found
 
     def total_energy_mwh(self, device_uid: str | None = None) -> float:

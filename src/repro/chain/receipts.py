@@ -135,7 +135,11 @@ def _proof_step(step: Any) -> tuple[str, str]:
 
 
 def issue_receipt(chain: Blockchain, block_height: int, record_index: int) -> InclusionReceipt:
-    """Build the receipt for one record position."""
+    """Build the receipt for one record position.
+
+    The Merkle tree is built from the block's stored leaves; only the
+    receipt's own record is decoded.
+    """
     try:
         block = chain.get(block_height)
     except PrunedBlockError as exc:
@@ -144,18 +148,18 @@ def issue_receipt(chain: Blockchain, block_height: int, record_index: int) -> In
             "the record bodies are gone (existing receipts still verify "
             "against the retained headers)"
         ) from exc
-    if not 0 <= record_index < len(block.records):
+    leaves = block.leaves
+    if not 0 <= record_index < len(leaves):
         raise ChainError(
             f"block {block_height} has no record index {record_index}"
         )
-    tree = MerkleTree(list(block.records))
     return InclusionReceipt(
         block_height=block_height,
         block_hash=block.block_hash,
         merkle_root=block.header.merkle_root,
-        leaf_count=len(block.records),
-        record=dict(block.records[record_index]),
-        proof=tuple(tree.proof(record_index)),
+        leaf_count=len(leaves),
+        record=block.records_at((record_index,))[0],
+        proof=tuple(MerkleTree(leaves).proof(record_index)),
     )
 
 

@@ -8,6 +8,13 @@ Two backends:
   ledger survives the process and external tools can inspect it; only
   line offsets, the newest body and the last body read stay in memory.
 
+An archive line is the canonical form of ``{"block_hash", "header",
+"records"}``, joined from the bytes the block was hashed from
+(:meth:`~repro.chain.block.Block.to_bytes`), so writing a block encodes
+no record again.  Reading a line decodes it once and encodes its
+records back into the block's leaves; lines with other JSON spacing
+read the same way.
+
 A store has one reader and writer: the :class:`~repro.chain.ledger.
 Blockchain` built on it.  The chain reads every stored block once, in
 one ``load`` pass when it is built, and from then on learns of blocks
@@ -32,7 +39,7 @@ from __future__ import annotations
 import json
 from array import array
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Any, Iterator, Protocol, Sequence
 
 from repro.chain.block import Block
 from repro.errors import ChainError, PrunedBlockError
@@ -41,8 +48,9 @@ from repro.errors import ChainError, PrunedBlockError
 class BlockStore(Protocol):
     """Minimal storage interface the ledger depends on."""
 
-    def load(self) -> Iterator[Block]:
-        """Every stored block once, oldest first (the chain's open pass)."""
+    def load(self) -> Iterator[tuple[Block, Sequence[dict[str, Any]]]]:
+        """Every stored block once, oldest first, with its decoded
+        records (the chain's open pass)."""
         ...
 
     def height(self) -> int:
@@ -69,9 +77,12 @@ class InMemoryBlockStore:
         self._blocks: list[Block | None] = []
         self._pruned_below = 0
 
-    def load(self) -> Iterator[Block]:
-        """Every stored block, oldest first (a pruned one raises)."""
-        return map(self.get, range(len(self._blocks)))
+    def load(self) -> Iterator[tuple[Block, Sequence[dict[str, Any]]]]:
+        """Every stored block with its records, oldest first (a pruned
+        one raises)."""
+        for height in range(len(self._blocks)):
+            block = self.get(height)
+            yield block, block.records
 
     def height(self) -> int:
         """Number of stored blocks (pruned positions included)."""
@@ -157,8 +168,9 @@ class JsonlBlockStore(InMemoryBlockStore):
         """The archive file."""
         return self._path
 
-    def load(self) -> Iterator[Block]:
-        """Open the archive: yield each committed block, oldest first."""
+    def load(self) -> Iterator[tuple[Block, Sequence[dict[str, Any]]]]:
+        """Open the archive: yield each committed block, oldest first,
+        with the records its line decoded to."""
         self._blocks, self._offsets = [], array("q")
         self._pruned_below = self._committed_bytes = 0
         self._last_read = None
@@ -172,13 +184,13 @@ class JsonlBlockStore(InMemoryBlockStore):
                 self._committed_bytes += len(line)
                 if line.strip():
                     where = f"{self._path}:{line_no}"
-                    block = self._decode(line, where)
+                    block, records = self._decode(line, where)
                     try:
                         self._keep(block)
                     except ChainError as exc:
                         raise ChainError(f"corrupt block at {where}: {exc}") from exc
                     self._offsets.append(start)
-                    yield block
+                    yield block, records
 
     def _opened(self) -> array:
         if self._offsets is None:
@@ -186,10 +198,12 @@ class JsonlBlockStore(InMemoryBlockStore):
                 pass
         return self._offsets
 
-    def _decode(self, line: bytes, where: str) -> Block:
+    def _decode(self, line: bytes, where: str) -> tuple[Block, Any]:
+        """The line's block and its decoded records: one decode."""
         try:
-            return Block.from_dict(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
+            data = json.loads(line)
+            return Block.from_dict(data), data["records"]
+        except (ValueError, KeyError, TypeError, ChainError) as exc:
             raise ChainError(f"corrupt block at {where}: {exc}") from exc
 
     def _keep(self, block: Block) -> None:
@@ -208,7 +222,7 @@ class JsonlBlockStore(InMemoryBlockStore):
         # A block out of place is refused by the in-memory put below,
         # before it reaches the file.
         if block.header.height == len(offsets):
-            line = (json.dumps(block.to_dict(), sort_keys=True) + "\n").encode()
+            line = block.to_bytes() + b"\n"
             with self._path.open("ab") as handle:
                 if handle.tell() != self._committed_bytes:
                     handle.truncate(self._committed_bytes)  # drop a torn tail
@@ -229,5 +243,6 @@ class JsonlBlockStore(InMemoryBlockStore):
             with self._path.open("rb") as handle:
                 handle.seek(offsets[height])
                 line = handle.read(end - offsets[height])
-            block = self._last_read = self._decode(line, f"{self._path} block {height}")
+            block, _ = self._decode(line, f"{self._path} block {height}")
+            self._last_read = block
         return block

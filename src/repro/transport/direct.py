@@ -75,8 +75,11 @@ class DirectHub(Process, Endpoint):
         self._connect_s = connect_s
         self._router = TopicRouter()
         # Batches keyed by absolute due time: every message scheduled
-        # for the same instant rides one kernel event.
+        # for the same instant rides one kernel event, at exactly that
+        # time, whose callback (bound once, not a closure per batch)
+        # finds its batch by the clock.
         self._batches: dict[float, list[tuple[str, Any]]] = {}
+        self._drain_due = self._drain
         self._drain_label = f"direct-drain:{name}"
         self._messages_routed = 0
         self._messages_dropped = 0
@@ -140,9 +143,7 @@ class DirectHub(Process, Endpoint):
             batch = self._batches.get(due)
             if batch is None:
                 self._batches[due] = batch = []
-                self.sim.call_later(
-                    after_s, lambda: self._drain(due), label=self._drain_label
-                )
+                self.sim.schedule(due, self._drain_due, label=self._drain_label)
             batch.append((topic, payload))
             return
         delay = after_s
@@ -168,13 +169,11 @@ class DirectHub(Process, Endpoint):
         batch = self._batches.get(due)
         if batch is None:
             self._batches[due] = batch = []
-            self.sim.call_later(
-                delay, lambda: self._drain(due), label=self._drain_label
-            )
+            self.sim.schedule(due, self._drain_due, label=self._drain_label)
         batch.append((topic, payload))
 
-    def _drain(self, due: float) -> None:
-        batch = self._batches.pop(due, ())
+    def _drain(self) -> None:
+        batch = self._batches.pop(self._clock.now, ())
         if self._down:
             self._messages_dropped += len(batch)
             for topic, _ in batch:

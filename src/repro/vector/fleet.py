@@ -676,7 +676,7 @@ class VectorFleet:
         Builds the exact :class:`ConsumptionReport` the scalar transmit
         would have produced, puts it in the device's in-flight window
         with its Ack deadline counted from transmit time (the tick),
-        and schedules the real ``_process_report`` at the exact arrival
+        and queues the real ``_process_report`` for the exact arrival
         time — screening, Nacks and Acks then run through the normal
         machinery, including the de-vectorization hook on the device's
         control topic.
@@ -695,9 +695,4 @@ class VectorFleet:
             buffered=False,
         )
         device._await_ack(report, tick_time)
-        unit = cohort._unit
-        self._sim.schedule(
-            arrived_at,
-            lambda: unit._process_report(report, None),
-            label=unit._report_label,
-        )
+        cohort._unit._queue_report(arrived_at, report, None)

@@ -1,6 +1,9 @@
 """Tests for the ledger, stores, audit and consensus."""
 
+import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +20,7 @@ from repro.chain.hashing import GENESIS_HASH
 from repro.chain.receipts import find_and_issue, receipt_from_dict, receipt_to_dict
 from repro.chain.sync import HeaderChain
 from repro.errors import BlockValidationError, ChainError
-from repro.ids import AggregatorId
+from repro.ids import AggregatorId, DeviceId
 from repro.net import BackhaulLink, BackhaulMesh
 from repro.sim import Simulator
 
@@ -127,6 +130,46 @@ class TestBlockchain:
         resumed.append("agg1", 2.0, [record(seq=1)])
         resumed.validate()
 
+    def test_memory_per_committed_record(self):
+        # The fleets' ledger record (vector/fleet.py stages it): 11 keys,
+        # the name and uid strings shared with the device, the current
+        # in INA219 steps of 1/32 mA.  A block keeps each record's
+        # canonical bytes (~240 B), not its dict (~800 B with its number
+        # values).
+        rng = random.Random(7)
+        devices = [(f"dev-{n}-{d}", DeviceId(f"dev-{n}-{d}").uid)
+                   for n in range(2) for d in range(20)]
+
+        def interval(network, step):
+            records = []
+            for name, uid in devices[20 * network:20 * network + 20]:
+                for k in range(10):
+                    current_ma = rng.randrange(640, 12_800) / 32
+                    records.append({
+                        "device": name, "device_uid": uid, "sequence": 10 * step + k,
+                        "measured_at": step + k / 10 - rng.random() / 1e6,
+                        "interval_s": 0.1, "current_ma": current_ma, "voltage_v": 3.3,
+                        "energy_mwh": current_ma * 3.3 * 0.1 / 3600, "buffered": False,
+                        "roaming": False, "network": f"net-{network}",
+                    })
+            return records
+
+        chain = Blockchain()
+        chain.append("agg-0", 0.0, interval(0, 0))
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for step in range(1, 21):
+                for network in range(2):
+                    chain.append(f"agg-{network}", float(step), interval(network, step))
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_record = (after - before) / (chain.records_total - 200)
+        assert per_record <= 320, f"{per_record:.0f} B retained per committed record"
+
 
 class TestStores:
     def test_in_memory_height_ordering(self):
@@ -174,6 +217,30 @@ class TestStores:
         assert reopened.tip_hash == chain.tip_hash
         assert reopened.headers(0, 50) == chain.headers(0, 50)
         assert reopened.locate_record("d2d2", 49) == (49, 1)
+
+    def test_readers_decode_each_block_once_per_call(self, tmp_path, monkeypatch):
+        chain = Blockchain(JsonlBlockStore(tmp_path / "chain.jsonl"))
+        for i in range(6):
+            chain.append("agg1", float(i), [
+                record(device, seq=3 * i + k) for k in range(3) for device in ("d1", "d2")
+            ])
+        lines, decodes = [], []
+        from_dict, records_at = Block.from_dict, Block.records_at
+        monkeypatch.setattr(Block, "from_dict", staticmethod(
+            lambda data: lines.append(data["header"]["height"]) or from_dict(data)))
+        monkeypatch.setattr(Block, "records_at", lambda block, indexes: (
+            decodes.append(block.header.height) or records_at(block, indexes)))
+        # Every block holds d1's records; all but the newest are read
+        # back from their lines.
+        assert len(chain.records_for_device("d1d1")) == 18
+        assert (lines, decodes) == ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5])
+        del lines[:], decodes[:]
+        assert chain.total_energy_mwh() == pytest.approx(36.0)
+        assert (lines, decodes) == ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5])
+        del lines[:], decodes[:]
+        receipt = find_and_issue(chain, "d1d1", 4)
+        assert receipt.verify(chain)  # the block read for the receipt is kept
+        assert (lines, decodes) == ([1], [1])
 
     def test_jsonl_empty_file_ok(self, tmp_path):
         path = tmp_path / "chain.jsonl"

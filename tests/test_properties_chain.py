@@ -5,6 +5,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,18 @@ scalars = st.one_of(
 records = st.lists(
     st.dictionaries(st.text(min_size=1, max_size=8), scalars, max_size=5),
     max_size=12,
+)
+# Any JSON record: nested lists and objects, any Unicode text (ASCII
+# escapes in canonical bytes), -0.0 and integers far past 64 bits.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([-0.0, 2**200, -(2**100)])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+json_records = st.lists(
+    st.dictionaries(st.text(max_size=8), json_values, max_size=5), max_size=5
 )
 
 
@@ -252,3 +265,49 @@ class TestOneWalk:
                 kind == "drop" and not blocks[height]
             )
             assert report.clean == (kind == "none" or unseen)
+
+
+class TestStoredBytes:
+    """A block keeps the bytes it hashed, and every path a block takes
+    gives the same records and the same hash back."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(json_records, min_size=1, max_size=4))
+    def test_round_trip_keeps_records_and_hash(self, blocks):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "chain.jsonl"
+            chain = Blockchain(JsonlBlockStore(path))
+            created = [chain.append("agg1", float(i), batch) for i, batch in enumerate(blocks)]
+            lines = path.read_bytes().splitlines()
+            reopened = Blockchain(JsonlBlockStore(path))
+            for batch, block, line in zip(blocks, created, lines):
+                assert list(block.records) == batch
+                assert line == canonical_bytes(block.to_dict())
+                for copy in (
+                    Block.from_dict(block.to_dict()),
+                    Block.from_dict(json.loads(line)),
+                    reopened.get(block.header.height),
+                ):
+                    assert copy.leaves == block.leaves
+                    assert copy.compute_hash() == block.block_hash
+                    assert list(copy.records) == batch
+            assert reopened.tip_hash == chain.tip_hash
+            reopened.validate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(json_records.filter(bool), st.data())
+    def test_forged_record_or_changed_byte_is_caught(self, batch, data):
+        store = InMemoryBlockStore()
+        chain = Blockchain(store)
+        victim = chain.append("agg1", 0.0, batch)
+        index = data.draw(st.integers(min_value=0, max_value=len(batch) - 1))
+        forged = [*batch[:index], {**batch[index], "__forged__": True}, *batch[index + 1:]]
+        leaf = victim.leaves[index]
+        at = data.draw(st.integers(min_value=0, max_value=len(leaf) - 1))
+        changed = list(victim.leaves)
+        changed[index] = leaf[:at] + bytes([leaf[at] ^ 1]) + leaf[at + 1:]
+        for body in (forged, changed):
+            store.tamper(0, Block(victim.header, body, victim.block_hash))
+            assert audit_chain(chain).invalid_blocks == (0,)
+            with pytest.raises(BlockValidationError):
+                chain.validate()
