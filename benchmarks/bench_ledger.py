@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.chain import Blockchain, InMemoryBlockStore
+from repro.chain import Blockchain, BlockStore
 
 
 def run_pruning_case(
@@ -39,7 +39,7 @@ def run_pruning_case(
     from repro.chain.receipts import issue_receipt
 
     chain = Blockchain(
-        InMemoryBlockStore(),
+        BlockStore(),
         checkpoint_interval=checkpoint_interval,
         pruning_depth=pruning_depth,
     )

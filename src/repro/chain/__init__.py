@@ -11,7 +11,7 @@ Components:
 * :mod:`repro.chain.merkle` — Merkle tree over a block's records,
 * :mod:`repro.chain.block` — block header/body structures,
 * :mod:`repro.chain.ledger` — the append-only validated chain,
-* :mod:`repro.chain.store` — block storage backends,
+* :mod:`repro.chain.store` — block storage, a list or an archive file,
 * :mod:`repro.chain.audit` — tamper detection over stored chains,
 * :mod:`repro.chain.sync` — lightweight-client header sync and
   checkpoints (Danzi et al.),
@@ -34,7 +34,7 @@ from repro.chain.receipts import (
     receipt_from_dict,
     receipt_to_dict,
 )
-from repro.chain.store import BlockStore, InMemoryBlockStore, JsonlBlockStore
+from repro.chain.store import BlockStore
 from repro.chain.sync import (
     Checkpoint,
     HeaderChain,
@@ -70,6 +70,4 @@ __all__ = [
     "MerkleTree",
     "merkle_root",
     "BlockStore",
-    "InMemoryBlockStore",
-    "JsonlBlockStore",
 ]

@@ -14,6 +14,11 @@ computed from (:attr:`Block.leaves`), ~245 B for a fleet record against
 ~620 B as a dict.  :attr:`Block.records` decodes them into fresh dicts
 on every access, so a reader that needs them twice keeps the tuple;
 :meth:`Block.records_at` decodes only the records asked for.
+
+A block's archive line is :meth:`Block.to_bytes`, and only this module
+knows that layout: :meth:`Block.from_line` reads a line back with its
+leaves sliced from the bytes it holds, so reading a block, like writing
+one, encodes no record.
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ from typing import Any, Iterable
 
 from repro.chain.hashing import block_payload, canonical_bytes, chain_hash
 from repro.chain.merkle import merkle_root
-from repro.errors import BlockValidationError
+from repro.errors import BlockValidationError, ChainError
+
+# json's C scanner: decodes the one JSON value starting at an index and
+# returns it with the index just past it.
+_scan = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -170,9 +179,34 @@ class Block:
         return b'{"block_hash":' + canonical_bytes(self.block_hash) + b"," + payload[1:]
 
     @staticmethod
-    def from_dict(data: dict[str, Any]) -> "Block":
-        """Rebuild a block from its stored form (no validation)."""
-        return Block(BlockHeader(**data["header"]), data["records"], data["block_hash"])
+    def from_line(line: bytes) -> tuple["Block", list[Any]]:
+        """The block whose :meth:`to_bytes` is ``line``, and its records.
+
+        One walk of json's C scanner decodes the line, and each leaf is
+        the slice of ``line`` its record was decoded from, so a record
+        rewritten in place reads as stored.  The decoded records come
+        along for a reader that indexes them.  Nothing else is checked:
+        :meth:`validate_structure` finds a forged block.  Raises
+        :class:`~repro.errors.ChainError` unless ``line`` is exactly
+        the block's :meth:`to_bytes`.
+        """
+        try:
+            text = line.decode("ascii")
+            block_hash, at = _scan(text, len('{"block_hash":'))
+            header, at = _scan(text, at + len(',"header":'))
+            at += len(',"records":[')
+            leaves, records = [], []
+            while text[at] != "]":
+                record, end = _scan(text, at)
+                leaves.append(line[at:end])
+                records.append(record)
+                at = end + (text[end] == ",")
+            block = Block(BlockHeader(**header), leaves, block_hash)
+            if block.to_bytes() == line:
+                return block, records
+        except (ValueError, TypeError, IndexError, StopIteration, ChainError) as exc:
+            raise ChainError(f"not a block line: {type(exc).__name__}: {exc}") from exc
+        raise ChainError("not a block line: not the bytes its block writes")
 
 
 def _block_hash(header: BlockHeader, leaves: Iterable[bytes]) -> str:

@@ -24,7 +24,7 @@ Beyond raw storage the chain maintains three derived structures:
   checkpoints keep the full history verifiable.
 
 A chain is the only reader and writer of its store.  It reads every
-stored block once, when it is built (one decode per line of a JSONL
+stored block once, when it is built (one read per line of an
 archive), and from then on :meth:`Blockchain.append` alone keeps the
 derived state current, from the records it was given: blocks keep
 their records as canonical bytes (:mod:`repro.chain.block`), and
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.chain.block import Block
 from repro.chain.hashing import GENESIS_HASH
-from repro.chain.store import BlockStore, InMemoryBlockStore
+from repro.chain.store import BlockStore
 from repro.chain.sync import Checkpoint, HeaderRecord
 from repro.errors import BlockValidationError, ChainError
 
@@ -101,7 +101,7 @@ class Blockchain:
     """Append-only chain of validated consumption blocks.
 
     Args:
-        store: Storage backend; defaults to in-memory.  The chain reads
+        store: Block store; defaults to a list.  The chain reads
             every block in it once, now, and is its only writer after.
         authorized: Optional set of aggregator names allowed to append
             (the "permissioned" part).  ``None`` allows any appender.
@@ -134,7 +134,7 @@ class Blockchain:
                 "pruning requires checkpointing: receipts against pruned "
                 "blocks verify via committed checkpoints"
             )
-        self._store = store or InMemoryBlockStore()
+        self._store = store or BlockStore()
         self._authorized = set(authorized) if authorized is not None else None
         self._counters = counters
         self._checkpoint_interval = checkpoint_interval

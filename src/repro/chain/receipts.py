@@ -14,13 +14,12 @@ the count into verification closes that hole.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any
 
 from repro.chain.ledger import Blockchain
 from repro.chain.merkle import MerkleTree
-from repro.chain.sync import HeaderRecord
+from repro.chain.sync import HeaderRecord, hex_digest
 from repro.errors import ChainError, PrunedBlockError
 
 
@@ -106,8 +105,8 @@ def receipt_from_dict(data: dict[str, Any]) -> InclusionReceipt:
     try:
         return InclusionReceipt(
             block_height=int(data["block_height"]),
-            block_hash=_hex_digest(data["block_hash"], "block_hash"),
-            merkle_root=_hex_digest(data["merkle_root"], "merkle_root"),
+            block_hash=hex_digest(data["block_hash"], "block_hash"),
+            merkle_root=hex_digest(data["merkle_root"], "merkle_root"),
             leaf_count=int(data["leaf_count"]),
             record=dict(data["record"]),
             proof=tuple(_proof_step(step) for step in data["proof"]),
@@ -116,22 +115,13 @@ def receipt_from_dict(data: dict[str, Any]) -> InclusionReceipt:
         raise ChainError(f"malformed receipt payload: {exc}") from exc
 
 
-_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
-
-
-def _hex_digest(value: Any, what: str) -> str:
-    if not isinstance(value, str) or not _HEX_DIGEST.fullmatch(value):
-        raise ValueError(f"{what} must be 64 lowercase hex characters, got {value!r}")
-    return value
-
-
 def _proof_step(step: Any) -> tuple[str, str]:
     if not isinstance(step, (list, tuple)) or len(step) != 2:
         raise ValueError(f"proof entry must be a [side, sibling] pair, got {step!r}")
     side, sibling = step
     if side not in ("L", "R"):
         raise ValueError(f"proof side must be 'L' or 'R', got {side!r}")
-    return side, _hex_digest(sibling, "proof sibling")
+    return side, hex_digest(sibling, "proof sibling")
 
 
 def issue_receipt(chain: Blockchain, block_height: int, record_index: int) -> InclusionReceipt:

@@ -29,6 +29,8 @@ against the retained headers.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -45,6 +47,27 @@ if TYPE_CHECKING:
 # asks for — bounds response size on constrained downlinks.
 MAX_HEADER_BATCH = 256
 
+_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def hex_digest(value: Any, what: str) -> str:
+    """``value``, if it is 64 lowercase hex characters; else ValueError."""
+    if not isinstance(value, str) or not _HEX_DIGEST.fullmatch(value):
+        raise ValueError(f"{what} must be 64 lowercase hex characters, got {value!r}")
+    return value
+
+
+def _count(value: Any, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def _finite(value: Any, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class HeaderRecord:
@@ -59,13 +82,31 @@ class HeaderRecord:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "HeaderRecord":
-        """Rebuild a header record from its transported form."""
+        """Rebuild a header record from its transported form.
+
+        The batch comes from an aggregator, so each field's type is
+        checked: hashes must be 64 lowercase hex characters, the height
+        and record count ``int`` (not ``bool``), the timestamp a finite
+        number and the aggregator a ``str``.  Anything else raises
+        :class:`~repro.errors.ChainError`.
+        """
         try:
+            header = data["header"]
+            aggregator = header["aggregator"]
+            if not isinstance(aggregator, str):
+                raise ValueError(f"aggregator must be a str, got {aggregator!r}")
             return HeaderRecord(
-                header=BlockHeader(**data["header"]),
-                block_hash=str(data["block_hash"]),
+                header=BlockHeader(
+                    height=_count(header["height"], "height"),
+                    previous_hash=hex_digest(header["previous_hash"], "previous_hash"),
+                    merkle_root=hex_digest(header["merkle_root"], "merkle_root"),
+                    aggregator=aggregator,
+                    timestamp=_finite(header["timestamp"], "timestamp"),
+                    record_count=_count(header["record_count"], "record_count"),
+                ),
+                block_hash=hex_digest(data["block_hash"], "block_hash"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ChainError(f"malformed header record: {exc}") from exc
 
 
@@ -105,15 +146,16 @@ class Checkpoint:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "Checkpoint":
-        """Rebuild a checkpoint from its transported form."""
+        """Rebuild a checkpoint from its transported form, its types
+        checked as :meth:`HeaderRecord.from_dict` checks a header's."""
         try:
             return Checkpoint(
-                height=int(data["height"]),
-                tip_hash=str(data["tip_hash"]),
-                record_count=int(data["record_count"]),
-                timestamp=float(data["timestamp"]),
+                height=_count(data["height"], "height"),
+                tip_hash=hex_digest(data["tip_hash"], "tip_hash"),
+                record_count=_count(data["record_count"], "record_count"),
+                timestamp=_finite(data["timestamp"], "timestamp"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ChainError(f"malformed checkpoint payload: {exc}") from exc
 
 
@@ -336,7 +378,8 @@ class LedgerSyncClient:
 
         A fresh client (no headers yet) anchors at the offered
         checkpoint.  A batch that fails linkage verification is counted
-        in ``batches_rejected`` and otherwise ignored.
+        in ``batches_rejected``; the headers before its first bad one
+        stay applied and are counted like any other.
         """
         self.stats.responses_received += 1
         if (
@@ -348,16 +391,16 @@ class LedgerSyncClient:
             self.stats.checkpoint_anchors += 1
         applied_from = self.chain.height
         try:
-            applied = self.chain.extend(headers)
+            self.chain.extend(headers)
+            rejected = False
         except ChainError:
             self.stats.batches_rejected += 1
-            return False
-        if applied:
-            self.stats.headers_applied += applied
-            for height in range(applied_from, self.chain.height):
-                age = max(0.0, now - self.chain.header_at(height).header.timestamp)
-                self.stats.delay_sum_s += age
-                self.stats.delay_samples += 1
-                if age > self.stats.delay_max_s:
-                    self.stats.delay_max_s = age
-        return self.chain.height < tip_height
+            rejected = True
+        self.stats.headers_applied += self.chain.height - applied_from
+        for height in range(applied_from, self.chain.height):
+            age = max(0.0, now - self.chain.header_at(height).header.timestamp)
+            self.stats.delay_sum_s += age
+            self.stats.delay_samples += 1
+            if age > self.stats.delay_max_s:
+                self.stats.delay_max_s = age
+        return not rejected and self.chain.height < tip_height

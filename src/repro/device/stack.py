@@ -792,12 +792,19 @@ class MeteringDevice(Process):
         if client is None:
             return  # Sync disabled; a stray response is ignorable.
         client.stats.bytes_received += encoded_size(message)
-        headers = [HeaderRecord.from_dict(data) for data in message.headers]
-        checkpoint = (
-            Checkpoint.from_dict(message.checkpoint)
-            if message.checkpoint is not None
-            else None
-        )
+        try:
+            headers = [HeaderRecord.from_dict(data) for data in message.headers]
+            checkpoint = (
+                Checkpoint.from_dict(message.checkpoint)
+                if message.checkpoint is not None
+                else None
+            )
+        except ChainError as exc:
+            # The aggregator's payload did not parse: a rejected batch.
+            client.stats.responses_received += 1
+            client.stats.batches_rejected += 1
+            self.trace("device.headers_rejected", error=str(exc))
+            return
         behind = client.apply_response(headers, message.tip_height, checkpoint, self.now)
         self.trace(
             "device.headers_synced",

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.anomaly import ScalingAttack
-from repro.chain import Block, Blockchain, InMemoryBlockStore, audit_chain
+from repro.chain import Block, Blockchain, BlockStore, audit_chain
 from repro.errors import SlotAllocationError
 from repro.experiments.ablations import (
     hotspot_instance,
@@ -205,7 +205,7 @@ def _e5_reporting() -> CheckResult:
     )
 
 
-def _ledger(store: InMemoryBlockStore, blocks: int, records_per_block: int) -> Blockchain:
+def _ledger(store: BlockStore, blocks: int, records_per_block: int) -> Blockchain:
     chain = Blockchain(store)
     for b in range(blocks):
         chain.append(
@@ -220,7 +220,7 @@ def _ledger(store: InMemoryBlockStore, blocks: int, records_per_block: int) -> B
     return chain
 
 
-def _forge(store: InMemoryBlockStore, height: int, index: int, energy_mwh: float) -> None:
+def _forge(store: BlockStore, height: int, index: int, energy_mwh: float) -> None:
     """Rewrite one stored record in place, keeping the block's hash."""
     victim = store.get(height)
     forged = [dict(record) for record in victim.records]
@@ -233,13 +233,13 @@ def _e6_tamper() -> CheckResult:
     rng = random.Random(7)
     trials, detected = 40, 0
     for _ in range(trials):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = _ledger(store, blocks=12, records_per_block=8)
         _forge(store, rng.randrange(chain.height), rng.randrange(8), rng.random())
         detected += not audit_chain(chain).clean
-    long_audit_clean = audit_chain(_ledger(InMemoryBlockStore(), 100, 20)).clean
+    long_audit_clean = audit_chain(_ledger(BlockStore(), 100, 20)).clean
 
-    store = InMemoryBlockStore()
+    store = BlockStore()
     scenario = build(paper_testbed_spec(seed=2), store=store)
     scenario.run_until(8.0)
     testbed_clean = audit_chain(scenario.chain).clean

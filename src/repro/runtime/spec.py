@@ -357,7 +357,8 @@ class ServeSpec(SpecCodec):
         step_s: Simulated seconds the kernel advances per ingestion
             step — one full aggregator duty cycle (processing latency,
             downlink, feeder tick, block flush) per batch.
-        poll_timeout_s: Default long-poll timeout of ``GET /alerts``.
+        poll_timeout_s: Default and longest long-poll wait of ``GET
+            /alerts``: a client's ``timeout_s`` is capped at it.
     """
 
     enabled: bool = False

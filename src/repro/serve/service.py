@@ -25,15 +25,16 @@ step, and returns one blocking response with a per-report verdict.
 
 A service runs for as long as its clients keep it, so what it holds
 grows per block, not per record: the chain lives in a
-:class:`~repro.chain.store.JsonlBlockStore` archive in a temporary
-directory the service owns (block bodies on disk, the newest few
-cached), and the alert stream is a bounded ring.
+:class:`~repro.chain.store.BlockStore` archive in a temporary directory
+the service owns (block bodies on disk, the newest and the last one
+read kept), and the alert stream is a bounded ring.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import shutil
 import tempfile
 import threading
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.chain.receipts import find_and_issue, receipt_to_dict
-from repro.chain.store import JsonlBlockStore
+from repro.chain.store import BlockStore
 from repro.chain.sync import header_batch
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId
@@ -94,7 +95,7 @@ class AggregatorService:
         self._delete_archive = weakref.finalize(
             self, shutil.rmtree, archive, ignore_errors=True
         )
-        self._scenario = build(spec, store=JsonlBlockStore(Path(archive) / "ledger.jsonl"))
+        self._scenario = build(spec, store=BlockStore(Path(archive) / "ledger.jsonl"))
         self._network = network or spec.serve.network or spec.networks[0].name
         self._unit = self._scenario.aggregator(self._network)
         self._lock = threading.RLock()
@@ -321,12 +322,17 @@ class AggregatorService:
     ) -> dict[str, Any]:
         """Alerts with ``seq >= since``, long-polling when none exist.
 
-        Blocks up to ``timeout_s`` (default: the spec's poll timeout)
-        for a new alert before returning an empty batch; ``next`` is
-        the cursor to pass as ``since`` on the next poll.
+        Blocks up to ``timeout_s``, and never longer than the spec's
+        poll timeout (also the default), for a new alert before
+        returning an empty batch; ``next`` is the cursor to pass as
+        ``since`` on the next poll.  A non-finite ``timeout_s`` raises
+        :class:`~repro.errors.ConfigError`.
         """
+        longest = self._serve.poll_timeout_s
+        if timeout_s is not None and not math.isfinite(timeout_s):
+            raise ConfigError(f"alert poll timeout must be finite, got {timeout_s}")
         deadline = time.monotonic() + (
-            self._serve.poll_timeout_s if timeout_s is None else timeout_s
+            longest if timeout_s is None else min(timeout_s, longest)
         )
         with self._alert_cond:
             while self._alerts_total <= since:

@@ -152,9 +152,11 @@ class TestBlock:
             tampered.validate_structure()
 
     def test_dict_roundtrip(self):
+        # A block's stored form is its line, canonical_bytes(to_dict()).
         block = self.make_block()
-        rebuilt = Block.from_dict(block.to_dict())
+        rebuilt, records = Block.from_line(block.to_bytes())
         assert rebuilt.block_hash == block.block_hash
+        assert records == block.to_dict()["records"]
         rebuilt.validate_structure()
 
     def test_empty_records_block_valid(self):

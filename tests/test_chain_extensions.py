@@ -5,7 +5,7 @@ import pytest
 from repro.chain import (
     Block,
     Blockchain,
-    InMemoryBlockStore,
+    BlockStore,
     NetworkedPoaConsensus,
     NetworkedValidator,
     find_and_issue,
@@ -151,7 +151,7 @@ class TestInclusionReceipts:
         assert not forged.verify()
 
     def test_receipt_against_rewritten_chain_fails(self):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = Blockchain(store)
         for b in range(3):
             chain.append(

@@ -1,7 +1,6 @@
 """Tests for the ledger, stores, audit and consensus."""
 
 import gc
-import json
 import random
 import tracemalloc
 
@@ -10,11 +9,11 @@ import pytest
 from repro.chain import (
     Block,
     Blockchain,
-    InMemoryBlockStore,
-    JsonlBlockStore,
+    BlockStore,
     NetworkedPoaConsensus,
     NetworkedValidator,
     audit_chain,
+    hashing,
 )
 from repro.chain.hashing import GENESIS_HASH
 from repro.chain.receipts import find_and_issue, receipt_from_dict, receipt_to_dict
@@ -121,7 +120,7 @@ class TestBlockchain:
         assert chain.total_energy_mwh("d1d1") == pytest.approx(2.0)
 
     def test_resume_from_populated_store(self):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = Blockchain(store)
         chain.append("agg1", 1.0, [record(seq=0)])
         resumed = Blockchain(store)
@@ -173,7 +172,7 @@ class TestBlockchain:
 
 class TestStores:
     def test_in_memory_height_ordering(self):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         block = Block.create(0, GENESIS_HASH, "a", 0.0, [])
         store.put(block)
         with pytest.raises(ChainError):
@@ -181,53 +180,58 @@ class TestStores:
 
     def test_in_memory_get_bounds(self):
         with pytest.raises(ChainError):
-            InMemoryBlockStore().get(0)
+            BlockStore().get(0)
 
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "chain.jsonl"
-        store = JsonlBlockStore(path)
+        store = BlockStore(path)
         chain = Blockchain(store)
         for i in range(5):
             chain.append("agg1", float(i), [record(seq=i)])
         # A fresh store instance reads the same chain back.
-        reloaded = Blockchain(JsonlBlockStore(path))
+        reloaded = Blockchain(BlockStore(path))
         assert reloaded.height == 5
         reloaded.validate()
 
     def test_jsonl_corrupt_line_detected(self, tmp_path):
         path = tmp_path / "chain.jsonl"
-        store = JsonlBlockStore(path)
+        store = BlockStore(path)
         Blockchain(store).append("agg1", 1.0, [])
         path.write_text(path.read_text() + "not json\n")
         with pytest.raises(ChainError):
-            JsonlBlockStore(path).height()
+            BlockStore(path).height()
 
     def test_jsonl_reopen_decodes_each_line_once(self, tmp_path, monkeypatch):
         path = tmp_path / "chain.jsonl"
-        chain = Blockchain(JsonlBlockStore(path))
+        chain = Blockchain(BlockStore(path))
         for i in range(50):
             chain.append("agg1", float(i), [record(seq=i), record(device="d2", seq=i)])
         decoded = []
-        from_dict = Block.from_dict
+        from_line = Block.from_line
         monkeypatch.setattr(
-            Block, "from_dict", staticmethod(lambda data: decoded.append(1) or from_dict(data))
+            Block, "from_line", staticmethod(lambda line: decoded.append(1) or from_line(line))
         )
-        reopened = Blockchain(JsonlBlockStore(path))
+        reopened = Blockchain(BlockStore(path))
         assert len(decoded) == 50
         assert reopened.tip_hash == chain.tip_hash
         assert reopened.headers(0, 50) == chain.headers(0, 50)
         assert reopened.locate_record("d2d2", 49) == (49, 1)
 
     def test_readers_decode_each_block_once_per_call(self, tmp_path, monkeypatch):
-        chain = Blockchain(JsonlBlockStore(tmp_path / "chain.jsonl"))
+        chain = Blockchain(BlockStore(tmp_path / "chain.jsonl"))
         for i in range(6):
             chain.append("agg1", float(i), [
                 record(device, seq=3 * i + k) for k in range(3) for device in ("d1", "d2")
             ])
         lines, decodes = [], []
-        from_dict, records_at = Block.from_dict, Block.records_at
-        monkeypatch.setattr(Block, "from_dict", staticmethod(
-            lambda data: lines.append(data["header"]["height"]) or from_dict(data)))
+        from_line, records_at = Block.from_line, Block.records_at
+
+        def read_line(line):
+            block, records = from_line(line)
+            lines.append(block.header.height)
+            return block, records
+
+        monkeypatch.setattr(Block, "from_line", staticmethod(read_line))
         monkeypatch.setattr(Block, "records_at", lambda block, indexes: (
             decodes.append(block.header.height) or records_at(block, indexes)))
         # Every block holds d1's records; all but the newest are read
@@ -245,12 +249,12 @@ class TestStores:
     def test_jsonl_empty_file_ok(self, tmp_path):
         path = tmp_path / "chain.jsonl"
         path.write_text("\n")
-        assert JsonlBlockStore(path).height() == 0
+        assert BlockStore(path).height() == 0
 
     def torn_chain(self, tmp_path):
         """A 3-block JSONL ledger whose last append died mid-line."""
         path = tmp_path / "chain.jsonl"
-        chain = Blockchain(JsonlBlockStore(path))
+        chain = Blockchain(BlockStore(path))
         for i in range(3):
             chain.append("agg1", float(i), [record(seq=i), record(seq=i, device="d2")])
         data = path.read_bytes()
@@ -260,35 +264,35 @@ class TestStores:
 
     def test_jsonl_torn_tail_is_not_a_block(self, tmp_path):
         path, original = self.torn_chain(tmp_path)
-        reopened = Blockchain(JsonlBlockStore(path))
+        reopened = Blockchain(BlockStore(path))
         assert reopened.height == 2
         assert reopened.tip_hash == original.get(1).block_hash
         reopened.validate()
 
     def test_jsonl_append_after_torn_tail_replaces_it(self, tmp_path):
         path, _ = self.torn_chain(tmp_path)
-        reopened = Blockchain(JsonlBlockStore(path))
+        reopened = Blockchain(BlockStore(path))
         reopened.append("agg1", 9.0, [record(seq=9)])
         reopened.append("agg1", 10.0, [])
         lines = path.read_bytes().split(b"\n")
         assert lines[-1] == b""  # every line terminated
         for line in lines[:-1]:
-            Block.from_dict(json.loads(line)).validate_structure()
-        fresh = Blockchain(JsonlBlockStore(path))
+            Block.from_line(line)[0].validate_structure()
+        fresh = Blockchain(BlockStore(path))
         assert fresh.height == 4
         assert fresh.tip_hash == reopened.tip_hash
         assert audit_chain(fresh).clean
 
     def test_jsonl_evicted_block_serves_the_same_receipt(self, tmp_path):
-        store = JsonlBlockStore(tmp_path / "chain.jsonl")
+        store = BlockStore(tmp_path / "chain.jsonl")
         chain = Blockchain(store)
         for i in range(2):
             chain.append("agg1", float(i), [record(seq=3 * i + k) for k in range(3)])
         newest = store.get(1)
         assert newest is store.get(1)  # cached
         cached = find_and_issue(chain, "d1d1", 4)
-        for i in range(2, 2 + JsonlBlockStore.CACHED_BODIES):
-            chain.append("agg1", float(i), [record(seq=3 * i + k) for k in range(3)])
+        # The store keeps only the newest body: one block more archives block 1.
+        chain.append("agg1", 2.0, [record(seq=6 + k) for k in range(3)])
         archived = store.get(1)
         assert archived is not newest  # read back from its line
         assert archived is store.get(1)  # kept as the last block read
@@ -310,7 +314,7 @@ class TestStores:
         lines = path.read_bytes().split(b"\n")
         path.write_bytes(b"\n".join([lines[1], lines[0], b""]))
         with pytest.raises(ChainError, match=r"chain\.jsonl:1"):
-            JsonlBlockStore(path).height()
+            BlockStore(path).height()
 
     def test_jsonl_garbage_complete_line_still_raises(self, tmp_path):
         path, _ = self.torn_chain(tmp_path)
@@ -318,7 +322,68 @@ class TestStores:
         lines[1] = b'{"header": garbage'
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(ChainError, match=r"chain\.jsonl:2"):
-            JsonlBlockStore(path).height()
+            BlockStore(path).height()
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda line: line + b"}",
+        lambda line: b'{"BLOCK_HASH":' + line[len(b'{"block_hash":'):],
+        lambda line: line.replace(b',"records":[', b', "records": [', 1),
+        lambda line: line.replace(b'"agg1"', b'"agg\xc3\xa9"', 1),
+    ], ids=["bytes-after-the-block", "another-prefix", "other-spacing", "non-ascii-byte"])
+    def test_jsonl_line_in_another_layout_raises_with_its_line(self, tmp_path, rewrite):
+        # Only the exact bytes Block.to_bytes writes read back as a block.
+        path, _ = self.torn_chain(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = rewrite(lines[1])
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ChainError, match=r"chain\.jsonl:2"):
+            BlockStore(path).height()
+
+    def test_jsonl_record_rewritten_in_place_reads_as_stored(self, tmp_path):
+        path = tmp_path / "chain.jsonl"
+        chain = Blockchain(BlockStore(path))
+        for i in range(4):
+            chain.append("agg1", float(i), [record(seq=i), record("d2", seq=i)])
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"energy_mwh":1.0', b'"energy_mwh":9.0', 1)
+        lines[2] = lines[2].replace(b'"sequence":2}', b'"sequence": 2}', 1)
+        path.write_bytes(b"\n".join(lines))
+        reopened = Blockchain(BlockStore(path))
+        assert reopened.get(1).leaves[0] == chain.get(1).leaves[0].replace(b"1.0", b"9.0")
+        assert reopened.get(2).leaves[0] == chain.get(2).leaves[0].replace(b":2}", b": 2}")
+        assert reopened.get(2).records == chain.get(2).records
+        assert reopened.total_energy_mwh("d1d1") == pytest.approx(12.0)
+        assert audit_chain(reopened).invalid_blocks == (1, 2)
+
+    def test_reading_an_archive_encodes_no_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "chain.jsonl"
+        chain = Blockchain(BlockStore(path))
+        for i in range(50):
+            chain.append("agg1", float(i), [record(seq=i), record(device="d2", seq=i)])
+        encoded = []
+        canonical_bytes = hashing.canonical_bytes
+
+        def counted(value):
+            encoded.append(value)
+            return canonical_bytes(value)
+
+        for module in ("hashing", "block", "merkle"):
+            monkeypatch.setattr(f"repro.chain.{module}.canonical_bytes", counted)
+
+        def records_encoded():
+            found = [v for v in encoded if isinstance(v, dict) and "device_uid" in v]
+            del encoded[:]
+            return found
+
+        reopened = Blockchain(BlockStore(path))
+        assert records_encoded() == []
+        assert len(reopened.records_for_device("d1d1")) == 50
+        reopened.validate()
+        receipt = find_and_issue(reopened, "d2d2", 7)
+        assert records_encoded() == []
+        # Checking the proof hashes the receipt's own record, and only it.
+        assert receipt.verify(reopened)
+        assert records_encoded() == [receipt.record]
 
 
 class TestAudit:
@@ -329,14 +394,14 @@ class TestAudit:
         return chain
 
     def test_clean_chain_audits_clean(self):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = self.build_chain(store)
         report = audit_chain(chain)
         assert report.clean
         assert report.first_bad_height is None
 
     def test_mutated_record_detected(self):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = self.build_chain(store)
         victim = store.get(3)
         forged_records = list(victim.records)
@@ -350,7 +415,7 @@ class TestAudit:
     def test_recomputed_hash_breaks_link(self):
         # A smarter attacker recomputes the block hash — the *next*
         # block's previous-hash link still exposes the edit.
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = self.build_chain(store)
         victim = store.get(3)
         forged = Block.create(
@@ -366,7 +431,7 @@ class TestAudit:
         assert 4 in report.broken_links
 
     def test_validate_raises_on_tamper(self):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = self.build_chain(store)
         victim = store.get(2)
         store.tamper(2, Block(victim.header, ({"forged": True},), victim.block_hash))
@@ -377,7 +442,7 @@ class TestAudit:
         assert audit_chain(Blockchain()).clean
 
     def test_report_collects_all_problems(self):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = self.build_chain(store)
         for height in (2, 5):
             victim = store.get(height)

@@ -1,6 +1,6 @@
 """Edge-case integration tests: weak links, overflow, persistence, determinism."""
 
-from repro.chain import Blockchain, JsonlBlockStore
+from repro.chain import Blockchain, BlockStore
 from repro.device.stack import DeviceConfig
 from repro.experiments.validate import CHECKS
 from repro.runtime import build
@@ -62,7 +62,7 @@ class TestPersistence:
         path = tmp_path / "chain.jsonl"
         # Build a testbed whose chain writes through to disk.
         scenario = build(paper_testbed_spec(seed=84, enter_devices=False))
-        disk_chain = Blockchain(JsonlBlockStore(path), authorized=set())
+        disk_chain = Blockchain(BlockStore(path), authorized=set())
         # Swap the chain in before any block exists.
         for unit in scenario.aggregators.values():
             disk_chain.authorize(unit.aggregator_id.name)
@@ -74,7 +74,7 @@ class TestPersistence:
         assert height_live > 0
 
         # A fresh process (new store instance) sees the same chain.
-        reloaded = Blockchain(JsonlBlockStore(path))
+        reloaded = Blockchain(BlockStore(path))
         assert reloaded.height == height_live
         reloaded.validate()
         assert reloaded.tip_hash == disk_chain.tip_hash

@@ -7,7 +7,7 @@ import pytest
 from repro import BillingEngine, FlatTariff, audit_chain, build, paper_testbed_spec, scaled_spec
 from repro.baselines import NaiveDeviceLog
 from repro.chain import Block
-from repro.chain.store import InMemoryBlockStore
+from repro.chain.store import BlockStore
 from repro.device.app import DemandPredictor, RemoteManagement
 from repro.ids import DeviceId
 from repro.runtime import ObsSpec, TransportSpec
@@ -103,7 +103,7 @@ class TestTamperEndToEnd:
 
         # Attack both stores identically: zero out one record.
         store = chain._store
-        assert isinstance(store, InMemoryBlockStore)
+        assert isinstance(store, BlockStore)
         victim = store.get(2)
         forged_records = [dict(r) for r in victim.records]
         forged_records[0]["energy_mwh"] = 0.0

@@ -7,9 +7,10 @@ import pytest
 
 from repro.chain import (
     Blockchain,
+    BlockStore,
     Checkpoint,
     HeaderChain,
-    JsonlBlockStore,
+    HeaderRecord,
     LedgerSyncClient,
     SyncPolicy,
     audit_chain,
@@ -158,6 +159,58 @@ class TestReceiptPayload:
             receipt_from_dict(hostile_receipt(self.wire_receipt(), case))
 
 
+# A header field, the hostile value put in its place.
+HOSTILE_HEADERS = {
+    "timestamp_text": (("header", "timestamp"), "noon"),
+    "timestamp_nan": (("header", "timestamp"), float("nan")),
+    "timestamp_past_any_float": (("header", "timestamp"), 10**400),
+    "block_hash_text": (("block_hash",), "not-a-hash"),
+    "merkle_root_upper_hex": (("header", "merkle_root"), "A" * 64),
+    "previous_hash_int": (("header", "previous_hash"), 0),
+    "record_count_float": (("header", "record_count"), 2.5),
+    "height_bool": (("header", "height"), True),
+    "height_text": (("header", "height"), "1"),
+    "aggregator_int": (("header", "aggregator"), 5),
+}
+HOSTILE_CHECKPOINTS = {
+    "height_float": ("height", 10.0),
+    "tip_hash_short": ("tip_hash", "ab"),
+    "record_count_bool": ("record_count", False),
+    "timestamp_text": ("timestamp", "noon"),
+    "timestamp_inf": ("timestamp", float("inf")),
+    "timestamp_past_any_float": ("timestamp", -(10**400)),
+}
+
+
+class TestHeaderPayload:
+    def wire_header(self):
+        chain = Blockchain()
+        grow(chain, 3)
+        return chain.header_at(1)
+
+    def test_wire_header_and_checkpoint_round_trip(self):
+        header = self.wire_header()
+        assert HeaderRecord.from_dict(json.loads(json.dumps(header.to_dict()))) == header
+        checkpoint = Checkpoint(height=10, tip_hash="ab" * 32, record_count=30, timestamp=9.0)
+        assert Checkpoint.from_dict(checkpoint.to_dict()) == checkpoint
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_HEADERS))
+    def test_hostile_header_raises_chain_error(self, case):
+        path, value = HOSTILE_HEADERS[case]
+        bad = self.wire_header().to_dict()
+        parent = bad["header"] if len(path) == 2 else bad
+        parent[path[-1]] = value
+        with pytest.raises(ChainError, match="malformed header record"):
+            HeaderRecord.from_dict(bad)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_CHECKPOINTS))
+    def test_hostile_checkpoint_raises_chain_error(self, case):
+        field, value = HOSTILE_CHECKPOINTS[case]
+        good = Checkpoint(height=10, tip_hash="ab" * 32, record_count=30, timestamp=9.0)
+        with pytest.raises(ChainError, match="malformed checkpoint"):
+            Checkpoint.from_dict({**good.to_dict(), field: value})
+
+
 class TestSyncClient:
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
@@ -190,6 +243,21 @@ class TestSyncClient:
         client.apply_response(chain.headers(2, 2), chain.height, None, 1.0)
         assert client.stats.batches_rejected == 1
         assert client.chain.height == 0
+
+    def test_partly_applied_batch_is_counted(self):
+        chain = Blockchain()
+        grow(chain, 3)
+        held = chain.headers(0, 3)
+        broken = dataclasses.replace(
+            held[2], header=dataclasses.replace(held[2].header, previous_hash="f" * 64)
+        )
+        client = LedgerSyncClient(SyncPolicy(batch_size=4))
+        assert not client.apply_response([*held[:2], broken], chain.height, None, 10.0)
+        assert client.chain.height == 2
+        assert client.stats.batches_rejected == 1
+        assert client.stats.headers_applied == 2
+        assert client.stats.delay_samples == 2
+        assert client.stats.delay_max_s == 10.0  # block 0 created at t=0
 
 
 class TestCheckpointPruning:
@@ -311,7 +379,8 @@ class TestJsonlRefresh:
             )
         )
         service.register(encode_message(RegistrationRequest(DeviceId("ext-1"))))
-        for sequence in range(1, JsonlBlockStore.CACHED_BODIES + 4):
+        # Four blocks: the served store keeps only the newest body.
+        for sequence in range(1, 5):
             reply = service.ingest(json.dumps([{
                 "type": "consumption_report", "device": "ext-1", "master": "agg1/1",
                 "temporary": None, "sequence": sequence, "measured_at": 0.1 * sequence,
@@ -321,8 +390,8 @@ class TestJsonlRefresh:
             assert reply["accepted"] == 1
         service.advance()
         served = service.scenario.chain
-        reader = Blockchain(JsonlBlockStore(served._store.path))
-        assert reader.height == served.height > JsonlBlockStore.CACHED_BODIES
+        reader = Blockchain(BlockStore(served._store.path))
+        assert reader.height == served.height > 1
         assert reader.tip_hash == served.tip_hash
         reader.validate()
         uid = DeviceId("ext-1").uid
@@ -447,6 +516,29 @@ class TestEndToEndSync:
         invalid = scenario.simulator.spans.by_name("device.receipt_invalid")
         assert {span.tags["sequence"] for span in invalid} == set(cases)
         assert len(device.acked_sequences) > acked_before
+
+    def test_malformed_header_batch_is_rejected_and_the_device_keeps_running(
+        self, monkeypatch
+    ):
+        # The aggregator answers header requests with hashes that do not
+        # parse; each batch must count as rejected, not escape the
+        # handler and stop the kernel.
+        scenario = build_sync_world(batch=4, obs=ObsSpec(enabled=True, profile=False))
+        scenario.simulator.run_until(10.0)
+        devices = list(scenario.devices.values())
+        held = [device.header_chain.height for device in devices]
+        to_dict = HeaderRecord.to_dict
+        monkeypatch.setattr(
+            HeaderRecord, "to_dict", lambda record: {**to_dict(record), "block_hash": "not-a-hash"}
+        )
+        scenario.simulator.run_until(20.0)
+        rejected = scenario.simulator.spans.by_name("device.headers_rejected")
+        assert rejected and all("block_hash" in span.tags["error"] for span in rejected)
+        assert sum(device.sync_stats.batches_rejected for device in devices) == len(rejected)
+        assert [device.header_chain.height for device in devices] == held
+        monkeypatch.undo()
+        scenario.simulator.run_until(30.0)
+        assert all(device.header_chain.height > height for device, height in zip(devices, held))
 
     def test_late_device_anchors_at_checkpoint(self):
         # A device entering a mature network must not replay history:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from repro.chain import (
     Block,
     Blockchain,
-    InMemoryBlockStore,
-    JsonlBlockStore,
+    BlockHeader,
+    BlockStore,
     MerkleTree,
     audit_chain,
 )
@@ -155,7 +155,7 @@ class TestChainProperties:
         st.data(),
     )
     def test_any_record_mutation_detected(self, blocks, data):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = Blockchain(store)
         for i, batch in enumerate(blocks):
             chain.append("agg1", float(i), batch)
@@ -173,7 +173,7 @@ class TestChainProperties:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(records, min_size=2, max_size=5), st.data())
     def test_rehashed_mutation_breaks_downstream_link(self, blocks, data):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = Blockchain(store)
         for i, batch in enumerate(blocks):
             chain.append("agg1", float(i), batch)
@@ -229,7 +229,7 @@ class TestOneWalk:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(records, min_size=1, max_size=5), tampering, st.data())
     def test_in_memory_chain(self, blocks, kind, data):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = Blockchain(store)
         for i, batch in enumerate(blocks):
             chain.append("agg1", float(i), batch)
@@ -247,16 +247,16 @@ class TestOneWalk:
     def test_reopened_jsonl_archive(self, blocks, kind, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "chain.jsonl"
-            chain = Blockchain(JsonlBlockStore(path))
+            chain = Blockchain(BlockStore(path))
             for i, batch in enumerate(blocks):
                 chain.append("agg1", float(i), batch)
             height = data.draw(st.integers(min_value=0, max_value=chain.height - 1))
             if kind != "none":
                 lines = path.read_bytes().splitlines(keepends=True)
                 forged = forge(chain.get(height), kind)
-                lines[height] = (json.dumps(forged.to_dict(), sort_keys=True) + "\n").encode()
+                lines[height] = forged.to_bytes() + b"\n"
                 path.write_bytes(b"".join(lines))
-            reopened = Blockchain(JsonlBlockStore(path))
+            reopened = Blockchain(BlockStore(path))
             report = audit_chain(reopened)
             assert self.raises(reopened) == (not report.clean)
             # A reopened archive takes its tip from its newest line, so a
@@ -265,6 +265,14 @@ class TestOneWalk:
                 kind == "drop" and not blocks[height]
             )
             assert report.clean == (kind == "none" or unseen)
+
+
+def decode_and_encode(line):
+    """The reference read of an archive line: decode it whole, then
+    encode its records again into the block's leaves."""
+    data = json.loads(line)
+    header = BlockHeader(**data["header"])
+    return Block(header, data["records"], data["block_hash"]), data["records"]
 
 
 class TestStoredBytes:
@@ -276,16 +284,16 @@ class TestStoredBytes:
     def test_round_trip_keeps_records_and_hash(self, blocks):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "chain.jsonl"
-            chain = Blockchain(JsonlBlockStore(path))
+            chain = Blockchain(BlockStore(path))
             created = [chain.append("agg1", float(i), batch) for i, batch in enumerate(blocks)]
             lines = path.read_bytes().splitlines()
-            reopened = Blockchain(JsonlBlockStore(path))
+            reopened = Blockchain(BlockStore(path))
             for batch, block, line in zip(blocks, created, lines):
                 assert list(block.records) == batch
                 assert line == canonical_bytes(block.to_dict())
                 for copy in (
-                    Block.from_dict(block.to_dict()),
-                    Block.from_dict(json.loads(line)),
+                    Block.from_line(block.to_bytes())[0],
+                    Block.from_line(line)[0],
                     reopened.get(block.header.height),
                 ):
                     assert copy.leaves == block.leaves
@@ -294,10 +302,21 @@ class TestStoredBytes:
             assert reopened.tip_hash == chain.tip_hash
             reopened.validate()
 
+    @settings(max_examples=60, deadline=None)
+    @given(json_records, st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8))
+    def test_line_read_matches_decode_and_encode(self, batch, timestamp, aggregator):
+        line = Block.create(3, "a" * 64, aggregator, timestamp, batch).to_bytes()
+        block, records = Block.from_line(line)
+        expected, expected_records = decode_and_encode(line)
+        assert block.header == expected.header
+        assert block.block_hash == expected.block_hash
+        assert block.leaves == expected.leaves
+        assert records == expected_records
+
     @settings(max_examples=40, deadline=None)
     @given(json_records.filter(bool), st.data())
     def test_forged_record_or_changed_byte_is_caught(self, batch, data):
-        store = InMemoryBlockStore()
+        store = BlockStore()
         chain = Blockchain(store)
         victim = chain.append("agg1", 0.0, batch)
         index = data.draw(st.integers(min_value=0, max_value=len(batch) - 1))

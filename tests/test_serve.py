@@ -4,8 +4,10 @@ import dataclasses
 import gc
 import http.client
 import json
+import math
 import statistics
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -13,7 +15,6 @@ from collections import Counter
 import pytest
 
 from repro.chain.receipts import receipt_from_dict
-from repro.chain.store import JsonlBlockStore
 from repro.chain.sync import MAX_HEADER_BATCH
 from repro.errors import ChainError, CodecError, ConfigError
 from repro.ids import DeviceId, parse_address
@@ -260,6 +261,21 @@ class TestAggregatorService:
         again = service.alerts(since=feed["next"], timeout_s=0.0)
         assert again["alerts"] == []
 
+    def test_alert_poll_waits_at_most_the_spec_timeout(self):
+        service = AggregatorService(serve_spec(poll_timeout_s=0.2))
+        since = service.alerts(timeout_s=0.0)["next"]
+        answered = []
+        poller = threading.Thread(
+            target=lambda: answered.append(service.alerts(since, timeout_s=1e9)), daemon=True
+        )
+        poller.start()
+        poller.join(timeout=2.0)
+        assert not poller.is_alive(), "a client's timeout_s held the poll past the spec's"
+        assert answered == [{"alerts": [], "next": since}]
+        for timeout_s in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                service.alerts(since, timeout_s=timeout_s)
+
     def test_headers_and_offline_proof(self):
         service = AggregatorService(serve_spec())
         service.register(encode_message(RegistrationRequest(DeviceId("ext-1"))))
@@ -353,7 +369,7 @@ class TestAggregatorService:
         # count on both sides of the baseline.
         tracemalloc.start()
         try:
-            ingest(10 * JsonlBlockStore.CACHED_BODIES + 40)  # history full at 2 s
+            ingest(10 + 40)  # one block for the newest body; history full at 2 s
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             measured = 300
@@ -550,6 +566,10 @@ class TestServeHttp:
         status, feed = self._json(server, "GET", "/alerts?since=0&timeout_s=0.05")
         assert status == 200
         assert feed == {"alerts": [], "next": 0}
+
+    def test_alerts_refuse_a_non_finite_timeout(self, server):
+        status, body = self._json(server, "GET", "/alerts?since=0&timeout_s=inf")
+        assert status == 400 and "finite" in body["error"]
 
     def test_clean_shutdown_releases_port(self):
         service = AggregatorService(serve_spec())
