@@ -19,7 +19,7 @@ from repro.billing import BillingEngine, FlatTariff, TimeOfUseTariff
 from repro.chain import Blockchain, audit_chain
 from repro.device import DeviceConfig, MeteringDevice
 from repro.ids import AggregatorId, DeviceId, NetworkAddress
-from repro.runtime import ScenarioSpec, SimContext, build
+from repro.runtime import ScenarioSpec, build
 from repro.sim import Simulator
 from repro.workloads import (
     MobilityTrace,
@@ -44,7 +44,6 @@ __all__ = [
     "DeviceId",
     "NetworkAddress",
     "Simulator",
-    "SimContext",
     "ScenarioSpec",
     "build",
     "MobilityTrace",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.aggregator.aggregation import ReportAggregator
 from repro.aggregator.ledger_writer import LedgerWriter
@@ -50,9 +50,6 @@ from repro.protocol.messages import (
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.transport.base import Endpoint, Mesh, Transport
-
-if TYPE_CHECKING:
-    from repro.runtime.context import SimContext
 
 
 @dataclass(frozen=True)
@@ -112,10 +109,9 @@ class AggregatorUnit(Process):
     """One aggregator: endpoint host, verifier, ledger writer, liaison.
 
     Args:
-        runtime: The kernel, or a shared :class:`SimContext` (the
-            endpoint and time-sync sub-processes inherit it, so all of
-            the unit's actors emit into the same counter bank and trace
-            stream).
+        simulator: The kernel (the endpoint and time-sync
+            sub-processes run on it too, so all of the unit's actors
+            emit into its counter bank and trace stream).
         aggregator_id: This unit's identity (names its WAN).
         chain: The common permissioned blockchain.
         mesh: The inter-aggregator backhaul.
@@ -129,7 +125,7 @@ class AggregatorUnit(Process):
 
     def __init__(
         self,
-        runtime: "Simulator | SimContext",
+        simulator: Simulator,
         aggregator_id: AggregatorId,
         chain: Blockchain,
         mesh: Mesh,
@@ -137,7 +133,7 @@ class AggregatorUnit(Process):
         config: AggregatorConfig | None = None,
         transport: Transport | None = None,
     ) -> None:
-        super().__init__(runtime, aggregator_id.name)
+        super().__init__(simulator, aggregator_id.name)
         if transport is None:
             from repro.transport.mqtt import MqttTransport
 
@@ -145,7 +141,7 @@ class AggregatorUnit(Process):
         self._aggregator_id = aggregator_id
         self._config = config or AggregatorConfig()
         self._host = RaspberryPi(self.rng("host"))
-        self._broker: Endpoint = transport.make_endpoint(self.context, aggregator_id.name)
+        self._broker: Endpoint = transport.make_endpoint(simulator, aggregator_id.name)
         self._tdma = TdmaSchedule(self._config.t_measure_s, self._config.slot_count)
         self._registry = MembershipRegistry(aggregator_id, self._tdma)
         self._meter = FeederMeter(grid_network, self.rng("feeder-sensor"))
@@ -156,7 +152,7 @@ class AggregatorUnit(Process):
             aggregator_id, mesh, retry=self._config.verify_retry
         )
         self._timesync = TimeSyncService(
-            self.context, f"{aggregator_id.name}-timesync", self._config.timesync_interval_s
+            simulator, f"{aggregator_id.name}-timesync", self._config.timesync_interval_s
         )
         self._bank = SeriesBank()
         self._started = False

@@ -61,7 +61,6 @@ from repro.protocol.messages import (
 if TYPE_CHECKING:
     from repro.chain.receipts import InclusionReceipt
     from repro.net.timesync import TimeSyncService
-    from repro.runtime.context import SimContext
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.transport.base import DeviceLink, Endpoint, QoS, RadioModel, Transport
@@ -167,9 +166,9 @@ class MeteringDevice(Process):
     """One IoT-enabled device with in-device metering.
 
     Args:
-        runtime: The kernel, or a shared :class:`SimContext` (the MQTT
-            client inherits it, so the whole device stack emits into the
-            same counter bank and span stream).
+        simulator: The kernel (the device's link runs on it too, so
+            the whole device stack emits into its counter bank and span
+            stream).
         device_id: Identity of this device.
         config: Static configuration.
         grid: The electrical topology (for attach/detach).
@@ -181,14 +180,14 @@ class MeteringDevice(Process):
 
     def __init__(
         self,
-        runtime: "Simulator | SimContext",
+        simulator: Simulator,
         device_id: DeviceId,
         config: DeviceConfig,
         grid: GridTopology,
         transport: Transport,
         load_profile: LoadProfile,
     ) -> None:
-        super().__init__(runtime, device_id.name)
+        super().__init__(simulator, device_id.name)
         self._device_id = device_id
         self._config = config
         self._grid = grid
@@ -205,7 +204,7 @@ class MeteringDevice(Process):
         self._firmware = Firmware(
             self.sim, self._meter, self._on_measurement, config.t_measure_s
         )
-        self._client: DeviceLink = transport.make_link(self.context, device_id.name)
+        self._client: DeviceLink = transport.make_link(simulator, device_id.name)
         # In-process backends take message dataclasses verbatim; radio
         # backends need the encoded wire bytes (and their size, for
         # airtime).  Resolved once — the link never changes backend.

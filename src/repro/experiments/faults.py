@@ -109,7 +109,7 @@ def settle_and_measure(
     result = ChaosResult(seed=seed)
     if plan is not None:
         result.fault_plan = plan.describe()
-        result.fault_counters = plan.counters.snapshot()
+        result.fault_counters = scenario.counters.snapshot()
     for name, device in scenario.devices.items():
         outcome = DeviceDelivery(
             measured=device.sequences_issued,

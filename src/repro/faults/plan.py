@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigError
 from repro.faults.injectors import LinkFaultInjector, LinkFaultSpec
-from repro.monitoring.counters import CounterBank
 
 if TYPE_CHECKING:
     from repro.aggregator.unit import AggregatorUnit
@@ -53,13 +52,12 @@ class FaultPlan:
     """A deterministic schedule of named faults.
 
     Args:
-        simulator: The kernel faults are scheduled on.
-        counters: Shared counter bank (one is created when omitted);
-            injectors made by :meth:`make_injector` record into it too.
+        simulator: The kernel faults are scheduled on.  Activations
+            count into its counter bank, and so do the injectors made
+            by :meth:`make_injector`.
     """
 
     simulator: "Simulator"
-    counters: CounterBank = field(default_factory=CounterBank)
     _faults: list[ScheduledFault] = field(default_factory=list, repr=False)
 
     @property
@@ -79,14 +77,14 @@ class FaultPlan:
         self._faults.append(ScheduledFault(name, kind, start_at, end_at))
 
     def _activate(self, name: str) -> None:
-        self.counters.increment(f"fault.{name}.activations")
+        self.simulator.counters.increment(f"fault.{name}.activations")
 
     # -- injector factory ------------------------------------------------
 
     def make_injector(
         self, name: str, spec: LinkFaultSpec | None = None
     ) -> LinkFaultInjector:
-        """Build an injector wired to this plan's counters and rng.
+        """Build an injector wired to the kernel's counters and rng.
 
         The injector draws from the kernel stream ``fault:<name>`` so
         adding further injectors never perturbs existing fault
@@ -96,7 +94,7 @@ class FaultPlan:
             name,
             self.simulator.rng.stream(f"fault:{name}"),
             spec=spec,
-            counters=self.counters,
+            counters=self.simulator.counters,
         )
 
     # -- link faults -----------------------------------------------------
@@ -215,7 +213,7 @@ class FaultPlan:
                 "kind": f.kind,
                 "start_at": f.start_at,
                 "end_at": f.end_at,
-                "activations": self.counters.get(f"fault.{f.name}.activations"),
+                "activations": self.simulator.counters.get(f"fault.{f.name}.activations"),
             }
             for f in sorted(self._faults, key=lambda f: (f.start_at, f.name))
         ]

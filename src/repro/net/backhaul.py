@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.errors import BackhaulError
 from repro.ids import AggregatorId
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-
-if TYPE_CHECKING:
-    from repro.runtime.context import SimContext
 
 BackhaulHandler = Callable[[AggregatorId, Any], None]
 Route = tuple[float, tuple[AggregatorId, ...]]
@@ -54,14 +51,12 @@ class BackhaulMesh(Process):
     never depends on the order links were wired.
 
     Args:
-        runtime: The kernel, or a shared :class:`SimContext`.
+        simulator: The kernel.
         per_hop_cost_s: Forwarding cost added at each intermediate hop.
     """
 
-    def __init__(
-        self, runtime: "Simulator | SimContext", per_hop_cost_s: float = 0.0002
-    ) -> None:
-        super().__init__(runtime, "backhaul")
+    def __init__(self, simulator: Simulator, per_hop_cost_s: float = 0.0002) -> None:
+        super().__init__(simulator, "backhaul")
         if per_hop_cost_s < 0:
             raise BackhaulError(f"per-hop cost must be >= 0, got {per_hop_cost_s}")
         # aggregator -> {neighbour: link latency}; every link both ways.

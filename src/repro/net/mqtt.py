@@ -70,20 +70,18 @@ class MqttBroker(Process, Endpoint):
         self._connect_latency_s = connect_latency_s
         self._connect_jitter_sigma = connect_jitter_sigma
         self._router = TopicRouter()
-        self._messages_routed = 0
-        self._messages_dropped = 0
         self._down = False
         self._injector: LinkFaultInjector | None = None
 
     @property
     def messages_routed(self) -> int:
         """Messages delivered to at least one subscriber."""
-        return self._messages_routed
+        return self.counted("messages_routed")
 
     @property
     def messages_dropped(self) -> int:
         """Messages lost to broker downtime or injected faults."""
-        return self._messages_dropped
+        return self.counted("messages_dropped")
 
     @property
     def down(self) -> bool:
@@ -129,7 +127,7 @@ class MqttBroker(Process, Endpoint):
         check), delay or duplicate the message.
         """
         if self._down:
-            self._messages_dropped += 1
+            self.count("messages_dropped")
             self.trace("mqtt.drop_down", topic=topic)
             return
         delay = after_s + self._processing_latency_s
@@ -137,7 +135,7 @@ class MqttBroker(Process, Endpoint):
         if self._injector is not None:
             verdict = self._injector.message_verdict()
             if verdict in (FaultAction.DROP, FaultAction.CORRUPT):
-                self._messages_dropped += 1
+                self.count("messages_dropped")
                 self.trace("mqtt.drop_fault", topic=topic, verdict=verdict.value)
                 return
             if verdict is FaultAction.DELAY:
@@ -147,7 +145,7 @@ class MqttBroker(Process, Endpoint):
 
         def _route() -> None:
             if self._down:
-                self._messages_dropped += 1
+                self.count("messages_dropped")
                 self.trace("mqtt.drop_down", topic=topic)
                 return
             if self._spans.enabled:
@@ -158,7 +156,7 @@ class MqttBroker(Process, Endpoint):
             for callback in targets:
                 callback(topic, payload)
             if targets:
-                self._messages_routed += 1
+                self.count("messages_routed")
 
         for _ in range(copies):
             self.sim.call_later(delay, _route, label=f"mqtt:{topic}")

@@ -65,7 +65,7 @@ def collect_scenario(scenario: Any) -> RunArtifact:
 
     ``scenario`` is duck-typed (this module must not import
     ``repro.runtime``): anything with ``simulator``, ``counters``,
-    ``monitoring`` and optionally ``spec``/``master_seed`` works.
+    ``monitoring`` and optionally ``spec`` works.
     """
     sim = scenario.simulator
     counters, series = snapshot_metrics(scenario)
@@ -73,7 +73,7 @@ def collect_scenario(scenario: Any) -> RunArtifact:
     spec = getattr(scenario, "spec", None)
     return RunArtifact(
         name=spec.name if spec is not None else "scenario",
-        seed=getattr(scenario, "master_seed", 0),
+        seed=sim.rng.master_seed,
         sim_time=sim.now,
         events=sim.events_executed,
         spans=sim.spans.to_dicts(),

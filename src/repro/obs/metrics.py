@@ -54,7 +54,7 @@ def _format_value(value: float) -> str:
 def snapshot_metrics(world: Any) -> tuple[dict[str, int], list[dict[str, Any]]]:
     """A scenario's ``(counters, series)``, duck-typed below ``repro.runtime``.
 
-    Reads ``world.counters`` (a bank or ``None``) and the
+    Reads the ``world.counters`` bank and the
     ``world.monitoring`` banks (aggregator -> bank), whose series are
     named ``<aggregator>.<series>`` with their unit, count and last
     sample.
@@ -73,8 +73,7 @@ def snapshot_metrics(world: Any) -> tuple[dict[str, int], list[dict[str, Any]]]:
                 }
             )
     series.sort(key=lambda entry: entry["name"])
-    counters = world.counters
-    return (counters.snapshot() if counters is not None else {}), series
+    return world.counters.snapshot(), series
 
 
 def fold_counters(snapshots: Iterable[Mapping[str, int]]) -> dict[str, int]:

@@ -1,19 +1,16 @@
-"""Runtime layer: the shared simulation context and declarative specs.
+"""Runtime layer: declarative specs and the one compiler into a world.
 
-* :mod:`repro.runtime.context` — :class:`SimContext`, the one object
-  bundling kernel, clock, random streams, span tracer, a shared
-  counter bank and fault/retry hooks that every layer constructs from,
 * :mod:`repro.runtime.spec` — :class:`ScenarioSpec` and friends: a
   simulation world as JSON-round-trippable data,
 * :mod:`repro.runtime.codec` — the one JSON codec every spec shares,
 * :mod:`repro.runtime.build` — the single :func:`build` compiler from
-  spec to wired world,
+  spec to wired world: one kernel, whose counter bank and span stream
+  every layer emits into,
 * :mod:`repro.runtime.scenario` — :class:`Scenario`, the wired world
   the experiment harnesses drive.
 """
 
 from repro.runtime.build import add_device, add_network, build
-from repro.runtime.context import SimContext, coerce_context
 from repro.runtime.scenario import Scenario
 from repro.runtime.spec import (
     DeviceSpec,
@@ -30,8 +27,6 @@ from repro.runtime.spec import (
 )
 
 __all__ = [
-    "SimContext",
-    "coerce_context",
     "Scenario",
     "ScenarioSpec",
     "NetworkSpec",

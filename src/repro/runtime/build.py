@@ -1,13 +1,13 @@
 """Compile a :class:`~repro.runtime.spec.ScenarioSpec` into a world.
 
 One :func:`build` function replaces the five hand-rolled scenario
-builders' duplicated wiring: it creates the shared
-:class:`~repro.runtime.context.SimContext`, wires grid, chain, mesh and
-channel from it (so every layer emits into the same counter bank and
-span stream, which ``spec.obs`` or an active capture session turns
-on), adds the networks and devices the spec declares, shapes the
-backhaul, and arms the spec's fault schedule on a plan that records
-into the same counters.
+builders' duplicated wiring: it creates the world's
+:class:`~repro.sim.kernel.Simulator` (installing the kernel profiler
+when ``spec.obs`` or an active capture session asks), wires grid,
+chain, mesh and channel on it (so every layer emits into the kernel's
+counter bank and span stream), adds the networks and devices the spec
+declares, shapes the backhaul, and arms the spec's fault schedule on a
+:class:`~repro.faults.plan.FaultPlan` that records into the same bank.
 
 The compilation is deterministic: the same spec yields a bit-identical
 world — same ledger digest, same snapshot — every time.
@@ -22,16 +22,18 @@ from repro.chain.sync import SyncPolicy
 from repro.device.stack import DeviceConfig, MeteringDevice
 from repro.errors import ConfigError
 from repro.faults.injectors import LinkFaultInjector, LinkFaultSpec
+from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.grid.topology import GridNetwork, GridTopology
 from repro.hw.powerline import WireSegment
 from repro.ids import AggregatorId, DeviceId
 from repro.net.backhaul import BackhaulLink, BackhaulMesh
 from repro.net.channel import ChannelParams, WirelessChannel
+from repro.obs.profiler import KernelProfiler
 from repro.obs.session import active as _active_obs_session
-from repro.runtime.context import SimContext
 from repro.runtime.scenario import Scenario
 from repro.runtime.spec import FaultSpec, NetworkSpec, ScenarioSpec
+from repro.sim.kernel import Simulator
 
 
 def _aggregator_config(spec: ScenarioSpec, network: NetworkSpec) -> AggregatorConfig:
@@ -40,7 +42,7 @@ def _aggregator_config(spec: ScenarioSpec, network: NetworkSpec) -> AggregatorCo
     return AggregatorConfig(t_measure_s=spec.t_measure_s, slot_count=network.slot_count)
 
 
-def _device_config(spec: ScenarioSpec, context: SimContext) -> DeviceConfig:
+def _device_config(spec: ScenarioSpec) -> DeviceConfig:
     ledger_sync = (
         SyncPolicy(
             batch_size=spec.ledger.header_batch_size,
@@ -49,13 +51,10 @@ def _device_config(spec: ScenarioSpec, context: SimContext) -> DeviceConfig:
         if spec.ledger.sync_enabled
         else None
     )
-    if not spec.device_retry:
-        return DeviceConfig(
-            t_measure_s=spec.t_measure_s, retry=None, ledger_sync=ledger_sync
-        )
-    retry = context.default_retry if context.default_retry is not None else RetryPolicy()
     return DeviceConfig(
-        t_measure_s=spec.t_measure_s, retry=retry, ledger_sync=ledger_sync
+        t_measure_s=spec.t_measure_s,
+        retry=RetryPolicy() if spec.device_retry else None,
+        ledger_sync=ledger_sync,
     )
 
 
@@ -133,7 +132,7 @@ def add_network(
     )
     scenario.grid.add_network(network)
     unit = AggregatorUnit(
-        scenario.context if scenario.context is not None else scenario.simulator,
+        scenario.simulator,
         aggregator_id,
         scenario.chain,
         scenario.mesh,
@@ -154,7 +153,7 @@ def add_device(
 ) -> MeteringDevice:
     """Wire one metering device into ``scenario`` (no network entry)."""
     device = MeteringDevice(
-        scenario.context if scenario.context is not None else scenario.simulator,
+        scenario.simulator,
         DeviceId(name),
         device_config,
         scenario.grid,
@@ -185,10 +184,10 @@ def build(
         store: Block storage for the chain (default: in memory).
 
     Returns:
-        The wired scenario, carrying the context, the originating spec
-        and the master seed as provenance; when the spec schedules
+        The wired scenario, carrying the originating spec as provenance
+        (the master seed is the kernel's); when the spec schedules
         faults, ``scenario.fault_plan`` is armed and records into the
-        shared counter bank.
+        kernel's counter bank.
     """
     session = _active_obs_session()
     # The spec's own obs block wins; otherwise an active capture session
@@ -197,16 +196,19 @@ def build(
     obs = spec.obs
     if not obs.enabled and session is not None:
         obs = session.obs
-    ctx = SimContext.create(seed=spec.seed, obs=obs)
+    simulator = Simulator(seed=spec.seed, spans=obs.enabled and obs.spans)
+    if obs.enabled and obs.profile:
+        simulator.set_profiler(KernelProfiler())
+    counters = simulator.counters
     channel = (
-        WirelessChannel(ChannelParams(), ctx.stream("channel"), counters=ctx.counters)
+        WirelessChannel(ChannelParams(), simulator.rng.stream("channel"), counters=counters)
         if spec.transport.kind == "mqtt"
         else None
     )
     chain = Blockchain(
         store,
         authorized=set(),
-        counters=ctx.counters,
+        counters=counters,
         checkpoint_interval=spec.ledger.checkpoint_interval_blocks or None,
         pruning_depth=(
             spec.ledger.pruning_depth_blocks
@@ -215,17 +217,15 @@ def build(
         ),
     )
     scenario = Scenario(
-        simulator=ctx.simulator,
+        simulator=simulator,
         grid=GridTopology(),
         chain=chain,
-        mesh=BackhaulMesh(ctx),
+        mesh=BackhaulMesh(simulator),
         channel=channel,
         transport=spec.transport.build(channel),
-        context=ctx,
         spec=spec,
-        master_seed=ctx.master_seed,
     )
-    dev_config = device_config if device_config is not None else _device_config(spec, ctx)
+    dev_config = device_config if device_config is not None else _device_config(spec)
 
     for network in spec.networks:
         agg_config = (
@@ -254,7 +254,7 @@ def build(
             scenario.enter_at(device.name, device.network, device.enter_at, device.distance_m)
 
     if spec.faults:
-        scenario.fault_plan = ctx.new_fault_plan()
+        scenario.fault_plan = FaultPlan(simulator)
         injectors: dict[str, LinkFaultInjector] = {}
         for fault in spec.faults:
             _arm_fault(scenario, fault, injectors)

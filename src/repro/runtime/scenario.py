@@ -2,9 +2,9 @@
 
 :class:`Scenario` is what the experiment harnesses talk to: the kernel,
 the grid, the chain, the mesh, the channel, and the named aggregators
-and devices — plus provenance (the master seed and, when built from a
-:class:`~repro.runtime.spec.ScenarioSpec`, the originating spec) so any
-run can be reproduced from its own :meth:`snapshot`.
+and devices — plus provenance (the kernel's master seed and, when built
+from a :class:`~repro.runtime.spec.ScenarioSpec`, the originating spec)
+so any run can be reproduced from its own :meth:`snapshot`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.grid.topology import GridTopology
 from repro.net.backhaul import BackhaulMesh
 from repro.net.channel import WirelessChannel
 from repro.obs.metrics import write_series_csv
-from repro.runtime.context import SimContext
 from repro.runtime.spec import ScenarioSpec
 from repro.sim.kernel import Simulator
 from repro.transport.base import Transport
@@ -53,16 +52,14 @@ class Scenario:
     aggregators: dict[str, AggregatorUnit] = field(default_factory=dict)
     devices: dict[str, MeteringDevice] = field(default_factory=dict)
     transport: Transport | None = None
-    context: SimContext | None = None
     spec: ScenarioSpec | None = None
-    master_seed: int = 0
     fault_plan: "FaultPlan | None" = None
     vector_fleet: "VectorFleet | None" = None
 
     @property
-    def counters(self) -> "CounterBank | None":
-        """The shared counter bank every layer emits into (via context)."""
-        return self.context.counters if self.context is not None else None
+    def counters(self) -> "CounterBank":
+        """The kernel's counter bank, which every layer emits into."""
+        return self.simulator.counters
 
     @property
     def monitoring(self) -> "dict[str, SeriesBank]":
@@ -143,10 +140,10 @@ class Scenario:
         compare this run.
         """
         return {
-            "master_seed": self.master_seed,
+            "master_seed": self.simulator.rng.master_seed,
             "spec": self.spec.to_dict() if self.spec is not None else None,
             "ledger_digest": self.chain.tip_hash,
-            "counters": self.counters.snapshot() if self.counters is not None else {},
+            "counters": self.counters.snapshot(),
             "faults": self.fault_plan.describe() if self.fault_plan is not None else [],
             **self.summary(),
         }

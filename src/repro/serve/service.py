@@ -140,9 +140,7 @@ class AggregatorService:
         self._delete_archive()
 
     def _count(self, name: str, by: int = 1) -> None:
-        counters = self._scenario.counters
-        if counters is not None:
-            counters.increment(f"serve.{name}", by)
+        self._scenario.counters.increment(f"serve.{name}", by)
 
     # -- time ------------------------------------------------------------
 
@@ -265,14 +263,20 @@ class AggregatorService:
         the response carries one verdict per report in order: ``ack``,
         ``nack`` (with the aggregator's reason), ``error`` (the entry
         failed the codec and never reached the aggregator), or
-        ``pending``.
+        ``pending``.  A body that is not such a batch, including one
+        nested too deeply to parse, raises
+        :class:`~repro.errors.CodecError`.
         """
         if isinstance(payload, (bytes, bytearray)):
             payload = bytes(payload).decode("utf-8", errors="replace")
         try:
             body = json.loads(payload)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # Bad JSON is a ValueError, and so is an integer literal
+            # past the interpreter's digit limit.
             raise CodecError(f"malformed batch body: {exc}") from exc
+        except RecursionError:
+            raise CodecError("batch body is nested too deeply") from None
         entries = body.get("reports") if isinstance(body, dict) else body
         if not isinstance(entries, list):
             raise CodecError("batch body must be a JSON array or {'reports': [...]}")

@@ -17,6 +17,7 @@ from time import perf_counter
 from typing import Any, Callable
 
 from repro.errors import SchedulingError, SimulationError
+from repro.monitoring.counters import CounterBank
 from repro.obs.spans import SpanTracer
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventQueue
@@ -116,6 +117,10 @@ class Simulator:
             (:class:`~repro.obs.spans.SpanTracer`).  Off by default; a
             disabled tracer is method-swapped no-ops, so instrumented
             code stays out of the hot path's way and keeps nothing.
+
+    Every actor on the kernel counts into its one
+    :class:`~repro.monitoring.counters.CounterBank` (``counters``), so a
+    single ``counters.snapshot()`` shows the whole world.
     """
 
     def __init__(self, seed: int = 0, spans: bool = False) -> None:
@@ -123,6 +128,7 @@ class Simulator:
         self.queue = EventQueue()
         self.rng = RngStreams(seed)
         self.spans = SpanTracer(self.clock, enabled=spans)
+        self.counters = CounterBank()
         self._running = False
         self._events_executed = 0
         self._profiler = None

@@ -2,15 +2,11 @@
 
 A :class:`Process` is anything with a name that lives on a simulator:
 devices, aggregators, brokers, channels.  It standardises access to the
-clock, per-actor random streams, trace points and the shared counter
-bank so subclasses stay small.
-
-A process is constructed from either a bare
-:class:`~repro.sim.kernel.Simulator` (it gets a private
-:class:`~repro.runtime.context.SimContext` with its own counter bank —
-the unit-test path) or a shared ``SimContext`` (what
-:func:`repro.runtime.build.build` passes), in which case every actor in
-the world emits into the same counters and span stream.
+clock, per-actor random streams, trace points and the kernel's counter
+bank so subclasses stay small.  Every actor on one
+:class:`~repro.sim.kernel.Simulator` counts into that kernel's bank and
+traces into its span stream, whether :func:`repro.runtime.build.build`
+wired it or a test built it by hand.
 """
 
 from __future__ import annotations
@@ -23,27 +19,21 @@ from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:
     from repro.monitoring.counters import CounterBank
-    from repro.runtime.context import SimContext
 
 
 class Process:
-    """A named actor bound to a kernel via a :class:`SimContext`."""
+    """A named actor bound to a :class:`Simulator`."""
 
-    def __init__(self, runtime: "Simulator | SimContext", name: str) -> None:
-        # Imported lazily: repro.runtime imports repro.sim at module
-        # level, so the reverse edge must resolve at call time.
-        from repro.runtime.context import coerce_context
-
-        self._context = coerce_context(runtime)
-        self._sim = self._context.simulator
+    def __init__(self, simulator: Simulator, name: str) -> None:
+        self._sim = simulator
         self._name = name
         # Hot-path caches: the per-event report path must do zero string
         # formatting, so stream handles and fully-qualified counter
         # names are resolved once per (actor, purpose) pair.
         self._rng_cache: dict[str, np.random.Generator] = {}
         self._counter_names: dict[str, str] = {}
-        self._increment = self._context.counters.increment
-        self._counts = self._context.counters._counts
+        self._increment = simulator.counters.increment
+        self._counts = simulator.counters._counts
         self._clock = self._sim.clock
         self._spans = self._sim.spans
         self._trace_event = self._spans.event
@@ -54,14 +44,9 @@ class Process:
         return self._sim
 
     @property
-    def context(self) -> "SimContext":
-        """The runtime context this process was constructed from."""
-        return self._context
-
-    @property
     def counters(self) -> "CounterBank":
-        """The counter bank this actor emits into (shared via context)."""
-        return self._context.counters
+        """The kernel's counter bank, which this actor emits into."""
+        return self._sim.counters
 
     @property
     def name(self) -> str:
@@ -87,7 +72,7 @@ class Process:
         return generator
 
     def count(self, metric: str, by: int = 1) -> int:
-        """Increment this actor's ``metric`` in the shared counter bank.
+        """Increment this actor's ``metric`` in the kernel's counter bank.
 
         Counters are namespaced by actor name (``device1.report_timeouts``,
         ``backhaul.messages_dropped``) so one

@@ -36,7 +36,6 @@ from repro.errors import NetworkError
 if TYPE_CHECKING:
     from repro.faults.injectors import LinkFaultInjector
     from repro.ids import AggregatorId
-    from repro.runtime.context import SimContext
     from repro.sim.kernel import Simulator
     from repro.sim.process import Process
 
@@ -303,11 +302,11 @@ class Transport(abc.ABC):
     kind: str = "abstract"
 
     @abc.abstractmethod
-    def make_endpoint(self, runtime: "Simulator | SimContext", owner_name: str) -> Endpoint:
+    def make_endpoint(self, simulator: "Simulator", owner_name: str) -> Endpoint:
         """Create the hub hosted by aggregator ``owner_name``."""
 
     @abc.abstractmethod
-    def make_link(self, runtime: "Simulator | SimContext", device_name: str) -> DeviceLink:
+    def make_link(self, simulator: "Simulator", device_name: str) -> DeviceLink:
         """Create the device-side link for ``device_name``."""
 
     @abc.abstractmethod

@@ -42,7 +42,6 @@ from repro.transport.base import (
 )
 
 if TYPE_CHECKING:
-    from repro.runtime.context import SimContext
     from repro.sim.kernel import Simulator
 
 
@@ -54,7 +53,7 @@ class DirectHub(Process, Endpoint):
     lookup until the subscription table changes.
 
     Args:
-        runtime: The kernel, or a shared :class:`SimContext`.
+        simulator: The kernel.
         name: Hub name for traces (usually ``{aggregator}-broker``).
         connect_s: Fixed client connect latency.
         wire_bytes: Carry codec-encoded bytes; when False, message
@@ -63,12 +62,12 @@ class DirectHub(Process, Endpoint):
 
     def __init__(
         self,
-        runtime: "Simulator | SimContext",
+        simulator: "Simulator",
         name: str,
         connect_s: float = 0.35,
         wire_bytes: bool = False,
     ) -> None:
-        super().__init__(runtime, name)
+        super().__init__(simulator, name)
         if connect_s <= 0:
             raise NetworkError(f"connect latency must be positive, got {connect_s}")
         self.wire_bytes = wire_bytes
@@ -81,8 +80,6 @@ class DirectHub(Process, Endpoint):
         self._batches: dict[float, list[tuple[str, Any]]] = {}
         self._drain_due = self._drain
         self._drain_label = f"direct-drain:{name}"
-        self._messages_routed = 0
-        self._messages_dropped = 0
         self._down = False
         self._injector: LinkFaultInjector | None = None
         # Called with this hub on every routing-state change (crash,
@@ -93,12 +90,12 @@ class DirectHub(Process, Endpoint):
     @property
     def messages_routed(self) -> int:
         """Messages delivered to at least one subscriber."""
-        return self._messages_routed
+        return self.counted("messages_routed")
 
     @property
     def messages_dropped(self) -> int:
         """Messages lost to hub downtime or injected faults."""
-        return self._messages_dropped
+        return self.counted("messages_dropped")
 
     @property
     def down(self) -> bool:
@@ -133,7 +130,7 @@ class DirectHub(Process, Endpoint):
     def deliver(self, topic: str, payload: Any, after_s: float = 0.0) -> None:
         """Route ``payload`` to matching subscribers after a delay."""
         if self._down:
-            self._messages_dropped += 1
+            self.count("messages_dropped")
             self.trace("direct.drop_down", topic=topic)
             return
         if self._injector is None:
@@ -151,7 +148,7 @@ class DirectHub(Process, Endpoint):
         if self._injector is not None:
             verdict = self._injector.message_verdict()
             if verdict in (FaultAction.DROP, FaultAction.CORRUPT):
-                self._messages_dropped += 1
+                self.count("messages_dropped")
                 self.trace("direct.drop_fault", topic=topic, verdict=verdict.value)
                 return
             if verdict is FaultAction.DELAY:
@@ -175,7 +172,7 @@ class DirectHub(Process, Endpoint):
     def _drain(self) -> None:
         batch = self._batches.pop(self._clock.now, ())
         if self._down:
-            self._messages_dropped += len(batch)
+            self.count("messages_dropped", len(batch))
             for topic, _ in batch:
                 self.trace("direct.drop_down", topic=topic)
             return
@@ -198,7 +195,8 @@ class DirectHub(Process, Endpoint):
                     )
                 for callback in targets:
                     callback(topic, payload)
-        self._messages_routed += routed
+        if routed:
+            self.count("messages_routed", routed)
 
 
 class DirectLink(Process, DeviceLink):
@@ -210,7 +208,7 @@ class DirectLink(Process, DeviceLink):
     is skipped entirely at the zero-loss default.
 
     Args:
-        runtime: The kernel, or a shared :class:`SimContext`.
+        simulator: The kernel.
         name: Link name (usually ``{device}-link``).
         transport: The owning transport (fixed parameters, the payload
             form and the environment-wide fault injector live there).
@@ -220,13 +218,13 @@ class DirectLink(Process, DeviceLink):
 
     def __init__(
         self,
-        runtime: "Simulator | SimContext",
+        simulator: "Simulator",
         name: str,
         transport: "DirectTransport",
         max_retries: int = 5,
         retry_backoff_s: float = 0.2,
     ) -> None:
-        super().__init__(runtime, name)
+        super().__init__(simulator, name)
         if max_retries < 0:
             raise NetworkError(f"max_retries must be >= 0, got {max_retries}")
         if retry_backoff_s <= 0:
@@ -416,13 +414,13 @@ class DirectTransport(Transport):
         """The environment-wide fault injector, if any."""
         return self._injector
 
-    def make_endpoint(self, runtime: "Simulator | SimContext", owner_name: str) -> Endpoint:
+    def make_endpoint(self, simulator: "Simulator", owner_name: str) -> Endpoint:
         """The hub hosted on aggregator ``owner_name``."""
-        return DirectHub(runtime, f"{owner_name}-broker", self.connect_s, self.wire_bytes)
+        return DirectHub(simulator, f"{owner_name}-broker", self.connect_s, self.wire_bytes)
 
-    def make_link(self, runtime: "Simulator | SimContext", device_name: str) -> DeviceLink:
+    def make_link(self, simulator: "Simulator", device_name: str) -> DeviceLink:
         """A fixed-latency link for ``device_name``."""
-        return DirectLink(runtime, f"{device_name}-link", self)
+        return DirectLink(simulator, f"{device_name}-link", self)
 
     def make_radio(self, process: "Process") -> RadioModel:
         """Deterministic entry latencies; no per-device RNG stream."""

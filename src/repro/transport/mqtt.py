@@ -19,7 +19,6 @@ from repro.transport.base import DeviceLink, Endpoint, RadioModel, Transport
 
 if TYPE_CHECKING:
     from repro.faults.injectors import LinkFaultInjector
-    from repro.runtime.context import SimContext
     from repro.sim.kernel import Simulator
     from repro.sim.process import Process
 
@@ -84,14 +83,14 @@ class MqttTransport(Transport):
             raise ConfigError(f"MqttTransport needs a WirelessChannel to {what}")
         return self._channel
 
-    def make_endpoint(self, runtime: "Simulator | SimContext", owner_name: str) -> Endpoint:
+    def make_endpoint(self, simulator: "Simulator", owner_name: str) -> Endpoint:
         """The broker hosted on aggregator ``owner_name``."""
-        return MqttBroker(runtime, f"{owner_name}-broker")
+        return MqttBroker(simulator, f"{owner_name}-broker")
 
-    def make_link(self, runtime: "Simulator | SimContext", device_name: str) -> DeviceLink:
+    def make_link(self, simulator: "Simulator", device_name: str) -> DeviceLink:
         """An MQTT client publishing over the wireless channel."""
         channel = self._require_channel(f"make a link for {device_name}")
-        return MqttClient(runtime, f"{device_name}-mqtt", channel)
+        return MqttClient(simulator, f"{device_name}-mqtt", channel)
 
     def make_radio(self, process: "Process") -> RadioModel:
         """A Wi-Fi radio drawing jitter from the device's own stream."""

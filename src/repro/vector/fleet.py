@@ -343,9 +343,6 @@ class Cohort:
             mcu._state_entered_at = now
             counts[member.reports_key] = counts_get(member.reports_key, 0) + 1
             counts[member.published_key] = counts_get(member.published_key, 0) + 1
-        # The whole tick's reports route through the hub in one batch in
-        # the scalar path; account them here (the hub never sees them).
-        self._unit._broker._messages_routed += len(members)
         self._fleet._stage_delivery(
             self, now, members, tick_seqs, current_list, energy_list, measured_list
         )
@@ -356,9 +353,8 @@ class VectorFleet:
 
     def __init__(self, scenario: "Scenario") -> None:
         self._scenario = scenario
-        context = scenario.context
         self._sim = scenario.simulator
-        self._counts = context.counters._counts
+        self._counts = scenario.counters._counts
         self._backend = NumpyBackend
         self._latency_s = scenario.transport.latency_s
         self._cohorts: list[Cohort] = []
@@ -666,7 +662,10 @@ class VectorFleet:
                 stats.reports_screened += screened
             if accepted:
                 counts[acks_key] = counts.get(acks_key, 0) + accepted
-                broker._messages_routed += accepted
+            # The hub sees none of this traffic: count what the scalar
+            # hub routes, this tick's reports (drained at this instant)
+            # and their Acks.
+            broker.count("messages_routed", count + accepted)
 
     def _defer(self, cohort: Cohort, tick_time: float, member: _Member,
                sequence: int, current_ma: float, energy_mwh: float,

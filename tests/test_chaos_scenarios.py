@@ -127,7 +127,7 @@ class TestBrokerFaults:
             )
         result = settle_and_measure(scenario, plan, run_s=15.0, seed=5)
         assert result.delivery_ratio >= 0.99
-        assert plan.counters.total("broker:") > 0
+        assert scenario.counters.total("broker:") > 0
 
     def test_duplicate_faults_deduplicated_by_ledger_scoring(self):
         scenario = build(paper_testbed_spec(seed=6))

@@ -197,7 +197,7 @@ class TestFaultPlan:
         assert injector.blackout_active
         sim.run_until(3.5)
         assert not injector.blackout_active
-        assert plan.counters.get("fault.b1.activations") == 1
+        assert sim.counters.get("fault.b1.activations") == 1
 
     def test_link_noise_window_swaps_spec(self):
         sim = Simulator()

@@ -137,7 +137,7 @@ class TestMetricsRegistry:
         series.record("pos", 0.0, math.inf)
         series.record("neg", 0.0, -math.inf)
         series.record("bad", 0.0, math.nan)
-        world = SimpleNamespace(counters=None, monitoring={"agg": series})
+        world = SimpleNamespace(counters=CounterBank(), monitoring={"agg": series})
         text = render_prometheus(*snapshot_metrics(world))
         assert 'repro_series_last{name="agg.pos"} +Inf' in text
         assert 'repro_series_last{name="agg.neg"} -Inf' in text

@@ -1,4 +1,4 @@
-"""ScenarioSpec / SimContext runtime tests.
+"""ScenarioSpec / build runtime tests.
 
 Covers the declarative-spec contract end to end:
 
@@ -10,7 +10,8 @@ Covers the declarative-spec contract end to end:
 * provenance — ``snapshot()`` carries the master seed and the
   originating spec,
 * unified counters — every layer (devices, aggregators, mesh,
-  channel, chain, faults) emits into one shared :class:`CounterBank`,
+  channel, chain, faults) emits into the kernel's one
+  :class:`CounterBank`, whether ``build`` wired it or a test did,
 * the ``repro-experiments --scenario`` CLI path.
 """
 
@@ -23,8 +24,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregator.unit import AggregatorUnit
+from repro.chain.ledger import Blockchain
 from repro.cli import main
+from repro.device.stack import DeviceConfig, MeteringDevice
 from repro.errors import ConfigError
+from repro.faults import FaultPlan
+from repro.grid.topology import GridNetwork, GridTopology
+from repro.ids import AggregatorId, DeviceId
+from repro.net.backhaul import BackhaulMesh
 from repro.runtime import (
     DeviceSpec,
     FaultSpec,
@@ -35,12 +43,13 @@ from repro.runtime import (
     ProfileSpec,
     ScenarioSpec,
     ServeSpec,
-    SimContext,
     TransportSpec,
     VectorSpec,
     build,
 )
 from repro.runtime.spec import FAULT_KINDS, MESH_TOPOLOGIES, TRANSPORT_KINDS
+from repro.sim import Simulator
+from repro.transport.direct import DirectTransport
 from repro.workloads.scenarios import paper_testbed_spec, scaled_spec
 
 EXAMPLE_SPECS = sorted(
@@ -440,7 +449,7 @@ class TestProvenance:
         spec = paper_testbed_spec(seed=3)
         scenario = build(spec)
         assert scenario.spec == spec
-        assert scenario.master_seed == 3
+        assert scenario.simulator.rng.master_seed == 3
 
 
 class TestUnifiedCounters:
@@ -448,7 +457,7 @@ class TestUnifiedCounters:
         scenario = build(paper_testbed_spec(seed=1))
         scenario.run_until(10.0)
         bank = scenario.counters
-        assert bank is scenario.context.counters
+        assert bank is scenario.simulator.counters
         # one bank is visible from every layer's process
         for device in scenario.devices.values():
             assert device.counters is bank
@@ -477,14 +486,34 @@ class TestUnifiedCounters:
         scenario = build(spec)
         scenario.run_until(10.0)
         assert scenario.fault_plan is not None
-        assert scenario.fault_plan.counters is scenario.counters
+        assert scenario.fault_plan.simulator.counters is scenario.counters
         assert scenario.counters.get("fault.radio-blackout.activations") == 1
 
-    def test_context_create_wires_clock_and_streams(self):
-        ctx = SimContext.create(seed=9)
-        assert ctx.master_seed == 9
-        first = ctx.stream("x").random()
-        assert first == SimContext.create(seed=9).stream("x").random()
+    def test_actors_built_on_one_kernel_share_its_bank(self):
+        # No build(): each actor is wired by hand on one Simulator, and
+        # still counts into that kernel's bank, faults included.
+        sim = Simulator(seed=3)
+        transport = DirectTransport(scan_s=0.05, assoc_s=0.05, connect_s=0.02)
+        agg = AggregatorId("agg1")
+        network = GridNetwork(agg)
+        grid = GridTopology()
+        grid.add_network(network)
+        mesh = BackhaulMesh(sim)
+        unit = AggregatorUnit(sim, agg, Blockchain(), mesh, network, transport=transport)
+        device = MeteringDevice(
+            sim, DeviceId("d1"), DeviceConfig(), grid, transport, lambda t: 50.0
+        )
+        plan = FaultPlan(sim)
+        injector = plan.make_injector("radio")
+        for actor in (device, unit, mesh, injector):
+            assert actor.counters is sim.counters
+        plan.link_blackout("blip", injector, start_at=3.0, duration_s=0.5)
+        unit.start()
+        device.enter_network(unit)
+        sim.run_until(5.0)
+        snapshot = sim.counters.snapshot()
+        assert snapshot["d1.reports_sent"] == device.reports_sent > 0
+        assert snapshot["fault.blip.activations"] == 1
 
 
 class TestCliScenario:

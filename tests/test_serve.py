@@ -28,6 +28,14 @@ from repro.transport.direct import DirectHub, DirectLink, DirectTransport
 from repro.workloads.scenarios import paper_testbed_spec
 
 
+# /reports bodies the JSON parser itself refuses: nesting past the
+# recursion limit, and an integer past the interpreter's digit limit.
+UNPARSEABLE_BODIES = [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"reports": [' + b"9" * 5_000 + b"]}",
+]
+
+
 def serve_spec(seed=7, step_s=0.5, enter_devices=False, **serve_kwargs):
     spec = paper_testbed_spec(seed=seed, enter_devices=enter_devices)
     return dataclasses.replace(
@@ -249,6 +257,9 @@ class TestAggregatorService:
             service.ingest(b"not json")
         with pytest.raises(CodecError):
             service.ingest(json.dumps({"reports": "nope"}))
+        for body in UNPARSEABLE_BODIES:
+            with pytest.raises(CodecError):
+                service.ingest(body)
 
     def test_nacks_surface_on_alert_stream(self):
         service = AggregatorService(serve_spec())
@@ -545,6 +556,11 @@ class TestServeHttp:
         assert status == 400
         status, body = self._json(server, "GET", "/ledger/headers?count=zap")
         assert status == 400
+        for hostile in UNPARSEABLE_BODIES:
+            status, body = self._json(server, "POST", "/reports", hostile)
+            assert status == 400 and "error" in body
+        status, health = self._json(server, "GET", "/healthz")
+        assert (status, health["status"]) == (200, "ok")
 
     def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, server):
         # With TCP_NODELAY set, a response's body does not wait ~40 ms

@@ -63,6 +63,14 @@ class TestBitIdentity:
     def test_steady_state_identical(self):
         assert_identical(direct_spec(2, 3), 6.0)
 
+    @pytest.mark.parametrize("until", [12.0, 12.05])
+    def test_hub_counts_identical_on_and_between_ticks(self, until):
+        # 12.0 s is a tick instant: its reports are sent but not yet
+        # drained, so neither path may count them as routed yet.
+        spec = scaled_spec(4, 20, seed=7, transport=TransportSpec(kind="direct"))
+        scalar, _ = assert_identical(spec, until)
+        assert scalar["counters"]["net-0-broker.messages_routed"] > 0
+
     def test_vectorization_actually_engages(self):
         scenario = build(direct_spec(2, 3, enabled=True))
         scenario.run_until(6.0)
