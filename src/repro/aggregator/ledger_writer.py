@@ -39,23 +39,11 @@ class LedgerWriter:
         self._aggregator_name = aggregator_name
         self._max_records = max_records_per_block
         self._queue: list[dict[str, Any]] = []
-        self._blocks_written = 0
-        self._records_written = 0
 
     @property
     def pending(self) -> int:
         """Records staged for the next block."""
         return len(self._queue)
-
-    @property
-    def blocks_written(self) -> int:
-        """Blocks this writer appended."""
-        return self._blocks_written
-
-    @property
-    def records_written(self) -> int:
-        """Records this writer committed."""
-        return self._records_written
 
     def stage(self, record: dict[str, Any]) -> None:
         """Queue one validated record for the next block."""
@@ -74,6 +62,4 @@ class LedgerWriter:
             del self._queue[: self._max_records]
             block = self._chain.append(self._aggregator_name, timestamp, batch)
             blocks.append(block)
-            self._blocks_written += 1
-            self._records_written += len(batch)
         return blocks

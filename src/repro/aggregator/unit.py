@@ -206,11 +206,6 @@ class AggregatorUnit(Process):
         return self._broker
 
     @property
-    def broker(self) -> Endpoint:
-        """Legacy alias for :attr:`endpoint` (pre-transport-layer name)."""
-        return self._broker
-
-    @property
     def registry(self) -> MembershipRegistry:
         """The membership registry."""
         return self._registry
@@ -817,12 +812,10 @@ class AggregatorUnit(Process):
     def _flush_block(self) -> None:
         blocks = self._writer.flush(self.now)
         if blocks:
+            records = sum(b.header.record_count for b in blocks)
             self.count("blocks_written", len(blocks))
-            self.trace(
-                "agg.blocks_written",
-                count=len(blocks),
-                records=sum(b.header.record_count for b in blocks),
-            )
+            self.count("records_written", records)
+            self.trace("agg.blocks_written", count=len(blocks), records=records)
 
     def _expire_temporaries(self) -> None:
         expired = self._registry.expire_temporaries(

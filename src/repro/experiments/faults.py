@@ -217,8 +217,8 @@ def run_fault_sweep(
     *thinks* it delivered, which only the Ack-timeout retry path can
     recover.  ``workers`` > 1 runs intensities across a process pool;
     results are identical to a serial sweep for any worker count.
-    ``obs_dir`` captures per-point observability artifacts (see
-    :func:`repro.experiments.sweeps.sweep`).
+    ``obs_dir`` folds every point's observed worlds into one artifact
+    directory (see :func:`repro.experiments.sweeps.sweep`).
     """
     if not intensities:
         return []

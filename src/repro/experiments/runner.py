@@ -1,7 +1,8 @@
 """Run-everything orchestration used by the CLI.
 
 Each experiment gets a named entry; ``run_all`` executes the requested
-subset and returns rendered text blocks, so the CLI, tests and
+subset through :func:`repro.parallel.run_in_order` (the executor sweeps
+use too) and returns rendered text blocks, so the CLI, tests and
 EXPERIMENTS.md generation all share one code path.
 """
 
@@ -28,6 +29,7 @@ from repro.experiments.report import (
     render_handshake_stats,
     render_table,
 )
+from repro.parallel import run_in_order
 
 
 def _run_fig5() -> str:
@@ -156,34 +158,6 @@ def _run_by_name(name: str) -> str:
     return EXPERIMENTS[name]()
 
 
-def _run_observed(name: str, obs_dir: str) -> str:
-    """Run one experiment under an obs capture session.
-
-    Module-level so the process pool can pickle it.  Every world the
-    experiment builds is force-instrumented and folded into one artifact
-    directory at ``obs_dir/<name>``.
-    """
-    from repro.obs import capture
-    from repro.runtime import ObsSpec
-
-    with capture(ObsSpec(enabled=True)) as session:
-        text = EXPERIMENTS[name]()
-    session.write(Path(obs_dir) / name)
-    return text
-
-
-def _merge_obs(obs_dir: str | Path, selected: list[str]) -> None:
-    """Merge per-experiment artifact dirs into ``obs_dir`` itself.
-
-    The merge order is the request order — never worker scheduling — so
-    the merged artifact is identical for any worker count.
-    """
-    from repro.obs import merge_artifact_dirs
-
-    base = Path(obs_dir)
-    merge_artifact_dirs([base / name for name in selected], base)
-
-
 def run_all(
     names: list[str] | None = None,
     workers: int | None = 1,
@@ -197,47 +171,16 @@ def run_all(
     autodetects the CPUs this process may be scheduled on.  Output
     order follows the request order either way.
 
-    ``obs_dir`` additionally captures observability artifacts: each
-    experiment writes ``obs_dir/<name>/`` and those directories are
-    merged into ``obs_dir`` itself in request order.
+    ``obs_dir`` additionally captures observability artifacts: every
+    world the experiments build is folded, in request order, into one
+    artifact in ``obs_dir`` whose manifest runs carry their experiment's
+    index in the request as ``part``.
     """
-    if workers is None:
-        from repro.parallel import available_cpus
-
-        workers = available_cpus()
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     selected = list(EXPERIMENTS) if names is None else names
     for name in selected:
         if name not in EXPERIMENTS:
             raise ExperimentError(
                 f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
             )
-    if workers == 1 or len(selected) <= 1:
-        if obs_dir is None:
-            return {name: _run_by_name(name) for name in selected}
-        outputs = {name: _run_observed(name, str(obs_dir)) for name in selected}
-        _merge_obs(obs_dir, selected)
-        return outputs
-    from concurrent.futures import ProcessPoolExecutor
-
-    outputs: dict[str, str] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        if obs_dir is None:
-            futures = [pool.submit(_run_by_name, name) for name in selected]
-        else:
-            futures = [
-                pool.submit(_run_observed, name, str(obs_dir)) for name in selected
-            ]
-        for name, future in zip(selected, futures):
-            try:
-                outputs[name] = future.result()
-            except ExperimentError:
-                raise
-            except BaseException as exc:
-                raise ExperimentError(
-                    f"experiment {name!r} failed in worker: {exc!r}"
-                ) from exc
-    if obs_dir is not None:
-        _merge_obs(obs_dir, selected)
-    return outputs
+    texts = run_in_order(_run_by_name, selected, workers, "experiment", obs_dir)
+    return dict(zip(selected, texts))

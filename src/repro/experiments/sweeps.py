@@ -4,21 +4,23 @@ A sweep maps a parameter grid over a run function and collects rows —
 the pattern every ablation repeats.  Kept tiny and explicit: a sweep is
 data (list of dicts) in, table (list of rows) out.
 
-Sweeps parallelise across processes with ``workers=N``.  Each point is
-an independent simulation constructed entirely from its parameters, so
-executing points in separate interpreters cannot change any result; the
-collector walks futures in submission order, which makes the output
-table byte-identical to a serial run for every worker count.
+Sweeps parallelise across processes with ``workers=N`` through
+:func:`repro.parallel.run_in_order`.  Each point is an independent
+simulation constructed entirely from its parameters, so executing points
+in separate interpreters cannot change any result; results are collected
+in submission order, which makes the output table (and an ``obs_dir``
+artifact) byte-identical to a serial run for every worker count.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExperimentError
+from repro.parallel import run_in_order
 from repro.sim.rng import RngStreams
 
 RunFn = Callable[..., dict[str, Any]]
@@ -57,67 +59,9 @@ def seeded(
     return out
 
 
-def _point_dir(obs_dir: str | Path, index: int) -> Path:
-    # Zero-padded so lexical directory order equals point order.
-    return Path(obs_dir) / f"point-{index:04d}"
-
-
-def _run_point_observed(
-    run: RunFn, obs_dir: str, index: int, point: dict[str, Any]
-) -> dict[str, Any]:
-    """Run one sweep point under an obs capture session.
-
-    Module-level so the process pool can pickle it.  Every world the
-    point builds is instrumented and written to ``obs_dir/point-<i>``.
-    """
-    from repro.obs import capture
-    from repro.runtime import ObsSpec
-
-    with capture(ObsSpec(enabled=True)) as session:
-        result = run(**point)
-    session.write(_point_dir(obs_dir, index))
-    return result
-
-
-def _collect_serial(
-    run: RunFn, points: list[dict[str, Any]], obs_dir: str | Path | None
-) -> list[Any]:
-    if obs_dir is None:
-        return [run(**point) for point in points]
-    return [
-        _run_point_observed(run, str(obs_dir), index, point)
-        for index, point in enumerate(points)
-    ]
-
-
-def _collect_parallel(
-    run: RunFn,
-    points: list[dict[str, Any]],
-    workers: int,
-    obs_dir: str | Path | None,
-) -> list[Any]:
-    # Futures are drained in submission order, never as-completed: the
-    # table must not depend on scheduling.  ``run`` has to be a
-    # module-level callable (pickled by qualified name into workers).
-    results: list[Any] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        if obs_dir is None:
-            futures = [pool.submit(run, **point) for point in points]
-        else:
-            futures = [
-                pool.submit(_run_point_observed, run, str(obs_dir), index, point)
-                for index, point in enumerate(points)
-            ]
-        for point, future in zip(points, futures):
-            try:
-                results.append(future.result())
-            except ExperimentError:
-                raise
-            except BaseException as exc:
-                raise ExperimentError(
-                    f"sweep point {point!r} failed in worker: {exc!r}"
-                ) from exc
-    return results
+def _run_point(run: RunFn, point: dict[str, Any]) -> dict[str, Any]:
+    # Module-level so a process pool can pickle ``partial(_run_point, run)``.
+    return run(**point)
 
 
 def sweep(
@@ -139,36 +83,21 @@ def sweep(
     identical for any worker count.  A point whose run raises (or whose worker dies)
     aborts the sweep with an :class:`ExperimentError` naming the point.
 
-    ``obs_dir`` captures observability artifacts: each point writes
-    ``obs_dir/point-<i>/`` and those merge into ``obs_dir`` itself in
-    point order, identically for any worker count.
+    ``obs_dir`` captures observability artifacts: every world the points
+    build is folded, in point order, into one artifact in ``obs_dir``
+    whose manifest runs carry their point's index as ``part``.
     """
     if not points:
         raise ExperimentError("sweep needs at least one point")
-    if workers is None:
-        # Autodetect: the CPUs this process may actually run on (an
-        # affinity-restricted container is narrower than cpu_count).
-        from repro.parallel import available_cpus
-
-        workers = available_cpus()
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     param_names = list(points[0])
     for point in points:
         if list(point) != param_names:
             raise ExperimentError(
                 f"inconsistent sweep point keys: {list(point)} != {param_names}"
             )
-    if workers == 1:
-        results = _collect_serial(run, points, obs_dir)
-    else:
-        results = _collect_parallel(run, points, workers, obs_dir)
-    if obs_dir is not None:
-        from repro.obs import merge_artifact_dirs
-
-        merge_artifact_dirs(
-            [_point_dir(obs_dir, index) for index in range(len(points))], obs_dir
-        )
+    results = run_in_order(
+        partial(_run_point, run), points, workers, "sweep point", obs_dir
+    )
 
     rows: list[list[Any]] = []
     result_names: list[str] | None = list(columns) if columns else None

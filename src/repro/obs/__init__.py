@@ -22,12 +22,9 @@ package sits *below* ``repro.sim`` and must not import it (or
 """
 
 from repro.obs.artifacts import (
-    ArtifactBundle,
     RunArtifact,
     collect_scenario,
-    merge_artifact_dirs,
     merge_profiles,
-    read_bundle,
     write_artifacts,
 )
 from repro.obs.profiler import KernelProfiler
@@ -35,7 +32,6 @@ from repro.obs.session import ObsSession, active, capture
 from repro.obs.spans import Span, SpanTracer
 
 __all__ = [
-    "ArtifactBundle",
     "KernelProfiler",
     "ObsSession",
     "RunArtifact",
@@ -44,8 +40,6 @@ __all__ = [
     "active",
     "capture",
     "collect_scenario",
-    "merge_artifact_dirs",
     "merge_profiles",
-    "read_bundle",
     "write_artifacts",
 ]

@@ -1,10 +1,12 @@
 """Self-contained run artifact directories (``--obs-dir``).
 
-One artifact directory describes one observed run (or a deterministic
-merge of several):
+One artifact directory describes one observed run or a batch of them
+(every world an experiment or sweep built, folded in memory by
+:func:`write_artifacts`):
 
 * ``manifest.json`` — format tag, per-run provenance (name, seed, sim
-  time, event count), file list.
+  time, event count, and for a batch the ``part``: the index of the
+  sweep point or experiment that built the run), file list.
 * ``spans.jsonl`` — every recorded span, protocol conversations and
   trace points alike, one JSON object per line, in begin order.
 * ``metrics.prom`` / ``metrics.jsonl`` — the run's counters and series,
@@ -12,17 +14,17 @@ merge of several):
 * ``profile.json`` — the kernel profiler snapshot (``{"enabled":
   false}`` when profiling was off).
 
-Merging is deterministic given the input directory order: spans
-concatenate with a ``part`` index, counters sum by name, series entries
-are namespaced ``part<i>.``, and profile stats sum (max of maxes).
-Wall-clock numbers in ``profile.json`` vary run to run by nature; the
-event counts and everything else in the directory are reproducible.
+Folding is deterministic given the run order: spans concatenate with a
+``run`` index, counters sum by name, series entries are namespaced
+``run<i>.``, and profile stats sum (max of maxes).  Wall-clock numbers
+in ``profile.json`` vary run to run by nature; the event counts and
+everything else in the directory are reproducible.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -49,15 +51,19 @@ class RunArtifact:
     counters: dict[str, int]
     series: list[dict[str, Any]]
     profile: dict[str, Any]
+    part: int | None = None
 
     def run_entry(self) -> dict[str, Any]:
-        return {
+        entry = {
             "name": self.name,
             "seed": self.seed,
             "sim_time": self.sim_time,
             "events": self.events,
             "spans": len(self.spans),
         }
+        if self.part is not None:
+            entry["part"] = self.part
+        return entry
 
 
 def collect_scenario(scenario: Any) -> RunArtifact:
@@ -83,131 +89,51 @@ def collect_scenario(scenario: Any) -> RunArtifact:
     )
 
 
-@dataclass
-class ArtifactBundle:
-    """The written form of one artifact directory, before serialization."""
+def write_artifacts(
+    directory: str | Path, artifacts: list[RunArtifact]
+) -> dict[str, Path]:
+    """Fold one or more runs into one artifact directory; returns file paths.
 
-    spans: list[dict[str, Any]] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    series: list[dict[str, Any]] = field(default_factory=list)
-    profile: dict[str, Any] = field(default_factory=lambda: {"enabled": False})
-    runs: list[dict[str, Any]] = field(default_factory=list)
-    merged_from: list[str] = field(default_factory=list)
-
-
-def bundle_artifacts(artifacts: list[RunArtifact]) -> ArtifactBundle:
-    """Fold one or more in-process runs into a single bundle.
-
-    With several runs (an experiment that builds multiple worlds),
-    spans gain a ``run`` index and series names a ``run<i>.`` prefix so
-    nothing collides; a single run is stored verbatim.
+    With several runs (an experiment or sweep that builds several
+    worlds), spans gain a ``run`` index and series names a ``run<i>.``
+    prefix, both in list order, so nothing collides; a single run is
+    stored verbatim.  Counters sum by name and profiles merge
+    (:func:`merge_profiles`).  No runs still writes a valid, empty
+    directory.
     """
-    bundle = ArtifactBundle()
-    many = len(artifacts) > 1
-    for index, artifact in enumerate(artifacts):
-        for span in artifact.spans:
-            bundle.spans.append({**span, "run": index} if many else span)
-        for entry in artifact.series:
-            bundle.series.append(
-                {**entry, "name": f"run{index}.{entry['name']}"} if many else entry
-            )
-        bundle.runs.append(artifact.run_entry())
-    bundle.counters = fold_counters(a.counters for a in artifacts)
-    bundle.profile = merge_profiles([a.profile for a in artifacts])
-    return bundle
-
-
-def write_bundle(directory: str | Path, bundle: ArtifactBundle) -> dict[str, Path]:
-    """Serialize ``bundle`` into ``directory``; returns file paths."""
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    manifest: dict[str, Any] = {
+    many = len(artifacts) > 1
+    series: list[dict[str, Any]] = []
+    for index, artifact in enumerate(artifacts):
+        series.extend(
+            {**entry, "name": f"run{index}.{entry['name']}"} if many else entry
+            for entry in artifact.series
+        )
+    counters = fold_counters(a.counters for a in artifacts)
+    manifest = {
         "format": FORMAT,
-        "runs": bundle.runs,
+        "runs": [a.run_entry() for a in artifacts],
         "files": [name for name in FILES if name != "manifest.json"],
     }
-    if bundle.merged_from:
-        manifest["merged_from"] = bundle.merged_from
     paths = {name: target / name for name in FILES}
     paths["manifest.json"].write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    paths["spans.jsonl"].write_text(
-        "".join(
-            json.dumps(span, sort_keys=True, default=str) + "\n"
-            for span in bundle.spans
-        )
-    )
-    paths["metrics.prom"].write_text(
-        render_prometheus(bundle.counters, bundle.series)
-    )
-    paths["metrics.jsonl"].write_text(render_jsonl(bundle.counters, bundle.series))
+    with paths["spans.jsonl"].open("w") as handle:
+        for index, artifact in enumerate(artifacts):
+            for span in artifact.spans:
+                record = {**span, "run": index} if many else span
+                handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+    paths["metrics.prom"].write_text(render_prometheus(counters, series))
+    paths["metrics.jsonl"].write_text(render_jsonl(counters, series))
     paths["profile.json"].write_text(
-        json.dumps(bundle.profile, indent=2, sort_keys=True) + "\n"
+        json.dumps(
+            merge_profiles([a.profile for a in artifacts]), indent=2, sort_keys=True
+        )
+        + "\n"
     )
     return paths
-
-
-def write_artifacts(
-    directory: str | Path, artifacts: list[RunArtifact]
-) -> dict[str, Path]:
-    """Collect-and-write convenience: one directory from 1+ runs."""
-    return write_bundle(directory, bundle_artifacts(artifacts))
-
-
-def read_bundle(directory: str | Path) -> ArtifactBundle:
-    """Parse an artifact directory back into an :class:`ArtifactBundle`."""
-    source = Path(directory)
-    manifest = json.loads((source / "manifest.json").read_text())
-    spans = [
-        json.loads(line)
-        for line in (source / "spans.jsonl").read_text().splitlines()
-        if line
-    ]
-    counters: dict[str, int] = {}
-    series: list[dict[str, Any]] = []
-    for line in (source / "metrics.jsonl").read_text().splitlines():
-        if not line:
-            continue
-        record = json.loads(line)
-        if record.get("kind") == "counter":
-            counters[record["name"]] = record["value"]
-        elif record.get("kind") == "series":
-            entry = {k: v for k, v in record.items() if k != "kind"}
-            series.append(entry)
-    return ArtifactBundle(
-        spans=spans,
-        counters=counters,
-        series=series,
-        profile=json.loads((source / "profile.json").read_text()),
-        runs=manifest.get("runs", []),
-        merged_from=manifest.get("merged_from", []),
-    )
-
-
-def merge_artifact_dirs(
-    dirs: list[str | Path], out_dir: str | Path
-) -> dict[str, Path]:
-    """Merge per-worker artifact directories into one, deterministically.
-
-    The result depends only on the *order* of ``dirs`` (callers pass
-    submission order), never on worker scheduling: spans concatenate
-    with a ``part`` index, counters sum, series entries are renamed
-    ``part<i>.<name>``, profiles sum their deterministic counts (the
-    wall-clock fields sum too, which is the meaningful aggregate).
-    """
-    merged = ArtifactBundle()
-    parts = [read_bundle(directory) for directory in dirs]
-    for index, (directory, part) in enumerate(zip(dirs, parts)):
-        merged.spans.extend({**span, "part": index} for span in part.spans)
-        merged.series.extend(
-            {**entry, "name": f"part{index}.{entry['name']}"} for entry in part.series
-        )
-        merged.runs.extend({**run, "part": index} for run in part.runs)
-        merged.merged_from.append(Path(directory).name)
-    merged.counters = fold_counters(part.counters for part in parts)
-    merged.profile = merge_profiles([part.profile for part in parts])
-    return write_bundle(out_dir, merged)
 
 
 def merge_profiles(profiles: list[dict[str, Any]]) -> dict[str, Any]:

@@ -9,8 +9,8 @@ family and ``repro_series_last``/``repro_series_samples`` gauges, each
 keyed by a ``name`` label so the dynamic counter namespace does not
 explode the family namespace) or as ``metrics.jsonl`` records
 (:func:`render_jsonl`); :func:`write_series_csv` writes the samples
-themselves.  :func:`fold_counters` sums snapshots by name (multi-run
-bundles, merged artifact directories).  Every output is sorted by name.
+themselves.  :func:`fold_counters` sums snapshots by name (a
+multi-run artifact).  Every output is sorted by name.
 """
 
 from __future__ import annotations
@@ -112,15 +112,36 @@ def render_prometheus(
     return "\n".join(lines) + "\n"
 
 
+def _json_sample(value: float | None) -> float | str | None:
+    # JSON (RFC 8259) has no NaN or infinity: a non-finite sample is
+    # written as its exposition spelling, a string.
+    if value is None or math.isfinite(value):
+        return value
+    return _format_value(value)
+
+
 def render_jsonl(counters: dict[str, int], series: list[dict[str, Any]]) -> str:
-    """Snapshotted metrics as ``metrics.jsonl``: counters, then series."""
+    """Snapshotted metrics as ``metrics.jsonl``: counters, then series.
+
+    A series' non-finite ``last_time``/``last_value`` is the string
+    ``"+Inf"``, ``"-Inf"`` or ``"NaN"``, as in ``metrics.prom``.
+    """
     records: list[dict[str, Any]] = [
         {"kind": "counter", "name": name, "value": value}
         for name, value in sorted(counters.items())
     ]
     for entry in sorted(series, key=lambda e: e["name"]):
-        records.append({"kind": "series", **entry})
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        records.append(
+            {
+                "kind": "series",
+                **entry,
+                "last_time": _json_sample(entry["last_time"]),
+                "last_value": _json_sample(entry["last_value"]),
+            }
+        )
+    return "".join(
+        json.dumps(record, sort_keys=True, allow_nan=False) + "\n" for record in records
+    )
 
 
 def write_series_csv(

@@ -10,22 +10,25 @@ block, and each built scenario registers itself so
 :meth:`ObsSession.write` can emit one artifact directory for the whole
 run — including runs that build several worlds.
 
-Worker processes each get their own (empty) stack; the sweep/run_all
-wrappers open a session inside the worker, write a per-worker artifact
-directory, and the parent merges them in deterministic order.
+:func:`observed` runs one call in such a session and returns the call's
+result with a :class:`~repro.obs.artifacts.RunArtifact` per world it
+built; :func:`repro.parallel.run_in_order` runs every sweep point and
+experiment through it (in worker processes too, which each get their own
+empty stack) and folds the artifacts in the parent.
 
-This module deliberately has no ``repro.runtime``/``repro.sim`` imports
-(it sits below the kernel in the import graph); the ``obs`` spec and
-scenarios it holds are duck-typed.
+This module deliberately has no module-level ``repro.runtime``/
+``repro.sim`` imports (it sits below the kernel in the import graph):
+the scenarios it holds are duck-typed, and :func:`observed` imports
+``ObsSpec`` only when called.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
-from repro.obs.artifacts import collect_scenario, write_artifacts
+from repro.obs.artifacts import RunArtifact, collect_scenario, write_artifacts
 
 
 class ObsSession:
@@ -71,3 +74,16 @@ def capture(obs: Any) -> Iterator[ObsSession]:
         yield session
     finally:
         _ACTIVE.pop()
+
+
+def observed(call: Callable[[Any], Any], item: Any) -> tuple[Any, list[RunArtifact]]:
+    """``call(item)`` with every world it builds observed.
+
+    Module-level so a process pool can pickle it.  Returns the call's
+    result and one artifact per world, in build order.
+    """
+    from repro.runtime import ObsSpec
+
+    with capture(ObsSpec(enabled=True)) as session:
+        result = call(item)
+    return result, [collect_scenario(s) for s in session.scenarios]

@@ -5,9 +5,12 @@ ships no ``jsonschema``): per file, a ``kind`` (``json`` — one
 document; ``jsonl`` — one document per line; ``prom`` — Prometheus text
 exposition) plus ``required``/``optional`` field→type maps.  Types are
 ``string`` / ``number`` / ``integer`` / ``boolean`` / ``array`` /
-``object`` / ``null``, and a list of those means a union.  Fields not
+``object`` / ``null`` / ``non-finite`` (one of the strings ``"+Inf"``,
+``"-Inf"``, ``"NaN"``, the exposition spellings ``metrics.jsonl`` uses
+for a non-finite sample), and a list of those means a union.  Fields not
 named in the schema are allowed (the format may grow), missing required
-fields and wrong types are errors.
+fields and wrong types are errors.  JSON is parsed strictly (RFC 8259):
+a bare ``NaN``, ``Infinity`` or ``-Infinity`` token is an error.
 
 CLI (used by CI)::
 
@@ -38,7 +41,16 @@ _TYPE_CHECKS = {
     "array": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
     "null": lambda v: v is None,
+    "non-finite": lambda v: isinstance(v, str) and v in ("+Inf", "-Inf", "NaN"),
 }
+
+
+def _reject_constant(token: str) -> Any:
+    raise ValueError(f"{token} is not JSON")
+
+
+def _parse(text: str) -> Any:
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def _type_ok(value: Any, expected: str | list[str]) -> bool:
@@ -85,8 +97,8 @@ def validate_artifact_dir(
         kind = spec["kind"]
         if kind == "json":
             try:
-                doc = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
+                doc = _parse(path.read_text())
+            except ValueError as exc:
                 errors.append(f"{filename}: invalid JSON ({exc})")
                 continue
             _check_fields(doc, spec, filename, errors)
@@ -95,8 +107,8 @@ def validate_artifact_dir(
                 if not line:
                     continue
                 try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    doc = _parse(line)
+                except ValueError as exc:
                     errors.append(f"{filename}:{lineno}: invalid JSON ({exc})")
                     continue
                 _check_fields(doc, spec, f"{filename}:{lineno}", errors)
@@ -113,13 +125,13 @@ def validate_artifact_dir(
     manifest = target / "manifest.json"
     if manifest.is_file():
         try:
-            declared = json.loads(manifest.read_text()).get("format")
+            declared = _parse(manifest.read_text()).get("format")
             if declared != schema.get("format"):
                 errors.append(
                     f"manifest.json: format {declared!r} != schema "
                     f"{schema.get('format')!r}"
                 )
-        except json.JSONDecodeError:
+        except ValueError:
             pass  # already reported above
     return errors
 

@@ -124,7 +124,7 @@ class Scenario:
                     "members": unit.registry.member_count,
                     "acks": unit.acks_sent,
                     "nacks": unit.nacks_sent,
-                    "blocks": unit.writer.blocks_written,
+                    "blocks": unit.counted("blocks_written"),
                     "network_anomalies": unit.verifier.stats.network_anomalies,
                 }
                 for name, unit in self.aggregators.items()

@@ -39,7 +39,7 @@ def broker_loss_world():
     plan = FaultPlan(scenario.simulator)
     for name, unit in scenario.aggregators.items():
         injector = plan.make_injector(f"broker:{name}")
-        unit.broker.set_fault_injector(injector)
+        unit.endpoint.set_fault_injector(injector)
         plan.link_noise(f"{name}-loss", injector, LinkFaultSpec(drop_p=0.1), start_at=0.0)
     settle_and_measure(scenario, plan, run_s=15.0, seed=5)
     return scenario
@@ -93,7 +93,7 @@ class TestResendRestartsDeadline:
         scenario = observed(spec)
         scenario.run_until(12.0)
         device = scenario.device("device1")
-        hub = scenario.aggregator("agg1").broker
+        hub = scenario.aggregator("agg1").endpoint
         sequence = device.sequences_issued + 1
         hub.set_down(True)  # reports sent from here on go unacked
         scenario.run_until(12.25)

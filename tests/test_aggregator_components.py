@@ -260,11 +260,14 @@ class TestLedgerWriter:
         chain = Blockchain()
         writer = LedgerWriter(chain, "agg1")
         writer.stage({})
-        writer.flush(1.0)
+        first = writer.flush(1.0)
         writer.stage({})
-        writer.flush(2.0)
-        assert writer.blocks_written == 2
-        assert writer.records_written == 2
+        second = writer.flush(2.0)
+        assert [b.header.record_count for b in first + second] == [1, 1]
+        assert [block.block_hash for block in chain] == [
+            b.block_hash for b in first + second
+        ]
+        assert chain.height == 2
 
     def test_unauthorized_writer_fails(self):
         chain = Blockchain(authorized={"other"})

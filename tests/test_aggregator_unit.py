@@ -88,8 +88,14 @@ class TestReporting:
 class TestBlockCadence:
     def test_blocks_written_continuously(self, steady_world):
         agg1 = steady_world.aggregator("agg1")
-        assert agg1.writer.blocks_written >= 10
-        assert agg1.writer.records_written > 200
+        assert agg1.counted("blocks_written") >= 10
+        assert agg1.counted("records_written") > 200
+        # The bank counts are the chain's own facts.
+        own = [b for b in steady_world.chain if b.header.aggregator == "agg1"]
+        assert agg1.counted("blocks_written") == len(own)
+        assert agg1.counted("records_written") == sum(
+            b.header.record_count for b in own
+        )
 
     def test_block_attribution(self, steady_world):
         creators = {block.header.aggregator for block in steady_world.chain}

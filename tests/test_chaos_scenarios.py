@@ -63,12 +63,12 @@ class TestCrashScenario:
             unit.crash_for(0.0)
         unit.crash_for(5.0)
         assert unit.down
-        assert unit.broker.down
+        assert unit.endpoint.down
         with pytest.raises(ProtocolError):
             unit.crash_for(1.0)  # already down
         scenario.run_until(10.0)
         assert not unit.down
-        assert not unit.broker.down
+        assert not unit.endpoint.down
 
     def test_volatile_state_lost_ledger_survives(self):
         scenario = build(crash_spec(seed=0, crash_at=10.0, outage_s=5.0))
@@ -108,11 +108,11 @@ class TestBrokerFaults:
         scenario = build(paper_testbed_spec(seed=0))
         unit = scenario.aggregator("agg1")
         scenario.run_until(12.0)  # devices registered and reporting
-        unit.broker.set_down(True)
-        dropped_before = unit.broker.messages_dropped
+        unit.endpoint.set_down(True)
+        dropped_before = unit.endpoint.messages_dropped
         scenario.run_until(13.0)
-        assert unit.broker.messages_dropped > dropped_before
-        unit.broker.set_down(False)
+        assert unit.endpoint.messages_dropped > dropped_before
+        unit.endpoint.set_down(False)
 
     def test_broker_injector_survivable_with_retry(self):
         scenario = build(paper_testbed_spec(seed=5))
@@ -121,7 +121,7 @@ class TestBrokerFaults:
         plan = FaultPlan(scenario.simulator)
         for name, unit in scenario.aggregators.items():
             injector = plan.make_injector(f"broker:{name}")
-            unit.broker.set_fault_injector(injector)
+            unit.endpoint.set_fault_injector(injector)
             plan.link_noise(
                 f"{name}-loss", injector, LinkFaultSpec(drop_p=0.1), start_at=0.0
             )
@@ -136,7 +136,7 @@ class TestBrokerFaults:
         plan = FaultPlan(scenario.simulator)
         unit = scenario.aggregator("agg1")
         injector = plan.make_injector("dup")
-        unit.broker.set_fault_injector(injector)
+        unit.endpoint.set_fault_injector(injector)
         plan.link_noise(
             "dup-storm", injector, LinkFaultSpec(duplicate_p=0.3), start_at=0.0
         )
@@ -156,7 +156,7 @@ class TestRetryMatters:
             plan = FaultPlan(scenario.simulator)
             for name, unit in scenario.aggregators.items():
                 injector = plan.make_injector(f"broker:{name}")
-                unit.broker.set_fault_injector(injector)
+                unit.endpoint.set_fault_injector(injector)
                 plan.link_noise(
                     f"{name}-loss", injector, LinkFaultSpec(drop_p=0.1), start_at=0.0
                 )

@@ -22,17 +22,19 @@ class TestRunner:
     def test_registry_names_are_stable(self):
         assert {"fig5", "fig6", "handshake"} <= set(EXPERIMENTS)
 
-    def test_obs_dir_writes_per_experiment_and_merged_artifacts(self, tmp_path):
+    def test_obs_dir_writes_one_folded_artifact(self, tmp_path):
+        from repro.obs.artifacts import FILES
         from repro.obs.validate import validate_artifact_dir
 
         obs_dir = tmp_path / "obs"
         outputs = run_all(["handshake"], obs_dir=str(obs_dir))
         assert list(outputs) == ["handshake"]
-        # one sub-directory per experiment, plus the merged roll-up
-        assert not validate_artifact_dir(obs_dir / "handshake")
+        # The experiment's worlds fold into obs_dir itself: no sub-directory.
+        assert sorted(p.name for p in obs_dir.iterdir()) == sorted(FILES)
         assert not validate_artifact_dir(obs_dir)
         manifest = json.loads((obs_dir / "manifest.json").read_text())
-        assert manifest["merged_from"] == ["handshake"]
+        assert len(manifest["runs"]) > 1
+        assert {run["part"] for run in manifest["runs"]} == {0}
 
 
 class TestCli:

@@ -12,10 +12,10 @@ from repro.monitoring.timeseries import SeriesBank
 from repro.obs import (
     capture,
     collect_scenario,
-    merge_artifact_dirs,
     merge_profiles,
-    read_bundle,
+    write_artifacts,
 )
+from repro.obs.artifacts import FILES
 from repro.obs.metrics import (
     fold_counters,
     render_jsonl,
@@ -39,6 +39,34 @@ def observed_testbed(seed=7, until=10.0):
         scenario = build(paper_testbed_spec(seed=seed))
         scenario.run_until(until)
     return scenario, session
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def read_artifact(directory):
+    """An artifact directory parsed strictly (RFC 8259) into plain data."""
+    counters, series = {}, []
+    for line in (directory / "metrics.jsonl").read_text().splitlines():
+        record = _strict_json(line)
+        if record["kind"] == "counter":
+            counters[record["name"]] = record["value"]
+        else:
+            series.append(record)
+    return SimpleNamespace(
+        manifest=_strict_json((directory / "manifest.json").read_text()),
+        spans=[
+            _strict_json(line)
+            for line in (directory / "spans.jsonl").read_text().splitlines()
+        ],
+        counters=counters,
+        series=series,
+        profile=_strict_json((directory / "profile.json").read_text()),
+    )
 
 
 class TestSpanTracer:
@@ -286,10 +314,10 @@ class TestArtifacts:
         scenario, session = observed_testbed(until=5.0)
         paths = session.write(tmp_path / "run")
         assert validate_artifact_dir(tmp_path / "run") == []
-        bundle = read_bundle(tmp_path / "run")
-        assert bundle.counters == collect_scenario(scenario).counters
-        assert len(bundle.spans) == len(scenario.simulator.spans)
-        assert bundle.profile["enabled"]
+        artifact = read_artifact(tmp_path / "run")
+        assert artifact.counters == collect_scenario(scenario).counters
+        assert len(artifact.spans) == len(scenario.simulator.spans)
+        assert artifact.profile["enabled"]
         assert paths["metrics.prom"].read_text().startswith("# HELP")
 
     def test_disabled_run_still_writes_valid_artifacts(self, tmp_path):
@@ -297,35 +325,48 @@ class TestArtifacts:
         scenario.run_until(2.0)
         scenario.write_obs_artifacts(tmp_path / "plain")
         assert validate_artifact_dir(tmp_path / "plain") == []
-        bundle = read_bundle(tmp_path / "plain")
-        assert bundle.spans == []
-        assert bundle.profile == {"enabled": False}
-        assert bundle.counters  # counters exist regardless of obs
-        # Non-finite samples render as +Inf/-Inf/NaN, which must validate.
+        artifact = read_artifact(tmp_path / "plain")
+        assert artifact.spans == []
+        assert artifact.profile == {"enabled": False}
+        assert artifact.counters  # counters exist regardless of obs
+        # Non-finite samples are the strings +Inf/-Inf/NaN in both metric
+        # files: JSON has no such numbers, so metrics.jsonl parses strictly.
         bank = scenario.aggregator("agg1").monitoring
         for name, value in (("pos", math.inf), ("neg", -math.inf), ("bad", math.nan)):
             bank.record(name, 2.0, value, unit="mA")
-        scenario.write_obs_artifacts(tmp_path / "non-finite")
-        assert validate_artifact_dir(tmp_path / "non-finite") == []
+        target = tmp_path / "non-finite"
+        scenario.write_obs_artifacts(target)
+        assert validate_artifact_dir(target) == []
+        last = {e["name"]: e["last_value"] for e in read_artifact(target).series}
+        assert (last["agg1.pos"], last["agg1.neg"], last["agg1.bad"]) == (
+            "+Inf",
+            "-Inf",
+            "NaN",
+        )
+        # A bare NaN token (what json.dumps writes by default) is an error.
+        jsonl = target / "metrics.jsonl"
+        jsonl.write_text(jsonl.read_text().replace('"NaN"', "NaN"))
+        (error,) = validate_artifact_dir(target)
+        assert error.startswith("metrics.jsonl:") and "NaN is not JSON" in error
+        # Any other string is no sample value.
+        jsonl.write_text(jsonl.read_text().replace("NaN", '"nan"'))
+        (error,) = validate_artifact_dir(target)
+        assert "last_value" in error
 
     def test_merge_is_deterministic_and_sums(self, tmp_path):
-        for index, seed in enumerate((7, 8)):
-            _, session = observed_testbed(seed=seed, until=3.0)
-            session.write(tmp_path / f"part{index}")
-        merge_artifact_dirs(
-            [tmp_path / "part0", tmp_path / "part1"], tmp_path / "merged"
+        part0, part1 = (
+            collect_scenario(observed_testbed(seed=seed, until=3.0)[0]) for seed in (7, 8)
         )
+        write_artifacts(tmp_path / "merged", [part0, part1])
         assert validate_artifact_dir(tmp_path / "merged") == []
-        merged = read_bundle(tmp_path / "merged")
-        part0 = read_bundle(tmp_path / "part0")
-        part1 = read_bundle(tmp_path / "part1")
+        merged = read_artifact(tmp_path / "merged")
         assert len(merged.spans) == len(part0.spans) + len(part1.spans)
-        assert {span["part"] for span in merged.spans} == {0, 1}
+        assert {span["run"] for span in merged.spans} == {0, 1}
         some = next(iter(part0.counters))
         assert merged.counters[some] == part0.counters[some] + part1.counters.get(
             some, 0
         )
-        assert all(e["name"].startswith(("part0.", "part1.")) for e in merged.series)
+        assert all(e["name"].startswith(("run0.", "run1.")) for e in merged.series)
         assert merged.profile["merged"] == 2
         assert (
             merged.profile["events"]
@@ -359,6 +400,13 @@ def _obs_sweep_point(seed):
     return {"events": scenario.simulator.events_executed}
 
 
+def _obs_worlds_point(worlds):
+    """Module-level: build and run ``worlds`` small worlds."""
+    for seed in range(worlds):
+        build(paper_testbed_spec(seed=seed)).run_until(2.0)
+    return {"worlds": worlds}
+
+
 class TestSweepArtifacts:
     # profile.json carries wall-clock timings, which legitimately vary
     # run to run; everything else in the directory must be identical.
@@ -378,7 +426,26 @@ class TestSweepArtifacts:
                 tmp_path / "w2" / name
             ).read_bytes(), name
         manifest = json.loads((tmp_path / "w1" / "manifest.json").read_text())
-        assert manifest["merged_from"] == ["point-0000", "point-0001"]
+        assert [run["part"] for run in manifest["runs"]] == [0, 1]
+
+    def test_one_folded_batch_for_any_worker_count(self, tmp_path):
+        from repro.experiments.sweeps import sweep
+
+        # Points build 0, 1 and 2 worlds: the batch folds three worlds,
+        # each tagged with the point that built it, into obs_dir itself.
+        points = [{"worlds": n} for n in range(3)]
+        for workers in (1, 2):
+            target = tmp_path / f"w{workers}"
+            sweep(_obs_worlds_point, points, workers=workers, obs_dir=target)
+            assert sorted(p.name for p in target.iterdir()) == sorted(FILES)
+            assert validate_artifact_dir(target) == []
+            artifact = read_artifact(target)
+            assert [run["part"] for run in artifact.manifest["runs"]] == [1, 2, 2]
+            assert {span["run"] for span in artifact.spans} == {0, 1, 2}
+        for name in self.DETERMINISTIC_FILES:
+            assert (tmp_path / "w1" / name).read_bytes() == (
+                tmp_path / "w2" / name
+            ).read_bytes(), name
 
 
 class TestCli:

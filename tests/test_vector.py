@@ -289,12 +289,12 @@ class TestProfilerWeights:
         assert all("weighted" not in s for s in snap["by_label"].values())
 
     def test_merged_artifacts_keep_device_equivalents(self, tmp_path):
-        from repro.obs import merge_artifact_dirs
+        from repro.obs import collect_scenario, write_artifacts
         from repro.obs.validate import validate_artifact_dir
 
-        # Two vectorized worlds, as a --workers sweep writes them.  Spans
+        # Two vectorized worlds, as a --workers sweep folds them.  Spans
         # off: a span-recording world keeps devices out of cohorts.
-        part_dirs = []
+        artifacts = []
         for seed in (7, 8):
             spec = dataclasses.replace(
                 direct_spec(2, 3, seed=seed, enabled=True),
@@ -302,12 +302,9 @@ class TestProfilerWeights:
             )
             scenario = build(spec)
             scenario.run_until(6.0)
-            part_dirs.append(tmp_path / f"seed{seed}")
-            scenario.write_obs_artifacts(part_dirs[-1])
-        merge_artifact_dirs(part_dirs, tmp_path / "merged")
-        parts = [
-            json.loads((part_dir / "profile.json").read_text()) for part_dir in part_dirs
-        ]
+            artifacts.append(collect_scenario(scenario))
+        write_artifacts(tmp_path / "merged", artifacts)
+        parts = [artifact.profile for artifact in artifacts]
         merged = json.loads((tmp_path / "merged" / "profile.json").read_text())
         assert merged["events"] == sum(p["events"] for p in parts)
         weighted = sum(p["weighted_events"] for p in parts)
